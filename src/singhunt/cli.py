@@ -115,11 +115,12 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _default_threads() -> int:
-    env = os.environ.get("SINGHUNT_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def _load(path: str, parse):
+    """Parse a data file, naming the file in any error."""
+    try:
+        return parse(_read(path))
+    except SinghuntError as exc:
+        raise SinghuntError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +155,6 @@ def cmd_hunt(args) -> int:
         budget=args.budget,
         classify_points=args.classify,
         cap=args.cap,
-        threads=args.threads,
     )
     report.add_result("members", len(members))
     for i, m in enumerate(members, 1):
@@ -235,7 +235,10 @@ def cmd_lift(args) -> int:
             lifted = lift.lift_rational(rs)
             report.add_result("value", lifted.value)
             report.add_result("modulus_product", lifted.modulus_product)
-            report.verdict(True, "held-out", f"verified against {lifted.verified_primes} primes")
+            if len(rs.primes) < 3:
+                report.add_result("verification", "unverified: no prime held out (needs 3 primes)")
+            else:
+                report.verdict(True, "held-out", f"verified against {lifted.verified_primes} primes")
     except HeldOutMismatch as exc:
         report.verdict(False, "held-out", str(exc))
     return _emit(report, args)
@@ -243,7 +246,7 @@ def cmd_lift(args) -> int:
 
 def cmd_lattice(args) -> int:
     report = Report(f"lattice {args.action}")
-    L = lattice_mod.parse_lattice(_read(args.gram))
+    L = _load(args.gram, lattice_mod.parse_lattice)
     report.add_input("gram", args.gram)
     report.add_input("classes", " ".join(L.names))
     if args.action == "rank":
@@ -266,6 +269,8 @@ def cmd_lattice(args) -> int:
         if len(hits) > args.limit:
             report.add_result("note", f"{len(hits) - args.limit} more hits suppressed")
     elif args.action == "solve":
+        if not args.template or not args.constraints:
+            raise SinghuntError("lattice solve needs --template and --constraints")
         template, constraints, contacts, self_c, positive = _parse_solve_files(
             _read(args.template), _read(args.constraints)
         )
@@ -386,7 +391,7 @@ def _parse_int_set(braces: str) -> tuple[int, ...]:
 
 def cmd_cover(args) -> int:
     report = Report(f"cover {args.action}")
-    L = lattice_mod.parse_lattice(_read(args.lattice))
+    L = _load(args.lattice, lattice_mod.parse_lattice)
     group, branch, generators = _parse_cover_file(_read(args.cover), L)
     report.add_input("lattice", args.lattice)
     report.add_input("cover", args.cover)
@@ -607,7 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classify", action="store_true")
     p.add_argument("--cap", type=int, default=hunt.DEFAULT_CAP)
     p.add_argument("--budget", type=int, default=hunt.DEFAULT_POINT_BUDGET)
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--nvars", type=int)
     p.add_argument("--nparams", type=int)
     common(p)

@@ -50,6 +50,10 @@ class DimensionMismatch(SinghuntError):
     pass
 
 
+class MatrixSyntaxError(SinghuntError):
+    pass
+
+
 # -- hunting and classification ------------------------------------------------
 
 class BudgetExceeded(SinghuntError):

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContextMismatch, DimensionMismatch, NotSquare
+from .errors import ContextMismatch, DimensionMismatch, MatrixSyntaxError, NotSquare
 from .fields import FieldCtx, FieldElement
 
 QQ = "QQ"
@@ -484,11 +484,14 @@ def symmetric_signature(A: ExactMatrix) -> tuple[int, int, int]:
 
 def parse_matrix(text: str, domain=QQ) -> ExactMatrix:
     rows = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].replace("[", " ").replace("]", " ").strip()
         if not line:
             continue
-        rows.append([Fraction(tok) for tok in line.split()])
+        try:
+            rows.append([Fraction(tok) for tok in line.split()])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise MatrixSyntaxError(f"line {lineno}: bad matrix entry: {exc}") from exc
     if not rows:
         raise DimensionMismatch("empty matrix")
     return ExactMatrix.make(domain, rows)

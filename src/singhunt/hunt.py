@@ -8,9 +8,12 @@ linear algebra, which separates the A_k types without any Groebner machinery.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from . import exactla
 from .errors import (
@@ -84,20 +87,9 @@ def projective_size(q: int, nvars: int) -> int:
 def projective_points(ctx: FieldCtx, nvars: int) -> Iterator[tuple[FieldElement, ...]]:
     """Canonical representatives: first nonzero coordinate equals 1."""
     elems = list(ctx.elements())
-    one = ctx.one()
-    zero = ctx.zero()
-
-    def free(count: int) -> Iterator[tuple[FieldElement, ...]]:
-        if count == 0:
-            yield ()
-            return
-        for rest in free(count - 1):
-            for e in elems:
-                yield rest + (e,)
-
     for lead in range(nvars):
-        prefix = (zero,) * lead + (one,)
-        for tail in free(nvars - lead - 1):
+        prefix = (ctx.zero(),) * lead + (ctx.one(),)
+        for tail in itertools.product(elems, repeat=nvars - lead - 1):
             yield prefix + tail
 
 
@@ -110,27 +102,16 @@ def singular_points(
 ) -> list[tuple[FieldElement, ...]]:
     """All canonical points of P^(nvars-1) where f and every partial vanish."""
     f = _over_field(f, ctx)
-    n = f.nvars
-    total = projective_size(ctx.q, n)
-    if total > budget:
-        raise BudgetExceeded(
-            f"projective space has {total} points, budget is {budget}"
-        )
-    if n == 2 and ctx.k == 1 and f.is_homogeneous():
-        return _binary_singular_points(f, ctx)
-    partials = [f.partial(i) for i in range(n)]
-    found = []
     if ctx.k == 1:
-        polys = [_int_terms(g) for g in [f, *partials]]
-        p = ctx.p
-        for pt in _int_projective_points(p, n):
-            if all(_int_eval(terms, pt, p) == 0 for terms in polys):
-                found.append(tuple(ctx.element(c) for c in pt))
-    else:
-        for pt in projective_points(ctx, n):
-            if f.eval(pt).is_zero() and all(g.eval(pt).is_zero() for g in partials):
-                found.append(pt)
-    return found
+        [(_, found)] = _prime_field_scan(ParametricFamily(f, f.nvars, 0), ctx, [()], budget)
+        return found
+    _check_budget(ctx.q, f.nvars, budget)
+    partials = [f.partial(i) for i in range(f.nvars)]
+    return [
+        pt
+        for pt in projective_points(ctx, f.nvars)
+        if f.eval(pt).is_zero() and all(g.eval(pt).is_zero() for g in partials)
+    ]
 
 
 def _over_field(f: MultiPoly, ctx: FieldCtx) -> MultiPoly:
@@ -141,108 +122,135 @@ def _over_field(f: MultiPoly, ctx: FieldCtx) -> MultiPoly:
     return f.map_domain(ctx)
 
 
-def _int_terms(f: MultiPoly) -> list[tuple[tuple[int, ...], int]]:
-    return [(e, c.coeffs[0]) for e, c in f.terms.items()]
+def _check_budget(q: int, nvars: int, budget: int) -> None:
+    total = projective_size(q, nvars)
+    if total > budget:
+        raise BudgetExceeded(
+            f"projective space has {total} points, budget is {budget}"
+        )
 
 
-def _int_projective_points(p: int, n: int) -> Iterator[tuple[int, ...]]:
-    def free(count: int) -> Iterator[tuple[int, ...]]:
-        if count == 0:
-            yield ()
-            return
-        for rest in free(count - 1):
-            for e in range(p):
-                yield rest + (e,)
+# -- the batched scan over GF(p) ----------------------------------------------
+#
+# Members are rows of an integer coefficient array C (members x monomials).
+# On a block of points, the values of f or of a partial at every point for
+# every member are one matrix product: monomial values (points x monomials)
+# times the coefficients of that polynomial (monomials x members), mod p.
 
-    for lead in range(n):
-        for tail in free(n - lead - 1):
-            yield (0,) * lead + (1,) + tail
+SCAN_CELLS = 1 << 15  # points x members (or x monomials) per transient block
 
 
-def _int_eval(terms, pt: tuple[int, ...], p: int) -> int:
-    acc = 0
-    for exps, c in terms:
-        t = c
-        for x, e in zip(pt, exps):
-            if e:
-                if x == 0:
-                    t = 0
-                    break
-                t = t * pow(x, e, p) % p
-        acc += t
-    return acc % p
+def _dtype(p: int):
+    """int64 when a product of two residues fits, Python ints otherwise."""
+    return np.int64 if (p - 1) ** 2 < 2**63 else object
 
 
-# -- degree-one-variable shortcut: binary forms via univariate gcd -----------
-
-def _binary_singular_points(f: MultiPoly, ctx: FieldCtx) -> list[tuple[FieldElement, ...]]:
-    p = ctx.p
-    if f.is_zero():
-        return [tuple(ctx.element(c) for c in pt) for pt in _int_projective_points(p, 2)]
-    d = f.total_degree()
-    dense = [0] * (d + 1)  # dense[e] = coefficient of x0^e * x1^(d-e)
-    for (e0, _e1), c in f.terms.items():
-        dense[e0] = c.coeffs[0]
-    fx0 = [(e * dense[e]) % p for e in range(1, d + 1)]  # coeff of x0^(e-1) x1^(d-e)
-    fx1 = [((d - e) * dense[e]) % p for e in range(0, d)]  # coeff of x0^e x1^(d-1-e)
-    # (1:0) lies off the x1 = 1 chart: its values are the top coefficients
-    at_infinity = (
-        dense[d] % p == 0
-        and (d == 0 or fx0[d - 1] % p == 0)
-        and (d == 0 or fx1[d - 1] % p == 0)
-    )
-    g = _ugcd(_utrim(list(dense)), _ugcd(_utrim(list(fx0)), _utrim(list(fx1)), p), p)
-    out = []
-    for a in _uroots(g, p):
-        if a == 0:
-            out.append((ctx.zero(), ctx.one()))
-        else:  # canonical representative: first nonzero coordinate is 1
-            out.append((ctx.one(), ctx.element(pow(a, p - 2, p))))
-    if at_infinity:
-        out.append((ctx.one(), ctx.zero()))
-    out.sort(key=lambda pt: tuple(c.coeffs for c in pt))
+def _dot_mod(X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
+    """(X @ Y) % p for residues, reducing term by term where int64 could overflow."""
+    if X.dtype == object or X.shape[1] * (p - 1) ** 2 < 2**63:
+        return X @ Y % p
+    out = np.zeros((X.shape[0], Y.shape[1]), dtype=X.dtype)
+    for j in range(X.shape[1]):
+        out = (out + X[:, j, None] * Y[None, j] % p) % p
     return out
 
 
-def _utrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _ugcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b:
-        a, b = b, _urem(a, b, p)
-    return a
-
-
-def _urem(a: list[int], b: list[int], p: int) -> list[int]:
-    a = list(a)
-    inv = pow(b[-1], p - 2, p)
-    while len(a) >= len(b) and a:
-        if a[-1] == 0:
-            a.pop()
+def _monomial_values(X: np.ndarray, exps: np.ndarray, p: int) -> np.ndarray:
+    """Values mod p of the monomials (rows of exps) at the points (rows of X)."""
+    out = np.ones((X.shape[0], exps.shape[0]), dtype=X.dtype)
+    for i in range(exps.shape[1]):
+        top = int(exps[:, i].max(initial=0))
+        if top == 0:
             continue
-        f0 = a[-1] * inv % p
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - f0 * c) % p
-        a.pop()
-    return _utrim(a)
+        powers = [np.ones_like(X[:, i])]
+        for _ in range(top):
+            powers.append(powers[-1] * X[:, i] % p)
+        out = out * np.stack(powers, axis=1)[:, exps[:, i]] % p
+    return out
 
 
-def _uroots(g: list[int], p: int) -> list[int]:
-    if not g:  # the zero gcd: every point of the chart
-        return list(range(p))
-    if len(g) == 1:
-        return []
+def _exponent_array(mons: Sequence[tuple[int, ...]], width: int) -> np.ndarray:
+    return np.array(mons, dtype=np.int64).reshape(len(mons), width)
+
+
+def _projective_array(p: int, n: int, dtype) -> np.ndarray:
+    """Canonical points of P^(n-1) over GF(p), in projective_points order."""
+    blocks = []
+    for lead in range(n):
+        width = n - lead - 1
+        block = np.zeros((p**width, n), dtype=np.int64)
+        block[:, lead] = 1
+        block[:, lead + 1:] = np.indices((p,) * width).reshape(width, p**width).T
+        blocks.append(block)
+    return np.concatenate(blocks).astype(dtype, copy=False)
+
+
+def _member_coefficients(
+    poly: MultiPoly, nvars: int, params: np.ndarray, p: int
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Specialise a family over GF(p) at every row of params at once.
+
+    Returns the x-monomials and the members x monomials coefficient array
+    C = (Pmon @ A.T) % p, where A holds the family's coefficients (x-monomials
+    x p-monomials) and Pmon the p-monomials evaluated at each parameter row.
+    """
+    xmons = sorted({e[:nvars] for e in poly.terms})
+    pmons = sorted({e[nvars:] for e in poly.terms})
+    xpos = {m: i for i, m in enumerate(xmons)}
+    ppos = {m: i for i, m in enumerate(pmons)}
+    A = np.zeros((len(xmons), len(pmons)), dtype=params.dtype)
+    for e, c in poly.terms.items():
+        A[xpos[e[:nvars]], ppos[e[nvars:]]] = c.coeffs[0]
+    pmon = _monomial_values(params, _exponent_array(pmons, params.shape[1]), p)
+    return xmons, _dot_mod(pmon, A.T, p)
+
+
+def _scan(
+    xmons: list[tuple[int, ...]], C: np.ndarray, p: int, points: np.ndarray, check_f: bool
+) -> list[list[tuple[int, ...]]]:
+    """Singular points of every member (row of C, coefficients of xmons).
+
+    A point is singular when every partial vanishes there, and f too when
+    check_f (by the Euler relation, a form of degree prime to p vanishes
+    wherever its partials do).  Each member's points come in enumeration
+    order; a nonzero binary form's come sorted by coordinates.
+    """
+    n = points.shape[1]
+    checks = []  # (coefficient columns of C, their monomials, multipliers)
+    if check_f:
+        checks.append((range(len(xmons)), xmons, [1] * len(xmons)))
+    for i in range(n):
+        cols = [j for j, e in enumerate(xmons) if e[i] % p]
+        if cols:
+            lowered = [xmons[j][:i] + (xmons[j][i] - 1,) + xmons[j][i + 1:] for j in cols]
+            checks.append((cols, lowered, [xmons[j][i] % p for j in cols]))
+    mons = sorted({m for _, ms, _ in checks for m in ms})
+    where = {m: j for j, m in enumerate(mons)}
+    plan = [
+        ([where[m] for m in ms], (C[:, list(cols)] * np.array(mult, dtype=C.dtype) % p).T)
+        for cols, ms, mult in checks
+    ]
+    exps = _exponent_array(mons, n)
+    T = C.shape[0]
+    step = max(1, SCAN_CELLS // max(T, len(mons)))
+    hits: list[list[int]] = [[] for _ in range(T)]
+    for start in range(0, len(points), step):
+        values = _monomial_values(points[start:start + step], exps, p)
+        alive = np.ones((len(values), T), dtype=bool)
+        rows = np.arange(len(values))  # points some member is still singular at
+        for idx, coeffs in plan:
+            alive[rows] &= _dot_mod(values[np.ix_(rows, idx)], coeffs, p) == 0
+            rows = rows[alive[rows].any(axis=1)]
+            if not len(rows):
+                break
+        for b, t in zip(*np.nonzero(alive)):
+            hits[t].append(start + int(b))
     out = []
-    for a in range(p):
-        acc = 0
-        for c in reversed(g):
-            acc = (acc * a + c) % p
-        if acc == 0:
-            out.append(a)
+    for t, idx in enumerate(hits):
+        pts = [tuple(pt) for pt in points[idx].tolist()] if idx else []
+        if n == 2 and pts and len({sum(m) for m, c in zip(xmons, C[t]) if c}) == 1:
+            pts.sort()
+        out.append(pts)
     return out
 
 
@@ -425,7 +433,6 @@ def hunt_members(
     budget: int = DEFAULT_POINT_BUDGET,
     classify_points: bool = False,
     cap: int = DEFAULT_CAP,
-    threads: int = 1,
     member_cap: int = 10_000,
 ) -> list[SingularMember]:
     """Search parameter space for members with nonempty singular locus.
@@ -433,8 +440,9 @@ def hunt_members(
     random-params samples parameter points without replacement (so a trial
     count covering the whole space degenerates to an exhaustive scan);
     solve-at-point fixes a random geometric point and solves the linear
-    conditions on the parameters.  Deterministic for fixed seed regardless
-    of thread count.
+    conditions on the parameters.  Over GF(p) the members are scanned in
+    batches; the result is deterministic for a fixed seed and does not
+    depend on the batch size.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -447,37 +455,52 @@ def hunt_members(
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    results: dict[tuple, SingularMember] = {}
-
-    def test(params: tuple) -> SingularMember | None:
-        member_poly = fam.specialize(list(params))
-        pts = singular_points(member_poly, ctx, budget)
-        if not pts:
-            return None
-        spts = []
-        for coords in pts:
-            if classify_points:
-                try:
-                    spts.append(classify(member_poly, coords, cap))
-                except SmallCharacteristic as exc:
-                    spts.append(
-                        SingularPoint(coords, UNCLASSIFIED, None, None, str(exc))
-                    )
-            else:
-                spts.append(SingularPoint(coords))
-        return SingularMember(tuple(params), spts)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tested = list(pool.map(test, candidates))
+    if ctx.k == 1:
+        tested = _prime_field_scan(fam, ctx, candidates, budget)
     else:
-        tested = [test(c) for c in candidates]
-    for member in tested:
-        if member is not None and member.params not in results:
-            results[member.params] = member
-    return [results[k] for k in sorted(results, key=_param_key)]
+        tested = (
+            (params, singular_points(fam.specialize(list(params)), ctx, budget))
+            for params in candidates
+        )
+    members = []
+    for params, pts in tested:
+        if not pts:
+            continue
+        if classify_points:
+            member_poly = fam.specialize(list(params))
+            spts = [_classified(member_poly, coords, cap) for coords in pts]
+        else:
+            spts = [SingularPoint(coords) for coords in pts]
+        members.append(SingularMember(tuple(params), spts))
+    return sorted(members, key=lambda m: _param_key(m.params))
+
+
+def _classified(member_poly: MultiPoly, coords: tuple, cap: int) -> SingularPoint:
+    try:
+        return classify(member_poly, coords, cap)
+    except SmallCharacteristic as exc:
+        return SingularPoint(coords, UNCLASSIFIED, None, None, str(exc))
+
+
+def _prime_field_scan(
+    fam: ParametricFamily, ctx: FieldCtx, candidates: list[tuple], budget: int
+) -> Iterator[tuple[tuple, list[tuple[FieldElement, ...]]]]:
+    """(params, singular points) of every candidate member, in batches."""
+    if not candidates:
+        return
+    p, n = ctx.p, fam.nvars
+    _check_budget(p, n, budget)
+    poly = _over_field(fam.poly, ctx)
+    check_f = not (fam.is_homogeneous_in_x() and fam.x_degree % p)
+    points = _projective_array(p, n, _dtype(p))
+    for start in range(0, len(candidates), SCAN_CELLS):
+        batch = candidates[start:start + SCAN_CELLS]
+        params = np.array(
+            [[v.coeffs[0] for v in pt] for pt in batch], dtype=_dtype(p)
+        ).reshape(len(batch), fam.nparams)
+        xmons, C = _member_coefficients(poly, n, params, p)
+        for pt, found in zip(batch, _scan(xmons, C, p, points, check_f)):
+            yield pt, [tuple(ctx.element(c) for c in coords) for coords in found]
 
 
 def _param_key(params: tuple):
@@ -492,7 +515,7 @@ def _param_candidates(
         return [()]
     if space <= trials and space <= 2_000_000:
         # full scan in a seeded-shuffled order
-        points = list(_all_param_points(ctx, nparams))
+        points = list(itertools.product(list(ctx.elements()), repeat=nparams))
         split(seed, 0).shuffle(points)
         return points
     seen: set[tuple] = set()
@@ -511,19 +534,6 @@ def _param_candidates(
         seen.add(key)
         out.append(pt)
     return out
-
-
-def _all_param_points(ctx: FieldCtx, nparams: int) -> Iterator[tuple]:
-    elems = list(ctx.elements())
-
-    def rec(prefix: tuple) -> Iterator[tuple]:
-        if len(prefix) == nparams:
-            yield prefix
-            return
-        for e in elems:
-            yield from rec(prefix + (e,))
-
-    yield from rec(())
 
 
 def _draw_element(rng, ctx: FieldCtx) -> FieldElement:
@@ -573,7 +583,7 @@ def _solve_at_point_candidates(
             raise BudgetExceeded(
                 f"solution space has {count} parameter points (cap {member_cap})"
             )
-        for combo in _span_points(ctx, kernel):
+        for combo in _span_points(ctx, kernel, npar):
             params = tuple(
                 ctx.element(s) + c for s, c in zip(sol, combo)
             )
@@ -584,28 +594,28 @@ def _solve_at_point_candidates(
     return candidates
 
 
-def _span_points(ctx: FieldCtx, kernel: list[list]) -> Iterator[list[FieldElement]]:
-    dim = len(kernel)
-    width = len(kernel[0]) if kernel else 0
-
-    def rec(i: int, acc: list[FieldElement]) -> Iterator[list[FieldElement]]:
-        if i == dim:
-            yield acc
-            return
-        for e in ctx.elements():
-            vec = [a + e * ctx.element(k) for a, k in zip(acc, kernel[i])]
-            yield from rec(i + 1, vec)
-
-    start = [ctx.zero()] * width if width else []
-    if dim == 0:
-        yield start
-        return
-    yield from rec(0, start)
+def _span_points(ctx: FieldCtx, kernel: list[list], width: int) -> Iterator[list[FieldElement]]:
+    """Every vector of the span of kernel (the zero vector when it is empty)."""
+    basis = [[ctx.element(v) for v in vec] for vec in kernel]
+    for combo in itertools.product(list(ctx.elements()), repeat=len(basis)):
+        vec = [ctx.zero()] * width
+        for e, k in zip(combo, basis):
+            vec = [a + e * b for a, b in zip(vec, k)]
+        yield vec
 
 
 def _nth_projective_point(ctx: FieldCtx, nvars: int, index: int) -> tuple:
-    for pt in projective_points(ctx, nvars):
-        if index == 0:
-            return pt
-        index -= 1
+    """The index-th point of projective_points(ctx, nvars), decoded directly."""
+    for lead in range(nvars):
+        width = nvars - lead - 1
+        if index < ctx.q**width:
+            digits = [index // ctx.q ** (width - 1 - j) % ctx.q for j in range(width)]
+            tail = tuple(_nth_element(ctx, d) for d in digits)
+            return (ctx.zero(),) * lead + (ctx.one(),) + tail
+        index -= ctx.q**width
     raise IndexError("projective index out of range")
+
+
+def _nth_element(ctx: FieldCtx, index: int) -> FieldElement:
+    """The index-th element of ctx.elements()."""
+    return ctx.element(tuple(index // ctx.p ** (ctx.k - 1 - i) % ctx.p for i in range(ctx.k)))

@@ -455,11 +455,9 @@ def parse_lattice(text: str) -> GramLattice:
     body = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
         if line.startswith("names:"):
             names = line[len("names:"):].split()
-            continue
+            line = ""  # kept blank so matrix errors report file line numbers
         body.append(line)
     M = exactla.parse_matrix("\n".join(body))
     if names is None:

@@ -328,10 +328,6 @@ class ParametricFamily:
             domain = QQ
         else:
             domain = self.poly.domain
-        if isinstance(domain, FieldCtx) and domain.k == 1:
-            fast = self._specialize_primefield(domain, params)
-            if fast is not None:
-                return fast
         values = [_coerce_coeff(domain, v) for v in params]
         terms: dict = {}
         for exps, c in self.poly.terms.items():
@@ -345,36 +341,6 @@ class ParametricFamily:
             acc = terms.get(key)
             terms[key] = coeff if acc is None else acc + coeff
         return MultiPoly(self.nvars, domain, terms)
-
-    def _specialize_primefield(self, domain: FieldCtx, params) -> "MultiPoly | None":
-        """Raw modular arithmetic for the sampling hot loop (k = 1 only)."""
-        p = domain.p
-        vals = []
-        for v in params:
-            if isinstance(v, FieldElement):
-                if v.ctx != domain:
-                    raise ContextMismatch("parameter from a different field context")
-                vals.append(v.coeffs[0])
-            elif isinstance(v, int):
-                vals.append(v % p)
-            else:
-                return None
-        n = self.nvars
-        terms: dict = {}
-        for exps, c in self.poly.terms.items():
-            if isinstance(c, int):
-                coeff = c % p
-            elif isinstance(c, FieldElement):
-                coeff = c.coeffs[0]
-            else:
-                return None
-            for v, e in zip(vals, exps[n:]):
-                if e:
-                    coeff = coeff * pow(v, e, p) % p
-            if coeff:
-                key = exps[:n]
-                terms[key] = (terms.get(key, 0) + coeff) % p
-        return MultiPoly(n, domain, terms)
 
     def __eq__(self, other) -> bool:
         return (

@@ -1,6 +1,6 @@
 import json
 
-from singhunt import godeaux
+from singhunt import godeaux, hunt
 from singhunt.cli import main
 from singhunt.lattice import format_lattice
 
@@ -66,7 +66,7 @@ def test_hunt_command(tmp_path, capsys):
     fam = tmp_path / "hesse.txt"
     fam.write_text(HESSE)
     code = main(["hunt", "--family", str(fam), "--field", "7",
-                 "--trials", "7", "--seed", "1", "--classify", "--threads", "1"])
+                 "--trials", "7", "--seed", "1", "--classify"])
     out = capsys.readouterr().out
     assert code == 0
     assert "members: 3" in out
@@ -74,16 +74,29 @@ def test_hunt_command(tmp_path, capsys):
     assert "|" in out  # params | signature | points
 
 
-def test_hunt_determinism_bytes(tmp_path, capsys):
+def test_hunt_determinism_bytes(tmp_path, capsys, monkeypatch):
     fam = tmp_path / "hesse.txt"
     fam.write_text(HESSE)
     argv = ["hunt", "--family", str(fam), "--field", "7",
-            "--trials", "7", "--seed", "9", "--classify", "--threads", "2"]
+            "--trials", "7", "--seed", "9", "--classify"]
     main(argv)
     first = capsys.readouterr().out
     main(argv)
     second = capsys.readouterr().out
-    assert strip_timings(first) == strip_timings(second)
+    monkeypatch.setattr(hunt, "SCAN_CELLS", 2)  # batches of 2 members, blocks of 1 point
+    main(argv)
+    third = capsys.readouterr().out
+    assert strip_timings(first) == strip_timings(second) == strip_timings(third)
+
+
+def test_hunt_solve_at_point_command(tmp_path, capsys):
+    fam = tmp_path / "conic.txt"
+    fam.write_text("x0^2+x1^2+x2^2+p1*x0*x1+p2*x0*x2+p3*x1*x2\n")
+    code = main(["hunt", "--family", str(fam), "--field", "101",
+                 "--strategy", "solve-at-point", "--trials", "3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "members: 0" not in out and "member 1: (" in out
 
 
 def test_interpolate_command(tmp_path, capsys):
@@ -110,6 +123,24 @@ def test_lift_command_pass_and_fail(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out
+
+
+def test_lift_two_primes_is_unverified(tmp_path, capsys):
+    two = tmp_path / "two.txt"
+    two.write_text("101: 69\n103: 41\n")  # -22/7, but no prime left to check it
+    code = main(["lift", "--residues", str(two)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "verification: unverified: no prime held out" in out
+    assert "held-out" not in out and "verdicts:" not in out
+
+    three = tmp_path / "three.txt"
+    three.write_text("101: 69\n103: 41\n107: 58\n")
+    code = main(["lift", "--residues", str(three)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "  pass | held-out | verified against 3 primes\n" in out
+    assert "unverified" not in out
 
 
 def test_lift_pairs_command(tmp_path, capsys):
@@ -216,12 +247,19 @@ def test_json_results_keep_repeated_keys(tmp_path, capsys):
     assert len(solutions) == 16
 
 
-def test_threads_env_default(monkeypatch):
-    from singhunt.cli import build_parser
+def test_lattice_solve_without_template_is_data_error(tmp_path, capsys):
+    gram = tmp_path / "gram.txt"
+    gram.write_text(GRAM9)
+    assert main(["lattice", "--gram", str(gram), "solve"]) == 3
+    assert "--template and --constraints" in capsys.readouterr().err
 
-    monkeypatch.setenv("SINGHUNT_THREADS", "3")
-    args = build_parser().parse_args(["hunt", "--family", "f", "--field", "7"])
-    assert args.threads == 3
+
+def test_gram_division_by_zero_is_data_error(tmp_path, capsys):
+    gram = tmp_path / "gram.txt"
+    gram.write_text("names: A B\n[-2 1/0]\n[1 -2]\n")
+    assert main(["lattice", "--gram", str(gram), "rank"]) == 3
+    err = capsys.readouterr().err
+    assert str(gram) in err and "line 2" in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,7 +1,10 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from singhunt import hunt
 from singhunt.errors import (
     BudgetExceeded,
     NotLinearInParams,
@@ -10,6 +13,11 @@ from singhunt.errors import (
 )
 from singhunt.fields import field_create
 from singhunt.hunt import (
+    _dot_mod,
+    _dtype,
+    _member_coefficients,
+    _nth_projective_point,
+    _param_candidates,
     classify,
     classify_local,
     hunt_members,
@@ -18,11 +26,12 @@ from singhunt.hunt import (
     signature_string,
     singular_points,
 )
-from singhunt.poly import QQ, MultiPoly, parse, parse_poly
+from singhunt.poly import QQ, ZZ, MultiPoly, ParametricFamily, monomial_basis, parse, parse_poly
 
 F7 = field_create(7)
 F11 = field_create(11)
 F101 = field_create(101)
+CONIC = "x0^2+x1^2+x2^2+p1*x0*x1+p2*x0*x2+p3*x1*x2"
 
 
 def brute_singular(f, ctx):
@@ -32,6 +41,14 @@ def brute_singular(f, ctx):
         for pt in projective_points(ctx, f.nvars)
         if f.eval(pt).is_zero() and all(g.eval(pt).is_zero() for g in partials)
     ]
+
+
+def reference_points(f, ctx):
+    """brute_singular in report order: a nonzero binary form's points sorted."""
+    pts = brute_singular(f, ctx)
+    if f.nvars == 2 and not f.is_zero() and f.is_homogeneous():
+        pts.sort(key=lambda pt: tuple(c.coeffs for c in pt))
+    return pts
 
 
 def test_singular_points_examples():
@@ -108,12 +125,100 @@ def test_hunt_smooth_family_finds_nothing():
     assert hunt_members(fam, F7, "random-params", trials=7, seed=0) == []
 
 
-def test_hunt_deterministic_and_thread_invariant():
+def test_hunt_deterministic_and_block_invariant(monkeypatch):
     hesse = parse("x0^3+x1^3+x2^3+p1*x0*x1*x2", 3, 1)
     a = hunt_members(hesse, F7, trials=7, seed=5, classify_points=True)
     b = hunt_members(hesse, F7, trials=7, seed=5, classify_points=True)
-    c = hunt_members(hesse, F7, trials=7, seed=5, classify_points=True, threads=4)
+    monkeypatch.setattr(hunt, "SCAN_CELLS", 3)  # batches of 3 members, blocks of 1 point
+    c = hunt_members(hesse, F7, trials=7, seed=5, classify_points=True)
     assert [m.text() for m in a] == [m.text() for m in b] == [m.text() for m in c]
+
+
+@st.composite
+def prime_field_families(draw):
+    """A family over ZZ with 0-3 parameters, forms or not, and a small prime."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    n = draw(st.integers(2, 3))
+    npar = draw(st.integers(0, 3))
+    degree = draw(st.integers(1, 4))
+    form = draw(st.booleans())
+    xmons = monomial_basis(n, degree, "exactly" if form else "at-most")
+    pmons = monomial_basis(npar, 2, "at-most") if npar else [()]
+    exps = st.tuples(st.sampled_from(xmons), st.sampled_from(pmons)).map(lambda t: t[0] + t[1])
+    terms = draw(st.dictionaries(exps, st.integers(-3, 3), min_size=1, max_size=6))
+    return field_create(p), ParametricFamily(MultiPoly(n + npar, ZZ, terms), n, npar)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(prime_field_families(), st.integers(1, 6), st.integers(0, 3))
+def test_prime_field_scan_matches_brute_force(case, trials, seed):
+    ctx, fam = case
+    candidates = _param_candidates(fam.nparams, ctx, trials, seed)
+    expected = []
+    for params in sorted(candidates, key=lambda ps: tuple(v.coeffs for v in ps)):
+        f = fam.specialize(list(params)).map_domain(ctx)
+        pts = reference_points(f, ctx)
+        assert singular_points(f, ctx) == pts
+        if pts:
+            expected.append((params, pts))
+    members = hunt_members(fam, ctx, trials=trials, seed=seed)
+    assert [(m.params, [pt.coords for pt in m.points]) for m in members] == expected
+
+
+def test_binary_member_point_order():
+    # the zero member lists every point in enumeration order; a nonzero form
+    # lists its points sorted, so (0:1) comes before (1:0)
+    F5 = field_create(5)
+    fam = parse("p1*x0^2*x1^2+p2*x0^3*x1", 2, 2)
+    members = {m.params: m for m in hunt_members(fam, F5, trials=25, seed=0)}
+    zero = members[(F5.zero(), F5.zero())]
+    assert [pt.coords for pt in zero.points] == list(projective_points(F5, 2))
+    node = members[(F5.one(), F5.zero())]
+    assert [pt.text() for pt in node.points] == ["(0:1)", "(1:0)"]
+    for params, m in members.items():
+        f = fam.specialize(list(params))
+        assert [pt.coords for pt in m.points] == reference_points(f, F5)
+
+
+@pytest.mark.parametrize("p", [2147483629, 2**61 - 1])
+def test_member_coefficients_overflow_guard(p):
+    # seven p-monomials feed x2^2: 7 * (p-1)^2 overflows a single int64 sum
+    fam = parse(CONIC + "+p1^2*p2*x0*x1+p3^2*x2^2+p2*p3*x2^2+p1*p2*p3*x2^2-x2^2", 3, 3)
+    ctx = field_create(p)
+    rnd = random.Random(p)
+    rows = [[p - 1 - rnd.randrange(4) for _ in range(3)] for _ in range(5)] + [[0, 0, 0]]
+    xmons, C = _member_coefficients(fam.poly.map_domain(ctx), 3, np.array(rows, dtype=_dtype(p)), p)
+    for row, coeffs in zip(rows, C.tolist()):
+        member = fam.specialize([ctx.element(v) for v in row])
+        assert {m: ctx.element(c) for m, c in zip(xmons, coeffs) if c} == member.terms
+
+
+def test_dot_mod_reduces_term_by_term_near_two_to_the_31():
+    p = 2147483629
+    X = np.full((2, 3), p - 1, dtype=np.int64)
+    Y = np.full((3, 2), p - 2, dtype=np.int64)
+    exact = 3 * (p - 1) * (p - 2) % p
+    assert (_dot_mod(X, Y, p) == exact).all()
+    with np.errstate(over="ignore"):
+        assert not (X @ Y % p == exact).all()  # the unguarded product overflows
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 3), (3, 1, 4), (5, 1, 2), (7, 2, 2), (2, 2, 3), (7, 1, 1)])
+def test_nth_projective_point_decodes_enumeration(p, k, n):
+    ctx = field_create(p, k)
+    for index, pt in enumerate(projective_points(ctx, n)):
+        assert _nth_projective_point(ctx, n, index) == pt
+    with pytest.raises(IndexError):
+        _nth_projective_point(ctx, n, projective_size(ctx.q, n))
+
+
+def test_solve_at_point_conic_members_are_singular():
+    conic = parse(CONIC, 3, 3)
+    members = hunt_members(conic, F101, "solve-at-point", trials=2, seed=0)
+    assert members
+    for m in members:
+        f = conic.specialize(list(m.params))
+        assert [pt.coords for pt in m.points] == brute_singular(f, F101)
 
 
 def test_solve_at_point_members_verify():
