@@ -10,6 +10,7 @@ output apart from the trailing timings section.  Exit codes: 0 pass,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -146,6 +147,7 @@ def cmd_hunt(args) -> int:
     report.add_input("strategy", args.strategy)
     report.add_input("trials", args.trials)
     report.add_input("seed", args.seed)
+    stats: dict = {}
     members = hunt.hunt_members(
         fam,
         ctx,
@@ -155,7 +157,10 @@ def cmd_hunt(args) -> int:
         budget=args.budget,
         classify_points=args.classify,
         cap=args.cap,
+        stats=stats,
     )
+    if "shortfall" in stats:
+        report.add_result("shortfall", stats["shortfall"])
     report.add_result("members", len(members))
     for i, m in enumerate(members, 1):
         report.add_result(f"member {i}", m.text())
@@ -215,7 +220,7 @@ def cmd_interpolate(args) -> int:
 
 def cmd_lift(args) -> int:
     report = Report("lift")
-    rs = lift.parse_residue_file(_read(args.residues))
+    rs = _load(args.residues, lift.parse_residue_file)
     report.add_input("residues", args.residues)
     report.add_input("primes", " ".join(str(p) for p in rs.primes))
     try:
@@ -392,7 +397,7 @@ def _parse_int_set(braces: str) -> tuple[int, ...]:
 def cmd_cover(args) -> int:
     report = Report(f"cover {args.action}")
     L = _load(args.lattice, lattice_mod.parse_lattice)
-    group, branch, generators = _parse_cover_file(_read(args.cover), L)
+    group, branch, generators = _load(args.cover, lambda text: _parse_cover_file(text, L))
     report.add_input("lattice", args.lattice)
     report.add_input("cover", args.cover)
     report.add_input("group", "x".join(f"Z/{m}" for m in group.orders))
@@ -437,34 +442,37 @@ def _parse_cover_file(text: str, L):
     group = None
     branch_divisors: list = []
     gen_pairs: list[tuple[tuple[int, ...], dict]] = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, _, val = line.partition(":")
         key = key.strip()
-        if key == "group":
-            group = cover_mod.AbelianGroup(tuple(int(tok) for tok in val.split()))
-        elif key == "branch":
-            for chunk in val.split("|"):
-                chunk = chunk.strip()
-                if chunk in ("0", ""):
-                    branch_divisors.append(None)
-                else:
-                    branch_divisors.append(L.combo(_parse_combo_text(chunk)))
-        elif key.startswith("L"):
-            exps = tuple(
-                int(tok) for tok in key[1:].strip().lstrip("(").rstrip(")").replace(",", " ").split()
-            )
-            gen_pairs.append((exps, _parse_combo_text(val.strip())))
-        else:
-            raise SinghuntError(f"bad cover file line {line!r}")
+        try:
+            if key == "group":
+                group = cover_mod.AbelianGroup(tuple(int(tok) for tok in val.split()))
+            elif key == "branch":
+                for chunk in val.split("|"):
+                    chunk = chunk.strip()
+                    if chunk in ("0", ""):
+                        branch_divisors.append(None)
+                    else:
+                        branch_divisors.append(L.combo(_parse_combo_text(chunk)))
+            elif key.startswith("L"):
+                exps = tuple(
+                    int(tok) for tok in key[1:].strip().lstrip("(").rstrip(")").replace(",", " ").split()
+                )
+                gen_pairs.append((exps, L.combo(_parse_combo_text(val.strip()))))
+            else:
+                raise SinghuntError(f"bad cover file line {line!r}")
+        except KeyError as exc:  # an unknown class name
+            raise SinghuntError(f"line {lineno}: {exc.args[0]}") from exc
+        except (ValueError, SinghuntError) as exc:
+            raise SinghuntError(f"line {lineno}: {exc}") from exc
     if group is None:
         raise SinghuntError("cover file needs a group: line")
     branch = cover_mod.BranchAssignment.assign(group, branch_divisors)
-    generators = {
-        cover_mod.Character(group, exps): L.combo(combo) for exps, combo in gen_pairs
-    }
+    generators = {cover_mod.Character(group, exps): cls for exps, cls in gen_pairs}
     return group, branch, generators
 
 
@@ -673,10 +681,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .fields import FieldCtx, FieldElement
 from .poly import QQ, MultiPoly, ParametricFamily, monomial_basis
-from .rng import split
+from .rng import below_rows, first_occurrences, split
 
 DEFAULT_POINT_BUDGET = 2_000_000
 DEFAULT_CAP = 8
@@ -103,8 +103,9 @@ def singular_points(
     """All canonical points of P^(nvars-1) where f and every partial vanish."""
     f = _over_field(f, ctx)
     if ctx.k == 1:
-        [(_, found)] = _prime_field_scan(ParametricFamily(f, f.nvars, 0), ctx, [()], budget)
-        return found
+        params = np.zeros((1, 0), dtype=_dtype(ctx.p))
+        hits = _prime_field_scan(ParametricFamily(f, f.nvars, 0), ctx, params, budget)
+        return next((found for _, found in hits), [])
     _check_budget(ctx.q, f.nvars, budget)
     partials = [f.partial(i) for i in range(f.nvars)]
     return [
@@ -207,8 +208,8 @@ def _member_coefficients(
 
 def _scan(
     xmons: list[tuple[int, ...]], C: np.ndarray, p: int, points: np.ndarray, check_f: bool
-) -> list[list[tuple[int, ...]]]:
-    """Singular points of every member (row of C, coefficients of xmons).
+) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """(row, singular points) of every singular member (row of C, coefficients of xmons).
 
     A point is singular when every partial vanishes there, and f too when
     check_f (by the Euler relation, a form of degree prime to p vanishes
@@ -233,7 +234,7 @@ def _scan(
     exps = _exponent_array(mons, n)
     T = C.shape[0]
     step = max(1, SCAN_CELLS // max(T, len(mons)))
-    hits: list[list[int]] = [[] for _ in range(T)]
+    hits: dict[int, list[int]] = {}
     for start in range(0, len(points), step):
         values = _monomial_values(points[start:start + step], exps, p)
         alive = np.ones((len(values), T), dtype=bool)
@@ -244,13 +245,13 @@ def _scan(
             if not len(rows):
                 break
         for b, t in zip(*np.nonzero(alive)):
-            hits[t].append(start + int(b))
+            hits.setdefault(int(t), []).append(start + int(b))
     out = []
-    for t, idx in enumerate(hits):
-        pts = [tuple(pt) for pt in points[idx].tolist()] if idx else []
-        if n == 2 and pts and len({sum(m) for m, c in zip(xmons, C[t]) if c}) == 1:
+    for t in sorted(hits):
+        pts = [tuple(pt) for pt in points[hits[t]].tolist()]
+        if n == 2 and len({sum(m) for m, c in zip(xmons, C[t]) if c}) == 1:
             pts.sort()
-        out.append(pts)
+        out.append((t, pts))
     return out
 
 
@@ -434,6 +435,7 @@ def hunt_members(
     classify_points: bool = False,
     cap: int = DEFAULT_CAP,
     member_cap: int = 10_000,
+    stats: dict | None = None,
 ) -> list[SingularMember]:
     """Search parameter space for members with nonempty singular locus.
 
@@ -442,37 +444,49 @@ def hunt_members(
     solve-at-point fixes a random geometric point and solves the linear
     conditions on the parameters.  Over GF(p) the members are scanned in
     batches; the result is deterministic for a fixed seed and does not
-    depend on the batch size.
+    depend on the batch size.  A stats dict receives the number of distinct
+    members tested ("tested") and, when random-params tests fewer than
+    trials, the reason ("shortfall").
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if strategy == "random-params":
-        candidates = _param_candidates(fam.nparams, ctx, trials, seed)
+        digits = _param_candidates(fam.nparams, ctx, trials, seed)
     elif strategy == "solve-at-point":
-        candidates = _solve_at_point_candidates(
+        digits = _solve_at_point_candidates(
             fam, ctx, trials, seed, member_cap
         )
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
+    if stats is not None:
+        stats["tested"] = len(digits)
+        if strategy == "random-params" and len(digits) < trials:
+            stats["shortfall"] = _shortfall(fam.nparams, ctx, trials, len(digits))
 
     if ctx.k == 1:
-        tested = _prime_field_scan(fam, ctx, candidates, budget)
+        tested = _prime_field_scan(fam, ctx, digits[:, :, 0], budget)
     else:
         tested = (
-            (params, singular_points(fam.specialize(list(params)), ctx, budget))
-            for params in candidates
+            (t, singular_points(fam.specialize(_params(ctx, digits[t])), ctx, budget))
+            for t in range(len(digits))
         )
     members = []
-    for params, pts in tested:
+    for t, pts in tested:
         if not pts:
             continue
+        params = _params(ctx, digits[t])
         if classify_points:
-            member_poly = fam.specialize(list(params))
+            member_poly = fam.specialize(params)
             spts = [_classified(member_poly, coords, cap) for coords in pts]
         else:
             spts = [SingularPoint(coords) for coords in pts]
         members.append(SingularMember(tuple(params), spts))
     return sorted(members, key=lambda m: _param_key(m.params))
+
+
+def _params(ctx: FieldCtx, digits: np.ndarray) -> list[FieldElement]:
+    """The parameter point whose basis digits are the rows of digits."""
+    return [ctx.element(d) for d in digits.tolist()]
 
 
 def _classified(member_poly: MultiPoly, coords: tuple, cap: int) -> SingularPoint:
@@ -483,66 +497,78 @@ def _classified(member_poly: MultiPoly, coords: tuple, cap: int) -> SingularPoin
 
 
 def _prime_field_scan(
-    fam: ParametricFamily, ctx: FieldCtx, candidates: list[tuple], budget: int
-) -> Iterator[tuple[tuple, list[tuple[FieldElement, ...]]]]:
-    """(params, singular points) of every candidate member, in batches."""
-    if not candidates:
+    fam: ParametricFamily, ctx: FieldCtx, params: np.ndarray, budget: int
+) -> Iterator[tuple[int, list[tuple[FieldElement, ...]]]]:
+    """(row, singular points) of every singular member, one row of params each."""
+    if not len(params):
         return
     p, n = ctx.p, fam.nvars
     _check_budget(p, n, budget)
     poly = _over_field(fam.poly, ctx)
     check_f = not (fam.is_homogeneous_in_x() and fam.x_degree % p)
     points = _projective_array(p, n, _dtype(p))
-    for start in range(0, len(candidates), SCAN_CELLS):
-        batch = candidates[start:start + SCAN_CELLS]
-        params = np.array(
-            [[v.coeffs[0] for v in pt] for pt in batch], dtype=_dtype(p)
-        ).reshape(len(batch), fam.nparams)
-        xmons, C = _member_coefficients(poly, n, params, p)
-        for pt, found in zip(batch, _scan(xmons, C, p, points, check_f)):
-            yield pt, [tuple(ctx.element(c) for c in coords) for coords in found]
+    for start in range(0, len(params), SCAN_CELLS):
+        xmons, C = _member_coefficients(poly, n, params[start:start + SCAN_CELLS], p)
+        for t, found in _scan(xmons, C, p, points, check_f):
+            yield start + t, [tuple(ctx.element(c) for c in coords) for coords in found]
 
 
 def _param_key(params: tuple):
     return tuple(v.coeffs for v in params)
 
 
-def _param_candidates(
-    nparams: int, ctx: FieldCtx, trials: int, seed: int
-) -> list[tuple]:
-    space = ctx.q**nparams
+FULL_SCAN_POINTS = 2_000_000  # largest parameter space a hunt may scan in full
+
+
+def _attempt_limit(trials: int) -> int:
+    return 20 * trials + 1000
+
+
+def _param_candidates(nparams: int, ctx: FieldCtx, trials: int, seed: int) -> np.ndarray:
+    """Basis digits (candidates x nparams x k) of the parameter points to test.
+
+    When trials cover the whole space it is scanned in a seeded-shuffled
+    order.  Otherwise trial i draws each parameter's digits (low degree
+    first) from stream split(seed, i); repeats are skipped, and at most
+    _attempt_limit(trials) streams are read.
+    """
+    p, k = ctx.p, ctx.k
     if nparams == 0:
-        return [()]
-    if space <= trials and space <= 2_000_000:
-        # full scan in a seeded-shuffled order
-        points = list(itertools.product(list(ctx.elements()), repeat=nparams))
-        split(seed, 0).shuffle(points)
-        return points
-    seen: set[tuple] = set()
-    out: list[tuple] = []
-    attempts = 0
-    limit = 20 * trials + 1000
-    i = 0
-    while len(out) < trials and attempts < limit:
-        rng = split(seed, i)
-        i += 1
-        attempts += 1
-        pt = tuple(_draw_element(rng, ctx) for _ in range(nparams))
-        key = tuple(v.coeffs for v in pt)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(pt)
-    return out
+        return np.zeros((1, 0, k), dtype=_dtype(p))
+    width = nparams * k
+    space = ctx.q**nparams
+    if space <= trials and space <= FULL_SCAN_POINTS:
+        order = list(range(space))
+        split(seed, 0).shuffle(order)
+        weights = p ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        digits = np.array(order, dtype=np.int64)[:, None] // weights % p
+        return digits.reshape(space, nparams, k).astype(_dtype(p))
+    limit = _attempt_limit(trials)
+    rows = np.empty((0, width), dtype=np.uint64)
+    drawn = trials
+    while True:
+        more = below_rows(seed, np.arange(len(rows), drawn), [p] * width)
+        rows = np.concatenate([rows, more])
+        first = first_occurrences(rows)
+        if len(first) >= trials or drawn == limit:
+            break
+        drawn = min(2 * drawn, limit)
+    first = first[:trials]
+    return rows[first].astype(_dtype(p)).reshape(len(first), nparams, k)
 
 
-def _draw_element(rng, ctx: FieldCtx) -> FieldElement:
-    return ctx.element(tuple(rng.below(ctx.p) for _ in range(ctx.k)))
+def _shortfall(nparams: int, ctx: FieldCtx, trials: int, tested: int) -> str:
+    space = ctx.q**nparams
+    if space < trials:
+        why = f"the parameter space has only {space} points"
+    else:
+        why = f"{_attempt_limit(trials)} draws reached the attempt limit"
+    return f"tested {tested} distinct members of {trials} requested: {why}"
 
 
 def _solve_at_point_candidates(
     fam: ParametricFamily, ctx: FieldCtx, trials: int, seed: int, member_cap: int
-) -> list[tuple]:
+) -> np.ndarray:
     if not fam.is_linear_in_params():
         raise NotLinearInParams(
             "solve-at-point needs a family that is linear in the parameters"
@@ -590,8 +616,8 @@ def _solve_at_point_candidates(
             key = tuple(v.coeffs for v in params)
             if key not in seen:
                 seen.add(key)
-                candidates.append(params)
-    return candidates
+                candidates.append(key)
+    return np.array(candidates, dtype=_dtype(ctx.p)).reshape(len(candidates), npar, ctx.k)
 
 
 def _span_points(ctx: FieldCtx, kernel: list[list], width: int) -> Iterator[list[FieldElement]]:

@@ -14,9 +14,11 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from . import exactla
 from .errors import DimensionMismatch, NonIntegral, NoSolution
-from .rng import split
+from .rng import below_rows, first_occurrences
 
 
 @dataclass(frozen=True)
@@ -233,16 +235,13 @@ def search_relations(
     if box <= exhaustive_limit:
         candidates: Iterable[tuple[int, ...]] = product(*ranges)
     else:
-        def sampled():
-            seen = set()
-            for t in range(trials):
-                rng = split(seed, t)
-                vec = tuple(r[rng.below(len(r))] for r in ranges)
-                if vec not in seen:
-                    seen.add(vec)
-                    yield vec
-
-        candidates = sampled()
+        # trial t draws one offset per range from stream split(seed, t);
+        # repeats are skipped
+        rows = below_rows(seed, np.arange(trials), [len(r) for r in ranges])
+        first = first_occurrences(rows)
+        candidates = (
+            tuple(r[i] for r, i in zip(ranges, row)) for row in rows[first].tolist()
+        )
     k_index = L.index(k_name) if k_name in L.names else None
     base_det = exactla.determinant(L.matrix())
     inv_rows = _inverse_rows(L) if base_det != 0 else None

@@ -22,6 +22,7 @@ from .errors import (
     DuplicatePrime,
     HeldOutMismatch,
     NoReconstruction,
+    SinghuntError,
 )
 
 
@@ -241,13 +242,18 @@ def lift_extension_tuples(rs: ResidueSystem) -> list[Fraction]:
 
 def parse_residue_file(text: str) -> ResidueSystem:
     pairs = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head, _, tail = line.partition(":")
-        p = int(head.strip())
-        parts = [int(tok) for tok in tail.replace(",", " ").split()]
+        head, colon, tail = line.partition(":")
+        try:
+            if not colon:
+                raise ValueError("expected 'prime: residues'")
+            p = int(head.strip())
+            parts = [int(tok) for tok in tail.replace(",", " ").split()]
+        except ValueError as exc:
+            raise SinghuntError(f"line {lineno}: bad residue line {line!r}: {exc}") from exc
         payload: object
         if len(parts) == 1:
             payload = parts[0]

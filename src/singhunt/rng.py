@@ -7,6 +7,10 @@ are scheduled across workers.
 
 from __future__ import annotations
 
+from typing import Sequence
+
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -15,6 +19,13 @@ def _mix(z: int) -> int:
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
     return z ^ (z >> 31)
+
+
+def _limit(n: int) -> int:
+    """Draws u >= _limit(n) are rejected, so that u % n is unbiased."""
+    if not 1 <= n <= 1 << 64:
+        raise ValueError(f"below() needs 1 <= n <= 2^64, got {n}")
+    return (1 << 64) - ((1 << 64) % n)
 
 
 class SplitMix64:
@@ -31,9 +42,7 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection (no modulo bias)."""
-        if n <= 0:
-            raise ValueError("below() needs n >= 1")
-        limit = (1 << 64) - ((1 << 64) % n)
+        limit = _limit(n)
         while True:
             u = self.next_u64()
             if u < limit:
@@ -48,3 +57,43 @@ class SplitMix64:
 def split(seed: int, index: int) -> SplitMix64:
     """Stream #index of the given seed; streams are mutually independent."""
     return SplitMix64(_mix((seed & _MASK) ^ _mix(index & _MASK)))
+
+
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def below_rows(seed: int, index: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
+    """Row r is [split(seed, index[r]).below(m) for m in moduli], for every r at once.
+
+    Returns a uint64 array (len(index) x len(moduli)).  Without rejections
+    the j-th draw of a stream is mixed from its start state plus j+1
+    gammas, so all rows are computed with wrapping uint64 arithmetic; a row
+    in which some draw is rejected is redone by the scalar generator, so
+    every row equals the scalar draw bit for bit.
+    """
+    limits = [_limit(m) for m in moduli]
+    index = np.asarray(index, dtype=np.uint64)
+    state = _mix_array(np.uint64(seed & _MASK) ^ _mix_array(index))
+    out = np.empty((len(index), len(moduli)), dtype=np.uint64)
+    redo = np.zeros(len(index), dtype=bool)
+    for j, (m, limit) in enumerate(zip(moduli, limits)):
+        state = state + np.uint64(_GAMMA)
+        u = _mix_array(state)
+        redo |= u > np.uint64(limit - 1)
+        out[:, j] = u if m == 1 << 64 else u % np.uint64(m)
+    for r in np.flatnonzero(redo).tolist():
+        rng = split(seed, int(index[r]))
+        out[r] = [rng.below(m) for m in moduli]
+    return out
+
+
+def first_occurrences(rows: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of every distinct row."""
+    order = np.lexsort(rows.T)  # stable: equal rows end up adjacent, in index order
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return np.sort(order[new])

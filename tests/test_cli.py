@@ -277,3 +277,49 @@ def test_output_file(tmp_path, capsys):
     code = main(["fixture", "--output", str(out_path)])
     assert code == 0
     assert "17/17" in out_path.read_text()
+
+
+def test_hunt_reports_sampling_shortfall(tmp_path, capsys):
+    fam = tmp_path / "conic.txt"
+    fam.write_text("x0^2+x1^2+x2^2+p1*x0*x1+p2*x0*x2+p3*x1*x2\n")
+    assert main(["hunt", "--family", str(fam), "--field", "2", "--trials", "20"]) == 0
+    out = capsys.readouterr().out
+    assert ("  shortfall: tested 8 distinct members of 20 requested: "
+            "the parameter space has only 8 points\n") in out
+    # trials that the space covers exactly leave no shortfall line
+    assert main(["hunt", "--family", str(fam), "--field", "2", "--trials", "8", "--json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [k for k, _ in results if k == "shortfall"] == []
+
+
+def test_cover_unknown_class_is_data_error(tmp_path, capsys):
+    gram = tmp_path / "gram11.txt"
+    gram.write_text(format_lattice(godeaux.extended_lattice()) + "\n")
+    cov = tmp_path / "cover.txt"
+    cov.write_text(COVER_FILE.replace("| N5 |", "| N99 |"))
+    assert main(["cover", "--lattice", str(gram), "--cover", str(cov), "verify"]) == 3
+    err = capsys.readouterr().err
+    assert f"{cov}: line 2: no class named 'N99'" in err and "Traceback" not in err
+
+
+def test_residue_line_without_colon_is_data_error(tmp_path, capsys):
+    res = tmp_path / "res.txt"
+    res.write_text("101: 5\n# comment\n103 7\n107: 9\n")
+    assert main(["lift", "--residues", str(res)]) == 3
+    err = capsys.readouterr().err
+    assert f"{res}: line 3: bad residue line '103 7'" in err
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    fam = tmp_path / "hesse.txt"
+    fam.write_text(HESSE)
+    out_path = tmp_path / "report.json"
+    hunt_argv = ["hunt", "--family", str(fam), "--field", "7", "--trials", "7", "--seed", "1"]
+    assert main(hunt_argv + ["--json", "--output", str(out_path), "--classify"]) == 0
+    assert json.loads(out_path.read_text())["command"] == "hunt"
+    assert main(["fixture"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("singhunt report: fixture") and "17/17 verdicts pass" in out
+    assert main(hunt_argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("singhunt report: hunt") and "3A1" not in out and "3?" in out

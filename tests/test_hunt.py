@@ -1,4 +1,6 @@
+import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from singhunt.hunt import (
     singular_points,
 )
 from singhunt.poly import QQ, ZZ, MultiPoly, ParametricFamily, monomial_basis, parse, parse_poly
+from singhunt.rng import split
 
 F7 = field_create(7)
 F11 = field_create(11)
@@ -125,6 +128,16 @@ def test_hunt_smooth_family_finds_nothing():
     assert hunt_members(fam, F7, "random-params", trials=7, seed=0) == []
 
 
+def test_hunt_stats_count_tested_members():
+    hesse = parse("x0^3+x1^3+x2^3+p1*x0*x1*x2", 3, 1)
+    stats = {}
+    hunt_members(hesse, F7, trials=5, stats=stats)
+    assert stats == {"tested": 5}
+    hunt_members(hesse, F7, trials=9, stats=stats)
+    assert stats == {"tested": 7, "shortfall": "tested 7 distinct members of 9 requested: "
+                                               "the parameter space has only 7 points"}
+
+
 def test_hunt_deterministic_and_block_invariant(monkeypatch):
     hesse = parse("x0^3+x1^3+x2^3+p1*x0*x1*x2", 3, 1)
     a = hunt_members(hesse, F7, trials=7, seed=5, classify_points=True)
@@ -153,7 +166,10 @@ def prime_field_families(draw):
 @given(prime_field_families(), st.integers(1, 6), st.integers(0, 3))
 def test_prime_field_scan_matches_brute_force(case, trials, seed):
     ctx, fam = case
-    candidates = _param_candidates(fam.nparams, ctx, trials, seed)
+    candidates = [
+        tuple(ctx.element(d) for d in row)
+        for row in _param_candidates(fam.nparams, ctx, trials, seed).tolist()
+    ]
     expected = []
     for params in sorted(candidates, key=lambda ps: tuple(v.coeffs for v in ps)):
         f = fam.specialize(list(params)).map_domain(ctx)
@@ -178,6 +194,67 @@ def test_binary_member_point_order():
     for params, m in members.items():
         f = fam.specialize(list(params))
         assert [pt.coords for pt in m.points] == reference_points(f, F5)
+
+
+def scalar_param_candidates(nparams, ctx, trials, seed, full_scan=2_000_000):
+    """The per-trial draw that _param_candidates replaced, as basis tuples."""
+    space = ctx.q**nparams
+    if nparams == 0:
+        return [()]
+    if space <= trials and space <= full_scan:
+        points = list(itertools.product(list(ctx.elements()), repeat=nparams))
+        split(seed, 0).shuffle(points)
+        return [tuple(v.coeffs for v in pt) for pt in points]
+    seen = set()
+    out = []
+    attempts = 0
+    limit = 20 * trials + 1000
+    i = 0
+    while len(out) < trials and attempts < limit:
+        rng = split(seed, i)
+        i += 1
+        attempts += 1
+        pt = tuple(ctx.element(tuple(rng.below(ctx.p) for _ in range(ctx.k))) for _ in range(nparams))
+        key = tuple(v.coeffs for v in pt)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(key)
+    return out
+
+
+P63 = 2**63 + 29  # prime; about half of all u64 draws below it are rejected
+P64 = 2**64 - 59  # prime; about half of the values drawn below it exceed int64
+
+
+@st.composite
+def draw_cases(draw):
+    p, k = draw(st.sampled_from([(2, 1), (3, 1), (7, 1), (101, 1), (2, 3), (3, 2), (7, 2),
+                                 (2147483629, 1), (P63, 1), (P64, 1)]))
+    nparams = draw(st.integers(0, 4 if p < 10 else 2))
+    return field_create(p, k), nparams
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(draw_cases(), st.integers(1, 60), st.integers(-2**64, 2**64), st.booleans())
+def test_param_candidates_match_scalar_draw(case, trials, seed, full_scan):
+    # without the full scan, spaces smaller than trials read every allowed stream
+    ctx, nparams = case
+    limit = hunt.FULL_SCAN_POINTS if full_scan else 0
+    with mock.patch.object(hunt, "FULL_SCAN_POINTS", limit):
+        got = _param_candidates(nparams, ctx, trials, seed)
+    want = scalar_param_candidates(nparams, ctx, trials, seed, limit)
+    assert got.shape == (len(want), nparams, ctx.k)
+    assert got.dtype == _dtype(ctx.p)
+    if got.dtype == object:
+        assert all(type(v) is int for v in got.ravel())
+    assert [tuple(map(tuple, row)) for row in got.tolist()] == want
+
+
+def test_param_candidates_refuse_primes_above_two_to_the_64():
+    # rejection sampling from u64 draws would never accept a value
+    with pytest.raises(ValueError, match="2\\^64"):
+        _param_candidates(1, field_create(2**64 + 13), 3, 0)
 
 
 @pytest.mark.parametrize("p", [2147483629, 2**61 - 1])

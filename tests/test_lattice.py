@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from singhunt import godeaux
 from singhunt.errors import MultipleSolutions, NoSolution
@@ -19,6 +21,7 @@ from singhunt.lattice import (
     solve_curve_intersections,
     unique_curve_solution,
 )
+from singhunt.rng import split
 
 L9 = godeaux_fixture()
 EXT = godeaux.extended_lattice()
@@ -140,6 +143,43 @@ def test_search_relations_matches_determinant_scan():
         if determinant(ext.matrix()) == 0:
             expected.add(((va, vb, vk), s))
     assert {(h.pairings, h.self_int) for h in hits} == expected
+
+
+def scalar_sampled_boxes(ranges, seed, trials):
+    """The per-trial box draw that the sampled search replaced."""
+    seen = set()
+    for t in range(trials):
+        rng = split(seed, t)
+        vec = tuple(r[rng.below(len(r))] for r in ranges)
+        if vec not in seen:
+            seen.add(vec)
+            yield vec
+
+
+DEGENERATE = GramLattice(["a", "b", "K"], [[0, 0, 0], [0, -2, 1], [0, 1, 1]])
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-2, 1), st.integers(0, 3)), min_size=3, max_size=3),
+    st.tuples(st.integers(-3, 0), st.integers(0, 3)),
+    st.integers(0, 2**64),
+    st.integers(0, 300),
+)
+def test_sampled_search_tests_the_scalar_boxes_in_order(spans, self_span, seed, trials):
+    # a degenerate base skips the Schur-complement filter, so every drawn box
+    # is extended, in draw order
+    bounds = {nm: (lo, lo + w) for nm, (lo, w) in zip(DEGENERATE.names, spans)}
+    self_bounds = (self_span[0], self_span[0] + self_span[1])
+    ranges = [range(lo, hi + 1) for lo, hi in bounds.values()]
+    ranges.append(range(self_bounds[0], self_bounds[1] + 1))
+    extend = GramLattice.extend_with_curve
+    with mock.patch.object(GramLattice, "extend_with_curve", autospec=True,
+                           side_effect=extend) as spy:
+        search_relations(DEGENERATE, bounds, self_bounds, seed=seed, trials=trials,
+                         exhaustive_limit=0)
+    tested = [tuple(c.args[2]) + (c.args[3],) for c in spy.call_args_list]
+    assert tested == list(scalar_sampled_boxes(ranges, seed, trials))
 
 
 def test_search_relations_seeded_sampling_deterministic():
