@@ -255,12 +255,16 @@ def cmd_lattice(args) -> int:
     report.add_input("gram", args.gram)
     report.add_input("classes", " ".join(L.names))
     if args.action == "rank":
+        radical = L.radical()
         report.add_result("rank", L.rank())
-        report.add_result("radical_dimension", len(L.radical()))
-        for v in L.radical():
+        report.add_result("radical_dimension", len(radical))
+        for v in radical:
             report.add_result("radical_vector", v)
     elif args.action == "search":
         bounds, self_bounds = _parse_bounds(args.bounds, L)
+        for flag, value in (("--trials", args.trials), ("--limit", args.limit)):
+            if value < 0:
+                raise SinghuntError(f"{flag} must be >= 0, got {value}")
         hits = lattice_mod.search_relations(
             L, bounds, self_bounds=self_bounds, seed=args.seed, trials=args.trials
         )
@@ -297,20 +301,32 @@ def cmd_lattice(args) -> int:
 
 
 def _parse_bounds(spec: str, L) -> tuple[dict, tuple[int, int]]:
+    """`NAME=lo..hi` (or `NAME=v`) chunks, comma separated; `self` bounds the
+    curve's self-intersection.  Classes not named range over 0..0."""
     bounds = {}
-    self_bounds = (-2, 8)
     for chunk in spec.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
-        name, _, rng = chunk.partition("=")
+        name, eq, rng = (part.strip() for part in chunk.partition("="))
         lo, _, hi = rng.partition("..")
-        pair = (int(lo), int(hi)) if hi else (int(lo), int(lo))
-        if name.strip() == "self":
-            self_bounds = pair
+        try:
+            pair = (int(lo), int(hi or lo))
+        except ValueError:
+            pair = None
+        if not eq or pair is None:
+            reason = "expected NAME=lo..hi"
+        elif name != "self" and name not in L.names:
+            reason = f"no class named {name!r} in the lattice"
+        elif name in bounds:
+            reason = f"{name} is bounded twice"
+        elif pair[0] > pair[1]:
+            reason = "empty range"
         else:
-            bounds[name.strip()] = pair
-    return bounds, self_bounds
+            bounds[name] = pair
+            continue
+        raise SinghuntError(f"bad --bounds chunk {chunk!r}: {reason}")
+    return bounds, bounds.pop("self", (-2, 8))
 
 
 def _parse_combo_text(text: str) -> dict[str, int]:

@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import exactla
 from .errors import DimensionMismatch, NonIntegral, NoSolution
-from .rng import below_rows, first_occurrences
+from .rng import below_rows
 
 
 @dataclass(frozen=True)
@@ -130,9 +131,10 @@ class GramLattice:
         return exactla.nullspace(self.matrix())
 
     def in_radical(self, v: DivisorClass) -> bool:
-        return all(
-            self.pairing(v, self.basis_class(nm)) == 0 for nm in self.names
-        )
+        if len(v.coeffs) != self.size:
+            raise DimensionMismatch("class length does not match the lattice")
+        terms = [(c, self.gram[i]) for i, c in enumerate(v.coeffs) if c]
+        return all(sum(c * row[j] for c, row in terms) == 0 for j in range(self.size))
 
     def equivalent(self, u: DivisorClass, v: DivisorClass) -> bool:
         """Numerical equivalence: the difference pairs to zero with everything."""
@@ -198,7 +200,7 @@ def godeaux_fixture() -> GramLattice:
 
 def canonical_relation(vec: Sequence[Fraction | int], k_index: int | None) -> tuple[int, ...]:
     """Primitive integer vector; sign fixed by a positive K coefficient."""
-    ints = exactla._primitive_integer([Fraction(v) for v in vec])
+    ints = exactla._primitive_integer(list(vec))
     if k_index is not None and ints[k_index] != 0:
         if ints[k_index] < 0:
             ints = [-x for x in ints]
@@ -212,6 +214,9 @@ class RelationHit:
     relations: tuple[tuple[int, ...], ...]  # canonical radical vectors
 
 
+SEARCH_ROWS = 1 << 12  # candidate boxes per block of the relation search
+
+
 def search_relations(
     L: GramLattice,
     bounds: Mapping[str, tuple[int, int]],
@@ -223,51 +228,76 @@ def search_relations(
     k_name: str = "K",
 ) -> list[RelationHit]:
     """Sample (or exhaust) intersection vectors for a hypothetical curve and
-    report every extension with a nonzero radical."""
+    report every extension with a nonzero radical.
+
+    Boxes are tested in blocks of at most SEARCH_ROWS rows, so memory does
+    not grow with `trials`.  With a nondegenerate base M, let D be the common
+    denominator of M^-1 and A = D*M^-1: the box (v, s) extends to a
+    degenerate lattice iff v^T A v == D*s (the Schur complement vanishes),
+    and the kernel is then spanned by (A v, -D).
+    """
     ranges = []
     for nm in L.names:
         lo, hi = bounds.get(nm, (0, 0))
         ranges.append(range(lo, hi + 1))
     ranges.append(range(self_bounds[0], self_bounds[1] + 1))
-    box = 1
-    for r in ranges:
-        box *= len(r)
-    if box <= exhaustive_limit:
-        candidates: Iterable[tuple[int, ...]] = product(*ranges)
-    else:
-        # trial t draws one offset per range from stream split(seed, t);
-        # repeats are skipped
-        rows = below_rows(seed, np.arange(trials), [len(r) for r in ranges])
-        first = first_occurrences(rows)
-        candidates = (
-            tuple(r[i] for r, i in zip(ranges, row)) for row in rows[first].tolist()
-        )
+    draws = None if prod(len(r) for r in ranges) <= exhaustive_limit else trials
     k_index = L.index(k_name) if k_name in L.names else None
-    base_det = exactla.determinant(L.matrix())
-    inv_rows = _inverse_rows(L) if base_det != 0 else None
-    hits = []
-    for vec in candidates:
-        pairings, self_int = vec[:-1], vec[-1]
-        if inv_rows is not None:
-            # nondegenerate base: the extension is degenerate iff the Schur
-            # complement self - v^T M^-1 v vanishes
-            quad = Fraction(0)
-            for i, vi in enumerate(pairings):
-                if vi:
-                    row = inv_rows[i]
-                    quad += vi * sum(row[j] * pairings[j] for j in range(L.size) if pairings[j])
-            if quad != self_int:
-                continue
-        ext = L.extend_with_curve(curve_name, pairings, self_int)
-        rad = ext.radical()
-        if not rad:
-            continue
-        rels = tuple(
-            sorted(canonical_relation(v, k_index) for v in rad)
-        )
-        hits.append(RelationHit(pairings, self_int, rels))
+    if exactla.determinant(L.matrix()) == 0:
+        # the kernel of an extension can have any dimension: RREF every box,
+        # each once (every one costs far more than remembering it)
+        hits = []
+        seen = set()
+        for block in _box_blocks(ranges, seed, draws, object):
+            for vec in map(tuple, block.tolist()):
+                if vec in seen:
+                    continue
+                seen.add(vec)
+                pairings, self_int = vec[:-1], vec[-1]
+                rad = L.extend_with_curve(curve_name, pairings, self_int).radical()
+                if rad:
+                    rels = tuple(sorted(canonical_relation(v, k_index) for v in rad))
+                    hits.append(RelationHit(pairings, self_int, rels))
+    else:
+        inv = _inverse_rows(L)
+        D = lcm(*(x.denominator for row in inv for x in row))
+        A = [[int(x * D) for x in row] for row in inv]
+        vmax = max((max(abs(r.start), abs(r.stop - 1)) for r in ranges[:-1]), default=0)
+        smax = max(abs(ranges[-1].start), abs(ranges[-1].stop - 1))
+        amax = max((abs(x) for row in A for x in row), default=0)
+        # |v^T A v| <= n^2 vmax^2 amax: int64 only where no term can overflow
+        small = max(amax, D, L.size**2 * vmax**2 * amax + D * smax) < 2**63
+        dtype = np.int64 if small else object
+        A = np.array(A, dtype=dtype).reshape(L.size, L.size)
+        found = {}  # repeats drawn in different blocks collapse here
+        for block in _box_blocks(ranges, seed, draws, dtype):
+            V = block[:, :-1]
+            VA = V @ A
+            for r in np.flatnonzero(np.einsum("ij,ij->i", VA, V) == D * block[:, -1]).tolist():
+                found[tuple(block[r].tolist())] = canonical_relation(VA[r].tolist() + [-D], k_index)
+        hits = [RelationHit(vec[:-1], vec[-1], (rel,)) for vec, rel in found.items()]
     hits.sort(key=lambda h: (h.pairings, h.self_int))
     return hits
+
+
+def _box_blocks(ranges: Sequence[range], seed: int, draws: int | None, dtype):
+    """Candidate boxes as integer arrays of at most SEARCH_ROWS rows.
+
+    draws=None: every box, in itertools.product order.  Otherwise trial t <
+    draws picks one offset per range from stream split(seed, t), in trial
+    order, repeats included: callers drop them, so that no set of the draws
+    is kept here.
+    """
+    shape = [len(r) for r in ranges]
+    starts = np.array([r.start for r in ranges], dtype=dtype)
+    total = prod(shape) if draws is None else draws
+    for lo in range(0, total, SEARCH_ROWS):
+        index = np.arange(lo, min(lo + SEARCH_ROWS, total))
+        if draws is None:
+            offsets = np.stack(np.unravel_index(index, shape), axis=1)
+        else:
+            offsets = below_rows(seed, index, shape)
+        yield offsets.astype(dtype) + starts
 
 
 def _inverse_rows(L: GramLattice) -> list[list[Fraction]]:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from singhunt import godeaux, hunt
 from singhunt.cli import main
 from singhunt.lattice import format_lattice
@@ -186,6 +188,36 @@ def test_lattice_search_command(tmp_path, capsys):
     assert code == 0
     assert "degenerate_extensions: 118" in out
     assert "[-2, 0, -1, -2, -3, -3, -2, -1, 8, -4]" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--bounds", "N1=0..1,Q=0..1"], "bad --bounds chunk 'Q=0..1': no class named 'Q'"),
+    (["--bounds", "N1=2..0"], "bad --bounds chunk 'N1=2..0': empty range"),
+    (["--bounds", "self=3..-3"], "bad --bounds chunk 'self=3..-3': empty range"),
+    (["--bounds", "K=0..1,N1=0..1,K=0..2"], "bad --bounds chunk 'K=0..2': K is bounded twice"),
+    (["--bounds", "self=0..1,self=0..2"], "bad --bounds chunk 'self=0..2': self is bounded twice"),
+    (["--bounds", "N1"], "bad --bounds chunk 'N1': expected NAME=lo..hi"),
+    (["--bounds", "N1=a..b"], "bad --bounds chunk 'N1=a..b': expected NAME=lo..hi"),
+    (["--limit", "-1"], "--limit must be >= 0, got -1"),
+    (["--trials", "-5"], "--trials must be >= 0, got -5"),
+])
+def test_lattice_search_rejects_bad_arguments(tmp_path, capsys, argv, message):
+    gram = tmp_path / "gram.txt"
+    gram.write_text(GRAM9)
+    assert main(["lattice", "--gram", str(gram), "search"] + argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_lattice_search_limit_zero_suppresses_every_hit(tmp_path, capsys):
+    gram = tmp_path / "gram.txt"
+    gram.write_text(GRAM9)
+    bounds = ",".join([f"N{i}=0..1" for i in range(1, 9)] + ["K=0..4", "self=-2..4"])
+    assert main(["lattice", "--gram", str(gram), "search", "--bounds", bounds,
+                 "--limit", "0", "--trials", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "degenerate_extensions: 118" in out and "hit:" not in out
+    assert "note: 118 more hits suppressed" in out
 
 
 def test_cover_commands(tmp_path, capsys):

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singhunt import godeaux
-from singhunt.errors import MultipleSolutions, NoSolution
+from singhunt import godeaux, lattice
+from singhunt.errors import DimensionMismatch, MultipleSolutions, NoSolution
 from singhunt.exactla import determinant, symmetric_signature
 from singhunt.lattice import (
     CurveTemplate,
@@ -95,6 +96,24 @@ def test_extended_lattice_radical_is_both_relations():
     assert EXT.in_radical(relC) and EXT.in_radical(relD)
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=11, max_size=11), st.sampled_from([0, 1, 2]))
+def test_in_radical_matches_pairing_definition(coeffs, plant):
+    # plant = 1, 2: a multiple of the C' relation, which lies in the radical
+    if plant:
+        coeffs = [c * plant for c in godeaux.RELATION_C]
+    v = EXT.combo(dict(zip(EXT.names, coeffs)))
+    want = all(EXT.pairing(v, EXT.basis_class(nm)) == 0 for nm in EXT.names)
+    assert EXT.in_radical(v) == want
+    if plant:
+        assert want
+
+
+def test_in_radical_rejects_wrong_length():
+    with pytest.raises(DimensionMismatch):
+        L9.in_radical(EXT.basis_class("K"))
+
+
 def test_pairing_examples():
     K = EXT.basis_class("K")
     C = EXT.basis_class("C'")
@@ -136,8 +155,6 @@ def test_search_relations_matches_determinant_scan():
     bounds = {"a": (0, 1), "b": (0, 1), "K": (0, 1)}
     hits = search_relations(small, bounds, self_bounds=(-2, 2))
     expected = set()
-    from itertools import product
-
     for va, vb, vk, s in product((0, 1), (0, 1), (0, 1), range(-2, 3)):
         ext = small.extend_with_curve("X", [va, vb, vk], s)
         if determinant(ext.matrix()) == 0:
@@ -180,6 +197,143 @@ def test_sampled_search_tests_the_scalar_boxes_in_order(spans, self_span, seed, 
                          exhaustive_limit=0)
     tested = [tuple(c.args[2]) + (c.args[3],) for c in spy.call_args_list]
     assert tested == list(scalar_sampled_boxes(ranges, seed, trials))
+
+
+def scalar_search_relations(L, bounds, self_bounds=(-2, 8), seed=0, trials=10_000,
+                            exhaustive_limit=100_000, curve_name="C", k_name="K"):
+    """The per-box loop that the block search replaced: a Fraction Schur test
+    for a nondegenerate base, then the radical of every surviving extension."""
+    ranges = [range(lo, hi + 1) for lo, hi in (bounds.get(nm, (0, 0)) for nm in L.names)]
+    ranges.append(range(self_bounds[0], self_bounds[1] + 1))
+    box = 1
+    for r in ranges:
+        box *= len(r)
+    if box <= exhaustive_limit:
+        candidates = product(*ranges)
+    else:
+        candidates = scalar_sampled_boxes(ranges, seed, trials)
+    k_index = L.index(k_name) if k_name in L.names else None
+    inv_rows = lattice._inverse_rows(L) if determinant(L.matrix()) != 0 else None
+    hits = []
+    for vec in candidates:
+        pairings, self_int = vec[:-1], vec[-1]
+        if inv_rows is not None:
+            quad = Fraction(0)
+            for i, vi in enumerate(pairings):
+                if vi:
+                    row = inv_rows[i]
+                    quad += vi * sum(row[j] * pairings[j] for j in range(L.size) if pairings[j])
+            if quad != self_int:
+                continue
+        rad = L.extend_with_curve(curve_name, pairings, self_int).radical()
+        if rad:
+            rels = tuple(sorted(canonical_relation(v, k_index) for v in rad))
+            hits.append(lattice.RelationHit(pairings, self_int, rels))
+    hits.sort(key=lambda h: (h.pairings, h.self_int))
+    return hits
+
+
+@st.composite
+def gram_lattices(draw, max_entry=3):
+    n = draw(st.integers(1, 4))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(st.integers(-max_entry, max_entry))
+    if draw(st.booleans()):  # a repeated class makes the base degenerate
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        gram[j] = gram[i][:]
+        for row in gram:
+            row[j] = row[i]
+    names = [f"E{i}" for i in range(n - 1)] + [draw(st.sampled_from(["K", "E9"]))]
+    return GramLattice(names, gram)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    gram_lattices(),
+    st.lists(st.tuples(st.integers(-3, 2), st.integers(0, 3)), min_size=4, max_size=4),
+    st.tuples(st.integers(-6, 2), st.integers(0, 8)),
+    st.booleans(),
+    st.integers(0, 2**64),
+    st.integers(0, 200),
+    st.sampled_from([1, 2, 3, lattice.SEARCH_ROWS]),
+)
+def test_search_relations_matches_scalar_loop(L, spans, self_span, sampled, seed, trials, rows):
+    bounds = {nm: (lo, lo + w) for nm, (lo, w) in zip(L.names, spans)}
+    self_bounds = (self_span[0], self_span[0] + self_span[1])
+    limit = 0 if sampled else 100_000
+    want = scalar_search_relations(L, bounds, self_bounds, seed, trials, limit)
+    with mock.patch.object(lattice, "SEARCH_ROWS", rows):
+        got = search_relations(L, bounds, self_bounds, seed, trials, limit)
+    assert got == want
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    gram_lattices(max_entry=2**20).filter(lambda L: determinant(L.matrix()) != 0),
+    st.lists(st.integers(2**36, 2**40) | st.integers(-2**40, -2**36), min_size=4, max_size=4),
+    st.booleans(),
+    st.sampled_from([1, 3, lattice.SEARCH_ROWS]),
+)
+def test_search_relations_python_int_path(L, centre, sampled, rows):
+    # pairings det*w make M^-1 v integral, so the box around (v, v^T M^-1 v)
+    # holds a hit; |v|^2 >= 2^72 is past what int64 products can hold
+    det = int(determinant(L.matrix()))
+    v = [det * w for w in centre[:L.size]]
+    inv = lattice._inverse_rows(L)
+    s = sum(v[i] * inv[i][j] * v[j] for i in range(L.size) for j in range(L.size))
+    assert s.denominator == 1
+    bounds = {nm: (x, x + 1) for nm, x in zip(L.names, v)}
+    self_bounds = (int(s) - 1, int(s) + 1)
+    limit = 0 if sampled else 100_000
+    want = scalar_search_relations(L, bounds, self_bounds, trials=40, exhaustive_limit=limit)
+    with mock.patch.object(lattice, "SEARCH_ROWS", rows):
+        got = search_relations(L, bounds, self_bounds, trials=40, exhaustive_limit=limit)
+    assert got == want
+    if not sampled:
+        assert (tuple(v), int(s)) in {(h.pairings, h.self_int) for h in got}
+
+
+@pytest.mark.parametrize("gram, bounds, self_bounds", [
+    ([[2**70 + 1]], {"K": (0, 0)}, (0, 0)),  # D alone is past int64
+    ([[2**66, 1], [1, 0]], {"a": (0, 0), "K": (0, 0)}, (-1, 1)),  # so is A
+])
+def test_search_relations_huge_gram_entries(gram, bounds, self_bounds):
+    L = GramLattice(list(bounds), gram)
+    want = scalar_search_relations(L, bounds, self_bounds)
+    assert want and search_relations(L, bounds, self_bounds) == want
+
+
+def test_search_relations_relation_spans_the_radical():
+    bounds = {f"N{i}": (0, 1) for i in range(1, 9)}
+    bounds["K"] = (0, 4)
+    hits = search_relations(L9, bounds, self_bounds=(-2, 4))
+    assert len(hits) == 118
+    for h in hits:
+        ext = L9.extend_with_curve("C", h.pairings, h.self_int)
+        assert h.relations == tuple(canonical_relation(v, 8) for v in ext.radical())
+
+
+def test_sampled_search_memory_is_bounded_by_the_block():
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def spy(seed, index, moduli):
+        seen.append(len(index))
+        if len(seen) == 5:
+            raise Stop
+        return lattice.below_rows(seed, index, moduli)
+
+    bounds = {f"N{i}": (0, 2) for i in range(1, 9)}
+    bounds["K"] = (0, 4)
+    with mock.patch.object(lattice, "SEARCH_ROWS", 3), \
+            mock.patch.object(lattice, "below_rows", side_effect=spy):
+        with pytest.raises(Stop):
+            search_relations(L9, bounds, (-2, 4), seed=5, trials=10**8, exhaustive_limit=10)
+    assert seen == [3] * 5
 
 
 def test_search_relations_seeded_sampling_deterministic():
