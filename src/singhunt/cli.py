@@ -423,6 +423,8 @@ def cmd_cover(args) -> int:
         for exps, ok in data.verify_reduced_data():
             report.verdict(ok, f"reduced-data {exps}", "relation lies in the radical")
     elif args.action == "invariants":
+        if "K" not in L.names:
+            raise SinghuntError(f"{args.lattice}: cover invariants needs a class named K")
         inv = lattice_mod.SurfaceInvariants(args.chi, args.k2, args.q)
         chi_s = cover_mod.chi_cover(inv, data)
         report.add_result("chi_cover", chi_s)
@@ -457,7 +459,7 @@ def _combo_str(L, cls) -> str:
 def _parse_cover_file(text: str, L):
     group = None
     branch_divisors: list = []
-    gen_pairs: list[tuple[tuple[int, ...], dict]] = []
+    gen_lines: dict[tuple[int, ...], tuple[int, object]] = {}  # exps -> (line, class)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -478,7 +480,9 @@ def _parse_cover_file(text: str, L):
                 exps = tuple(
                     int(tok) for tok in key[1:].strip().lstrip("(").rstrip(")").replace(",", " ").split()
                 )
-                gen_pairs.append((exps, L.combo(_parse_combo_text(val.strip()))))
+                if exps in gen_lines:
+                    raise SinghuntError(f"L {exps} repeats line {gen_lines[exps][0]}")
+                gen_lines[exps] = (lineno, L.combo(_parse_combo_text(val.strip())))
             else:
                 raise SinghuntError(f"bad cover file line {line!r}")
         except KeyError as exc:  # an unknown class name
@@ -487,9 +491,25 @@ def _parse_cover_file(text: str, L):
             raise SinghuntError(f"line {lineno}: {exc}") from exc
     if group is None:
         raise SinghuntError("cover file needs a group: line")
+    for exps, (lineno, _) in gen_lines.items():
+        reason = _character_error(exps, group.orders)
+        if reason:
+            raise SinghuntError(f"line {lineno}: L {exps}: {reason}")
     branch = cover_mod.BranchAssignment.assign(group, branch_divisors)
-    generators = {cover_mod.Character(group, exps): cls for exps, cls in gen_pairs}
+    generators = {cover_mod.Character(group, exps): cls for exps, (_, cls) in gen_lines.items()}
     return group, branch, generators
+
+
+def _character_error(exps: tuple[int, ...], orders: tuple[int, ...]) -> str | None:
+    """Why `exps` does not name a nontrivial character of the group, if so."""
+    if len(exps) != len(orders):
+        return f"needs {len(orders)} exponent(s), one per cyclic factor of the group"
+    for c, m in zip(exps, orders):
+        if not 0 <= c < m:
+            return f"exponent {c} is outside 0..{m - 1}"
+    if not any(exps):
+        return "the trivial character has L = 0 and is not a generator"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +560,10 @@ def fixture_godeaux() -> Report:
     report.verdict(okD, "relation-D", f"{len(solsD)} solution(s), multiplicities "
                    f"{dict(solsD[0].multiplicities) if solsD else '-'}")
 
-    ext = godeaux.extended_lattice()
+    ext = godeaux.extended_lattice(base)
     radical = [tuple(v) for v in ext.radical()]
-    relC = lattice_mod.DivisorClass(tuple(Fraction(v) for v in godeaux.RELATION_C))
-    relD = lattice_mod.DivisorClass(tuple(Fraction(v) for v in godeaux.RELATION_D))
+    relC = lattice_mod.DivisorClass(godeaux.RELATION_C)
+    relD = lattice_mod.DivisorClass(godeaux.RELATION_D)
     report.verdict(
         ext.in_radical(relC) and ext.in_radical(relD) and len(radical) == 2,
         "relations-in-radical",
@@ -554,17 +574,14 @@ def fixture_godeaux() -> Report:
 
     # (d) branch tables and reduced building data
     G = godeaux.COVER_GROUP
-    branch = cover_mod.BranchAssignment.assign(G, godeaux.branch_divisors(ext))
-    chi_a = cover_mod.Character(G, godeaux.CHI_A)
-    chi_b = cover_mod.Character(G, godeaux.CHI_B)
-    ta = cover_mod.coefficient_table(chi_a, branch)
-    tb = cover_mod.coefficient_table(chi_b, branch)
+    data = godeaux.cover_data(ext)
+    ta = cover_mod.coefficient_table(cover_mod.Character(G, godeaux.CHI_A), data.branch)
+    tb = cover_mod.coefficient_table(cover_mod.Character(G, godeaux.CHI_B), data.branch)
     report.verdict(
         ta == godeaux.TABLE_A and tb == godeaux.TABLE_B,
         "coefficient-tables",
         f"{ta} and {tb}",
     )
-    data = godeaux.cover_data()
     reduced = data.verify_reduced_data()
     report.verdict(
         all(ok for _, ok in reduced),

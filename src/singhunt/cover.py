@@ -153,15 +153,19 @@ def char_generator_exponents(H: CyclicSubgroup) -> list[int]:
 
 
 def exponent_from_restriction(chi: Character, H: CyclicSubgroup, j: int) -> int:
-    """The unique r in [0, |H|) with chi restricted to H equal to psi_j^r."""
+    """The unique r in [0, |H|) with chi restricted to H equal to psi_j^r.
+
+    In integers: with N = lcm of the cyclic orders, chi(g) = t/N for
+    t = sum c_i x_i N/m_i mod N, and r = (t |H| / N) j^-1 mod |H|."""
     m = H.order
     if gcd(j, m) != 1:
         raise NotAGenerator(f"psi_{j} does not generate the characters of H")
-    val = chi.value(H.generator)
-    num = val * m
-    if num.denominator != 1:
+    orders = chi.group.orders
+    N = lcm(*orders)
+    t = sum(c * x * (N // mi) for c, x, mi in zip(chi.exps, H.generator, orders)) % N
+    if t * m % N:
         raise NonIntegral("character value does not restrict to the subgroup")
-    return int(num) * pow(j, -1, m) % m
+    return t * m // N * pow(j, -1, m) % m
 
 
 def reduced_coeff(chi: Character, H: CyclicSubgroup, j: int) -> int:
@@ -284,15 +288,27 @@ def derive_all_L(
 
     Uses L_(chi chi') = L_chi + L_chi' - sum eps * D along a deterministic
     order; afterwards every alternative factorization is checked to agree
-    modulo the lattice radical (numerical equivalence)."""
+    modulo the lattice radical (numerical equivalence).  The restriction
+    exponents r of every character on every slot are computed once, and
+    eps(chi1, chi2) on a slot is the carry r1 + r2 >= |H|."""
     gens = list(generators.items())
     if not gens:
         raise InconsistentData("no generator characters given")
     G = gens[0][0].group
     if len(generate_subgroup([chi for chi, _ in gens])) != G.size:
         raise InconsistentData("the given characters do not generate the dual group")
-    zero = DivisorClass(tuple(Fraction(0) for _ in range(lattice.size)))
-    known: dict[tuple[int, ...], DivisorClass] = {G.identity(): zero}
+    elements = G.elements()
+    for chi, _ in gens:
+        if chi.exps not in elements:
+            raise InconsistentData(
+                f"character {chi.exps} is not reduced mod the orders {G.orders}"
+            )
+    slots = [s for s in branch.slots if s.divisor is not None]
+    restrict = {
+        e: [exponent_from_restriction(Character(G, e), s.subgroup, s.psi) for s in slots]
+        for e in elements
+    }
+    known: dict[tuple[int, ...], DivisorClass] = {G.identity(): DivisorClass((0,) * lattice.size)}
     for chi, L in gens:
         known[chi.exps] = L
     # extend along generator products so the stored representatives stay in
@@ -301,22 +317,22 @@ def derive_all_L(
     while changed:
         changed = False
         for e1 in sorted(known):
-            chi1 = Character(G, e1)
             for chi2, _ in gens:
-                prod = chi1 * chi2
-                if prod.exps in known:
+                e = G.add(e1, chi2.exps)
+                if e in known:
                     continue
-                known[prod.exps] = _product_class(chi1, chi2, known, branch)
+                known[e] = _product_class(e1, chi2.exps, known, restrict, slots)
                 changed = True
     if len(known) != G.size:
         raise InconsistentData("character group not exhausted (unreachable)")
-    # path independence: every factorization agrees up to numerical equivalence
-    for e1 in sorted(known):
-        for e2 in sorted(known):
-            chi1, chi2 = Character(G, e1), Character(G, e2)
-            candidate = _product_class(chi1, chi2, known, branch)
-            target = known[(chi1 * chi2).exps]
-            if not lattice.equivalent(candidate, target):
+    # path independence: every factorization agrees up to numerical
+    # equivalence; a product class is symmetric in its factors, so the
+    # pairs e1 <= e2 cover every factorization
+    order = sorted(known)
+    for i, e1 in enumerate(order):
+        for e2 in order[i:]:
+            candidate = _product_class(e1, e2, known, restrict, slots)
+            if not lattice.equivalent(candidate, known[G.add(e1, e2)]):
                 raise InconsistentData(
                     f"factorization {e1} * {e2} disagrees with the stored class"
                 )
@@ -324,16 +340,16 @@ def derive_all_L(
 
 
 def _product_class(
-    chi1: Character,
-    chi2: Character,
+    e1: tuple[int, ...],
+    e2: tuple[int, ...],
     known: Mapping[tuple[int, ...], DivisorClass],
-    branch: BranchAssignment,
+    restrict: Mapping[tuple[int, ...], Sequence[int]],
+    slots: Sequence[BranchSlot],
 ) -> DivisorClass:
-    acc = known[chi1.exps] + known[chi2.exps]
-    for slot in branch.slots:
-        if slot.divisor is None:
-            continue
-        if epsilon(chi1, chi2, slot.subgroup, slot.psi):
+    """L_e1 + L_e2 minus the branch divisor of every slot that carries."""
+    acc = known[e1] + known[e2]
+    for slot, r1, r2 in zip(slots, restrict[e1], restrict[e2]):
+        if r1 + r2 >= slot.subgroup.order:
             acc = acc - slot.divisor
     return acc
 
@@ -344,18 +360,18 @@ def _product_class(
 
 def chi_cover(
     invX: SurfaceInvariants, data: CoverData, k_name: str = "K"
-) -> Fraction:
+) -> int:
     """|G| * chi(X) + sum over nontrivial chi of (1/2) L (K + L)."""
     K = data.lattice.basis_class(k_name)
-    acc = Fraction(data.group.size * invX.chi)
+    twice = 2 * data.group.size * invX.chi
     for chi in character_group(data.group):
         if chi.is_trivial():
             continue
         L = data.L[chi.exps]
-        acc += Fraction(1, 2) * data.lattice.pairing(L, K + L)
-    if acc.denominator != 1:
-        raise NonIntegral(f"holomorphic Euler characteristic {acc} is not integral")
-    return acc
+        twice += data.lattice.pairing(L, K + L)
+    if twice % 2:
+        raise NonIntegral(f"holomorphic Euler characteristic {Fraction(twice, 2)} is not integral")
+    return twice // 2
 
 
 def pg_cover(pgX: int, h0_list: Sequence[int]) -> int:

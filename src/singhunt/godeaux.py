@@ -103,9 +103,10 @@ COVER_K2 = 8
 COVER_B2 = 2
 
 
-def extended_lattice() -> GramLattice:
-    """The 11x11 lattice {N1..N8, K, C', D'} with the derived pairings."""
-    L = godeaux_fixture()
+def extended_lattice(base: GramLattice | None = None) -> GramLattice:
+    """The 11x11 lattice {N1..N8, K, C', D'} with the derived pairings, built
+    on `base` (the 9x9 `godeaux_fixture()` unless given)."""
+    L = godeaux_fixture() if base is None else base
     L = L.extend_with_curve("C'", C_PAIRINGS, C_SELF)
     L = L.extend_with_curve("D'", list(D_PAIRINGS) + [CD_PAIRING], D_SELF)
     return L
@@ -138,11 +139,12 @@ def generator_classes(L: GramLattice) -> dict[Character, DivisorClass]:
     }
 
 
-def cover_data() -> CoverData:
-    """The full numerical building data of the fixture cover."""
+def cover_data(ext: GramLattice | None = None) -> CoverData:
+    """The full numerical building data of the fixture cover on `ext` (the
+    `extended_lattice()` unless given)."""
     from .cover import derive_all_L
 
-    L = extended_lattice()
+    L = extended_lattice() if ext is None else ext
     branch = BranchAssignment.assign(COVER_GROUP, branch_divisors(L))
     Lmap = derive_all_L(L, branch, generator_classes(L))
     return CoverData(COVER_GROUP, branch, L, Lmap)

@@ -22,22 +22,35 @@ from .errors import DimensionMismatch, NonIntegral, NoSolution
 from .rng import below_rows
 
 
+def _exact(v) -> int | Fraction:
+    """v as an int when it is integral, else as a Fraction (never a float)."""
+    if type(v) is int:
+        return v
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 @dataclass(frozen=True)
 class DivisorClass:
-    coeffs: tuple[Fraction, ...]
+    """Coefficients over a lattice basis: ints, with Fractions only where a
+    coefficient is not integral."""
+
+    coeffs: tuple[int | Fraction, ...]
     name: str = ""
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if len(self.coeffs) != len(other.coeffs):
             raise DimensionMismatch("divisor classes live in different lattices")
-        return DivisorClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return DivisorClass(tuple(_exact(a + b) for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + other.scale(-1)
+        if len(self.coeffs) != len(other.coeffs):
+            raise DimensionMismatch("divisor classes live in different lattices")
+        return DivisorClass(tuple(_exact(a - b) for a, b in zip(self.coeffs, other.coeffs)))
 
     def scale(self, s) -> "DivisorClass":
-        s = Fraction(s)
-        return DivisorClass(tuple(a * s for a in self.coeffs))
+        s = _exact(s)
+        return DivisorClass(tuple(_exact(a * s) for a in self.coeffs))
 
     def __rmul__(self, s) -> "DivisorClass":
         return self.scale(s)
@@ -71,7 +84,7 @@ class GramLattice:
         n = len(self.names)
         if len(set(self.names)) != n:
             raise ValueError("duplicate class names")
-        self.gram = [[Fraction(v) for v in row] for row in gram]
+        self.gram = [[_exact(v) for v in row] for row in gram]
         if len(self.gram) != n or any(len(row) != n for row in self.gram):
             raise DimensionMismatch("Gram matrix shape does not match names")
         for i in range(n):
@@ -92,26 +105,25 @@ class GramLattice:
     def matrix(self) -> exactla.ExactMatrix:
         return exactla.ExactMatrix.make(exactla.QQ, self.gram)
 
-    def entry(self, a: str, b: str) -> Fraction:
+    def entry(self, a: str, b: str) -> int | Fraction:
         return self.gram[self.index(a)][self.index(b)]
 
     # -- classes ---------------------------------------------------------------
 
     def basis_class(self, name: str) -> DivisorClass:
         i = self.index(name)
-        coeffs = tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.size))
-        return DivisorClass(coeffs, name)
+        return DivisorClass(tuple(int(j == i) for j in range(self.size)), name)
 
     def combo(self, coeffs: Mapping[str, object], name: str = "") -> DivisorClass:
-        vec = [Fraction(0)] * self.size
+        vec = [0] * self.size
         for key, val in coeffs.items():
-            vec[self.index(key)] = Fraction(val)
+            vec[self.index(key)] = _exact(val)
         return DivisorClass(tuple(vec), name)
 
-    def pairing(self, u: DivisorClass, v: DivisorClass) -> Fraction:
+    def pairing(self, u: DivisorClass, v: DivisorClass) -> int | Fraction:
         if len(u.coeffs) != self.size or len(v.coeffs) != self.size:
             raise DimensionMismatch("class length does not match the lattice")
-        acc = Fraction(0)
+        acc = 0
         for i, a in enumerate(u.coeffs):
             if a == 0:
                 continue
@@ -119,7 +131,7 @@ class GramLattice:
             for j, b in enumerate(v.coeffs):
                 if b != 0:
                     acc += a * b * row[j]
-        return acc
+        return _exact(acc)
 
     # -- structure ----------------------------------------------------------------
 
@@ -145,9 +157,8 @@ class GramLattice:
     ) -> "GramLattice":
         if len(pairings) != self.size:
             raise DimensionMismatch("one pairing per existing class required")
-        pr = [Fraction(v) for v in pairings]
-        gram = [row[:] + [pr[i]] for i, row in enumerate(self.gram)]
-        gram.append(pr + [Fraction(self_int)])
+        gram = [row + [v] for row, v in zip(self.gram, pairings)]
+        gram.append(list(pairings) + [self_int])
         return GramLattice(self.names + [name], gram)
 
     def restrict(self, names: Sequence[str]) -> "GramLattice":
@@ -248,6 +259,8 @@ def search_relations(
         # each once (every one costs far more than remembering it)
         hits = []
         seen = set()
+        while curve_name in L.names:  # the name only labels the extension
+            curve_name += "'"
         for block in _box_blocks(ranges, seed, draws, object):
             for vec in map(tuple, block.tolist()):
                 if vec in seen:
@@ -302,8 +315,7 @@ def _box_blocks(ranges: Sequence[range], seed: int, draws: int | None, dtype):
 
 def _inverse_rows(L: GramLattice) -> list[list[Fraction]]:
     n = L.size
-    aug = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(L.gram)]
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(L.gram)]
     R, pivots, rk = exactla.rref(exactla.ExactMatrix.make(exactla.QQ, aug))
     assert rk == n
     return [row[n:] for row in R.data]
@@ -391,9 +403,7 @@ def solve_curve_intersections(
             row = [gram_row[nm][L.index(s)] for s in support]
             rows.append(row)
             rhs.append(lhs_pair[nm] - c * pair_val[nm])
-        sol, kernel = exactla.solve(
-            exactla.ExactMatrix.make(exactla.QQ, rows), [Fraction(v) for v in rhs]
-        )
+        sol, kernel = exactla.solve(exactla.ExactMatrix.make(exactla.QQ, rows), rhs)
         if sol is None or kernel:
             continue  # inconsistent, or constraints do not pin the multiplicities
         mults = {}
@@ -414,7 +424,7 @@ def solve_curve_intersections(
             num = lhs_pair[nm] - sum(
                 mults[s] * gram_row[nm][L.index(s)] for s in support
             )
-            val = num / c
+            val = Fraction(num, c)
             if val.denominator != 1:
                 ok = False
                 break
@@ -428,7 +438,7 @@ def solve_curve_intersections(
         if not ok:
             continue
         # self-intersection from pairing the relation with the curve itself
-        num = sum(Fraction(coef) * pair_val[nm] for nm, coef in template.lhs) - sum(
+        num = sum(coef * pair_val[nm] for nm, coef in template.lhs) - sum(
             mults[s] * pair_val[s] for s in support
         )
         self_val = Fraction(num, c)
@@ -441,7 +451,7 @@ def solve_curve_intersections(
             continue
         pair_seq = [pair_val[nm] for nm in names]
         ext = L.extend_with_curve(template.curve_name, pair_seq, self_int)
-        rel = [Fraction(0)] * ext.size
+        rel = [0] * ext.size
         for nm, coef in template.lhs:
             rel[ext.index(nm)] += coef
         rel[ext.index(template.curve_name)] -= c

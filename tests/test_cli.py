@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from singhunt import godeaux, hunt
 from singhunt.cli import main
+from singhunt.cover import AbelianGroup, char_generator_exponents, cyclic_subgroups
 from singhunt.lattice import format_lattice
 
 HESSE = "# plane cubics\nx0^3+x1^3+x2^3+p1*x0*x1*x2\n"
@@ -355,3 +359,141 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert main(hunt_argv) == 0
     out = capsys.readouterr().out
     assert out.startswith("singhunt report: hunt") and "3A1" not in out and "3?" in out
+
+
+@pytest.mark.parametrize("lines, reason", [
+    ("L (1,0): 2*K - D' - N7\nL (1,1): 2*K - C'\nL (1,0): 2*K\n",
+     "line 5: L (1, 0) repeats line 3"),
+    ("L (3,0): 2*K - D' - N7\nL (1,1): 2*K - C'\n",
+     "line 3: L (3, 0): exponent 3 is outside 0..1"),
+    ("L (1,0): 2*K - D' - N7\nL (1,-1): 2*K - C'\n",
+     "line 4: L (1, -1): exponent -1 is outside 0..3"),
+    ("L (1,0,0): 2*K - D' - N7\nL (1,1): 2*K - C'\n",
+     "line 3: L (1, 0, 0): needs 2 exponent(s), one per cyclic factor of the group"),
+    ("L (1,0): 2*K - D' - N7\nL (1): 2*K - C'\n",
+     "line 4: L (1,): needs 2 exponent(s), one per cyclic factor of the group"),
+    ("L (1,0): 2*K - D' - N7\nL (1,1): 2*K - C'\nL (0,0): 0*K\n",
+     "line 5: L (0, 0): the trivial character has L = 0 and is not a generator"),
+])
+def test_cover_bad_generator_lines_are_data_errors(tmp_path, capsys, lines, reason):
+    gram = tmp_path / "gram11.txt"
+    gram.write_text(format_lattice(godeaux.extended_lattice()) + "\n")
+    cov = tmp_path / "cover.txt"
+    cov.write_text(COVER_FILE.split("L (")[0] + lines)
+    assert main(["cover", "--lattice", str(gram), "--cover", str(cov), "verify"]) == 3
+    assert capsys.readouterr().err == f"error: {cov}: {reason}\n"
+
+
+def test_cover_generator_lines_may_precede_the_group_line(tmp_path, capsys):
+    gram = tmp_path / "gram11.txt"
+    gram.write_text(format_lattice(godeaux.extended_lattice()) + "\n")
+    cov = tmp_path / "cover.txt"
+    head, _, tail = COVER_FILE.partition("\n")
+    cov.write_text(tail + head + "\n")
+    assert main(["cover", "--lattice", str(gram), "--cover", str(cov), "verify"]) == 0
+    assert "7/7 verdicts pass" in capsys.readouterr().out
+
+
+def test_cover_invariants_without_k_is_data_error(tmp_path, capsys):
+    gram = tmp_path / "gram.txt"
+    gram.write_text("names: A B\n0 0\n0 0\n")
+    cov = tmp_path / "cover.txt"
+    cov.write_text("group: 2\nbranch: A\nL (1): B\n")
+    assert main(["cover", "--lattice", str(gram), "--cover", str(cov), "verify"]) == 0
+    assert main(["cover", "--lattice", str(gram), "--cover", str(cov), "invariants"]) == 3
+    assert capsys.readouterr().err == f"error: {gram}: cover invariants needs a class named K\n"
+
+
+def test_solve_with_non_integral_derived_pairing_finds_nothing(tmp_path, capsys):
+    gram = tmp_path / "gram9.txt"
+    gram.write_text(GRAM9)
+    template = tmp_path / "template.txt"
+    template.write_text("lhs: K\ncurve: 2*X\nsupport: N1\n")
+    constraints = tmp_path / "constraints.txt"
+    constraints.write_text("pair N1 {0}\nnonneg\n")
+    code = main(["lattice", "--gram", str(gram), "solve", "--template", str(template),
+                 "--constraints", str(constraints)])
+    assert code == 1
+    assert "solutions: 0" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract on fuzzed gram and cover files: exit 0, 1 (only with a
+# FAIL verdict) or 3 (with an error line), never an exception
+# ---------------------------------------------------------------------------
+
+ENTRIES = ["0", "1", "-1", "2", "-2", "1/2", "-3/2", "2.5", "1/0", "x", "[1", "]"]
+BAD_COMBOS = ["0", "x*K", "3*", "Q", "K++A", "", "1/2*K"]
+
+
+def rarely(draw):
+    """True about one time in ten: where a fuzzed file goes wrong."""
+    return draw(st.integers(0, 9)) == 9
+
+
+@st.composite
+def lattice_and_cover_files(draw):
+    """A gram file and a cover file over its class names: mostly well
+    formed (symmetric entries, a small group, one branch divisor per slot,
+    generator lines of distinct nontrivial characters), so that the cover
+    code runs, with a corruption at each step now and then."""
+    n = draw(st.integers(1, 4))
+    names = draw(st.sampled_from([["K", "A", "B", "C"], ["A", "B", "C", "D"]]))[:n]
+    if rarely(draw):  # repeated names, or too few or too many
+        names = draw(st.lists(st.sampled_from(["K", "A", "B"]), min_size=n - 1, max_size=n + 1))
+    entries = st.sampled_from(["0"] if draw(st.booleans()) else ENTRIES[:7])  # "0": all equivalent
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if not rarely(draw):
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    if rarely(draw):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(st.sampled_from(ENTRIES))
+    if rarely(draw):
+        rows = rows[:-1] if draw(st.booleans()) else rows + [rows[0]]
+    gram = "names: " + " ".join(names) + "\n" + "".join(" ".join(r) + "\n" for r in rows)
+
+    def combo():
+        if rarely(draw):
+            return draw(st.sampled_from(BAD_COMBOS))
+        terms = draw(st.lists(st.tuples(st.integers(-3, 3), st.sampled_from(names or ["K"])),
+                              min_size=1, max_size=3))
+        return " + ".join(f"{c}*{nm}" for c, nm in terms).replace("+ -", "- ")
+
+    orders = draw(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=2))
+    G = AbelianGroup(tuple(orders))
+    nslots = sum(len(char_generator_exponents(H)) for H in cyclic_subgroups(G))
+    if rarely(draw):
+        orders = draw(st.lists(st.sampled_from([1, 0, -2, 2, "z"]), max_size=2))
+    if rarely(draw):
+        nslots += draw(st.sampled_from([-1, 1]))
+    lines = ["group: " + " ".join(map(str, orders)),
+             "branch: " + " | ".join(combo() for _ in range(nslots))]
+    chars = draw(st.lists(st.sampled_from(G.elements()[1:]), min_size=1, max_size=3, unique=True))
+    for exps in chars if not rarely(draw) else []:
+        if rarely(draw):
+            exps = draw(st.lists(st.integers(-1, 4), max_size=3))
+        lines.append(f"L ({','.join(map(str, exps))}): {combo()}")
+    if rarely(draw):
+        lines.append(draw(st.sampled_from(["# note", "", "bogus: 1", "L (1,x): K", "L: K"])))
+    return gram, "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(lattice_and_cover_files())
+def test_fuzzed_gram_and_cover_files_keep_the_exit_contract(tmp_path_factory, files):
+    gram_text, cover_text = files
+    tmp = tmp_path_factory.mktemp("fuzz")
+    gram, cov = tmp / "gram.txt", tmp / "cover.txt"
+    gram.write_text(gram_text)
+    cov.write_text(cover_text)
+    for argv in (
+        ["lattice", "--gram", str(gram), "rank"],
+        ["lattice", "--gram", str(gram), "search", "--bounds", "self=-1..1"],
+        ["cover", "--lattice", str(gram), "--cover", str(cov), "verify"],
+        ["cover", "--lattice", str(gram), "--cover", str(cov), "invariants"],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 3), (argv, code)
+        assert (code == 1) == ("\n  FAIL | " in out.getvalue()), argv
+        assert (code == 3) == err.getvalue().startswith("error: "), (argv, err.getvalue())

@@ -1,7 +1,9 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from singhunt import godeaux
 from singhunt.cover import (
@@ -9,6 +11,7 @@ from singhunt.cover import (
     BranchAssignment,
     Character,
     CoverData,
+    CyclicSubgroup,
     character_group,
     chi_cover,
     coefficient_table,
@@ -29,7 +32,7 @@ from singhunt.errors import (
     NonIntegral,
     NotAGenerator,
 )
-from singhunt.lattice import SurfaceInvariants, b2
+from singhunt.lattice import DivisorClass, GramLattice, SurfaceInvariants, b2
 
 G24 = AbelianGroup((2, 4))
 EXT = godeaux.extended_lattice()
@@ -310,3 +313,209 @@ def test_character_orders():
     assert Character(G24, (1, 0)).order() == 2
     assert Character(G24, (1, 1)).order() == 4
     assert Character(G24, (0, 2)).order() == 2
+
+
+# ---------------------------------------------------------------------------
+# the Fraction reference path: restriction through Character.value, carries
+# through a per-pair epsilon, Euler characteristic as a Fraction sum
+# ---------------------------------------------------------------------------
+
+def reference_exponent(chi, H, j):
+    m = H.order
+    if gcd(j, m) != 1:
+        raise NotAGenerator(f"psi_{j} does not generate the characters of H")
+    num = chi.value(H.generator) * m
+    if num.denominator != 1:
+        raise NonIntegral("character value does not restrict to the subgroup")
+    return int(num) * pow(j, -1, m) % m
+
+
+def reference_epsilon(chi1, chi2, H, j):
+    r1 = reference_exponent(chi1, H, j)
+    r2 = reference_exponent(chi2, H, j)
+    return 1 if r1 + r2 >= H.order else 0
+
+
+def reference_product_class(chi1, chi2, known, branch):
+    acc = known[chi1.exps] + known[chi2.exps]
+    for slot in branch.slots:
+        if slot.divisor is not None and reference_epsilon(chi1, chi2, slot.subgroup, slot.psi):
+            acc = acc - slot.divisor
+    return acc
+
+
+def reference_derive_all_L(lattice, branch, generators):
+    gens = list(generators.items())
+    if not gens:
+        raise InconsistentData("no generator characters given")
+    G = gens[0][0].group
+    if len(generate_subgroup([chi for chi, _ in gens])) != G.size:
+        raise InconsistentData("the given characters do not generate the dual group")
+    known = {G.identity(): DivisorClass(tuple(Fraction(0) for _ in range(lattice.size)))}
+    for chi, L in gens:
+        known[chi.exps] = L
+    changed = True
+    while changed:
+        changed = False
+        for e1 in sorted(known):
+            chi1 = Character(G, e1)
+            for chi2, _ in gens:
+                prod = chi1 * chi2
+                if prod.exps not in known:
+                    known[prod.exps] = reference_product_class(chi1, chi2, known, branch)
+                    changed = True
+    for e1 in sorted(known):
+        for e2 in sorted(known):
+            chi1, chi2 = Character(G, e1), Character(G, e2)
+            candidate = reference_product_class(chi1, chi2, known, branch)
+            if not lattice.equivalent(candidate, known[(chi1 * chi2).exps]):
+                raise InconsistentData(f"factorization {e1} * {e2} disagrees with the stored class")
+    return known
+
+
+def reference_verify_reduced_data(data):
+    out = []
+    for chi in character_group(data.group):
+        if chi.is_trivial():
+            continue
+        acc = data.L[chi.exps].scale(chi.order())
+        for slot in data.branch.slots:
+            if slot.divisor is None:
+                continue
+            num = chi.order() * reference_exponent(chi, slot.subgroup, slot.psi)
+            if num % slot.subgroup.order:
+                raise NonIntegral(f"{num} is not divisible by |H| = {slot.subgroup.order}")
+            acc = acc - slot.divisor.scale(num // slot.subgroup.order)
+        out.append((chi.exps, data.lattice.in_radical(acc)))
+    return out
+
+
+def reference_chi_cover(invX, data):
+    K = data.lattice.basis_class("K")
+    acc = Fraction(data.group.size * invX.chi)
+    for chi in character_group(data.group):
+        if not chi.is_trivial():
+            L = data.L[chi.exps]
+            acc += Fraction(1, 2) * data.lattice.pairing(L, K + L)
+    if acc.denominator != 1:
+        raise NonIntegral(f"holomorphic Euler characteristic {acc} is not integral")
+    return acc
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (InconsistentData, NonIntegral, NotAGenerator) as exc:
+        return type(exc), str(exc)
+
+
+SMALL_GROUPS = [
+    (2,), (3,), (4,), (5,), (6,), (8,), (12,), (24,),
+    (2, 2), (2, 3), (2, 4), (3, 3), (2, 6), (4, 4), (2, 8), (3, 6), (2, 12),
+    (2, 2, 2), (2, 2, 4), (2, 2, 6), (2, 3, 4),
+]
+
+
+def test_integer_exponent_matches_character_value_definition():
+    """Every character, every element as generator of a claimed subgroup of
+    order 2..8 (real subgroups and impossible ones, which must raise
+    NonIntegral), every j in 0..m (j sharing a factor with m must raise
+    NotAGenerator)."""
+    raised = set()
+    for orders in SMALL_GROUPS:
+        G = AbelianGroup(orders)
+        for g in G.elements():
+            for m in range(2, 9):
+                H = CyclicSubgroup(G, g, (G.identity(),) * m)
+                for exps in G.elements():
+                    chi = Character(G, exps)
+                    for j in range(m + 1):
+                        want = outcome(reference_exponent, chi, H, j)
+                        assert outcome(exponent_from_restriction, chi, H, j) == want
+                        if isinstance(want, tuple):
+                            raised.add(want[0])
+    assert raised == {NotAGenerator, NonIntegral}
+
+
+def symmetric_grams(n):
+    """Integral or half-integral symmetric n x n matrices: zero (every class
+    equivalent), rank one (u ~ v iff (u - v).w = 0), or random."""
+
+    @st.composite
+    def build(draw):
+        kind = draw(st.sampled_from(["zero", "rank-one", "random"]))
+        if kind == "zero":
+            gram = [[0] * n for _ in range(n)]
+        elif kind == "rank-one":
+            w = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+            gram = [[a * b for b in w] for a in w]
+        else:
+            gram = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+        scale = draw(st.sampled_from([1, Fraction(1, 2)]))
+        return [[v * scale for v in row] for row in gram]
+
+    return build()
+
+
+@st.composite
+def cover_cases(draw):
+    """(lattice, branch, generators, second lattice) on a group with one or
+    two cyclic factors of orders 2..6; the characters usually generate."""
+    G = AbelianGroup(tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=2))))
+    n = draw(st.integers(2, 4))
+    names = ["K"] + [f"E{i}" for i in range(1, n)]
+    coeffs = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    nslots = sum(len(char_generator_exponents(H)) for H in cyclic_subgroups(G))
+    divisors = [
+        None if c is None else DivisorClass(tuple(c))
+        for c in draw(st.lists(st.none() | coeffs, min_size=nslots, max_size=nslots))
+    ]
+    pairs = [c for k in (1, 2) for c in combinations(G.elements()[1:], k)]
+    generating = [c for c in pairs if len(generate_subgroup(Character(G, e) for e in c)) == G.size]
+    chars = draw(st.sampled_from(generating if draw(st.integers(0, 5)) else pairs))
+    generators = {Character(G, e): DivisorClass(tuple(draw(coeffs))) for e in chars}
+    lattices = [GramLattice(names, draw(symmetric_grams(n))) for _ in range(2)]
+    return lattices[0], BranchAssignment.assign(G, divisors), generators, lattices[1]
+
+
+def test_cover_path_matches_fraction_reference():
+    """derive_all_L against the reference on the drawn lattice (its value
+    or its first failing factorization), and on the zero lattice, where
+    every derivation of generating characters succeeds; then
+    verify_reduced_data and chi_cover of those classes on a second integral
+    or half-integral lattice.  The cases must reach every outcome: failing
+    and succeeding derivations, reduced data in and out of the radical,
+    integral and non-integral Euler characteristics."""
+    seen = set()
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(cover_cases(), st.integers(-2, 2))
+    def run(case, chi_base):
+        lat, branch, generators, lat2 = case
+        got = outcome(derive_all_L, lat, branch, generators)
+        assert got == outcome(reference_derive_all_L, lat, branch, generators)
+        seen.add(("derive", isinstance(got, dict)))
+        zero = GramLattice(lat.names, [[0] * lat.size for _ in range(lat.size)])
+        want = outcome(reference_derive_all_L, zero, branch, generators)
+        got = outcome(derive_all_L, zero, branch, generators)
+        if isinstance(want, tuple):
+            assert got == want and "do not generate" in want[1]
+            return
+        assert {e: c.coeffs for e, c in got.items()} == {e: c.coeffs for e, c in want.items()}
+        assert all(type(x) is int for c in got.values() for x in c.coeffs)
+        data = CoverData(next(iter(generators)).group, branch, lat2, got)
+        verdicts = data.verify_reduced_data()
+        assert verdicts == reference_verify_reduced_data(data)
+        seen.update(("verify", ok) for _, ok in verdicts)
+        inv = SurfaceInvariants(chi_base, 1, 0)
+        chi_s = outcome(chi_cover, inv, data)
+        assert chi_s == outcome(reference_chi_cover, inv, data)
+        assert isinstance(chi_s, tuple) or type(chi_s) is int
+        seen.add(("chi", type(chi_s) is int))
+
+    run()
+    assert seen == {(kind, flag) for kind in ("derive", "verify", "chi") for flag in (True, False)}

@@ -441,3 +441,58 @@ def test_combo_and_pairing_bilinear():
         assert EXT.pairing(u + w, v) == EXT.pairing(u, v) + EXT.pairing(w, v)
         s = Fraction(rnd.randint(-5, 5))
         assert EXT.pairing(u.scale(s), v) == s * EXT.pairing(u, v)
+
+
+# ---------------------------------------------------------------------------
+# exact types: ints wherever a value is integral, Fractions only where it is
+# not, and never a float
+# ---------------------------------------------------------------------------
+
+def test_integral_lattices_compute_in_ints():
+    assert {type(v) for row in EXT.gram for v in row} == {int}
+    data = godeaux.cover_data(EXT)
+    classes = [EXT.basis_class(nm) for nm in EXT.names] + list(data.L.values())
+    assert {type(c) for cls in classes for c in cls.coeffs} == {int}
+    assert {type(EXT.pairing(u, v)) for u in classes for v in classes} == {int}
+    for template, constraints, contacts in [
+        (godeaux.C_TEMPLATE, godeaux.C_CONSTRAINTS, godeaux.C_CONTACTS),
+        (godeaux.D_TEMPLATE, godeaux.D_CONSTRAINTS, godeaux.D_CONTACTS),
+    ]:
+        (sol,) = solve_curve_intersections(L9, template, constraints, contact=contacts)
+        values = [m for _, m in sol.multiplicities] + [*sol.pairings, sol.self_int, *sol.relation]
+        assert {type(v) for v in values} == {int}
+
+
+def test_rational_lattices_mix_ints_and_fractions():
+    L = GramLattice(["A", "B"], [[Fraction(1, 2), Fraction(2, 2)], [1, "-3/2"]])
+    assert L.gram == [[Fraction(1, 2), 1], [1, Fraction(-3, 2)]]
+    assert [type(v) for row in L.gram for v in row] == [Fraction, int, int, Fraction]
+    u = L.combo({"A": Fraction(1, 2), "B": 2})
+    assert [type(c) for c in u.coeffs] == [Fraction, int]
+    assert L.pairing(u, u) == Fraction(1, 8) + 2 - 6 and type(L.pairing(u, u)) is Fraction
+    A = L.basis_class("A")
+    assert L.pairing(A, A.scale(2)) == 1 and type(L.pairing(A, A.scale(2))) is int
+    for cls in (u.scale(2), u + u, u - u, L.combo({"A": Fraction(4, 2)})):
+        assert {type(c) for c in cls.coeffs} == {int}
+    assert (u + u).coeffs == (1, 4) and (u - u).coeffs == (0, 0)
+    ext = L.extend_with_curve("C", [Fraction(3, 3), "1/3"], 2)
+    assert [type(v) for v in ext.gram[-1]] == [int, Fraction, int]
+
+
+def test_solve_rejects_a_non_integral_derived_pairing():
+    """K = 2X (+ 0 N1): pairing with K asks for 2 X.K = K^2 = 1, so X.K would
+    be 1/2; the assignment is rejected, not truncated and not a crash."""
+    template = CurveTemplate.make({"K": 1}, 2, "X", ["N1"])
+    assert solve_curve_intersections(L9, template, {"N1": (0,)}, require_positive=False) == []
+    # 2K = 2X has the integral solution X.K = X^2 = 1
+    template = CurveTemplate.make({"K": 2}, 2, "X", ["N1"])
+    (sol,) = solve_curve_intersections(L9, template, {"N1": (0,)}, require_positive=False)
+    assert sol.pairings == (0,) * 8 + (1,) and sol.self_int == 1
+    assert type(sol.pairings[-1]) is int
+
+
+def test_degenerate_search_on_a_lattice_with_a_class_named_like_the_curve():
+    """The appended curve takes a fresh name; the result does not depend on it."""
+    hits = search_relations(GramLattice(["C", "K"], [[0, 0], [0, 1]]), {"C": (0, 1)})
+    assert hits == search_relations(GramLattice(["E", "K"], [[0, 0], [0, 1]]), {"E": (0, 1)})
+    assert len(hits) == 11  # C.C' = 0, C'.K = 0, every C'^2 in -2..8
