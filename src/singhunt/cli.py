@@ -10,6 +10,7 @@ output apart from the trailing timings section.  Exit codes: 0 pass,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -280,8 +281,9 @@ def cmd_lattice(args) -> int:
     elif args.action == "solve":
         if not args.template or not args.constraints:
             raise SinghuntError("lattice solve needs --template and --constraints")
-        template, constraints, contacts, self_c, positive = _parse_solve_files(
-            _read(args.template), _read(args.constraints)
+        template = _load(args.template, lambda text: _parse_template(text, L))
+        constraints, contacts, self_c, positive = _load(
+            args.constraints, lambda text: _parse_constraints(text, L, template.support)
         )
         sols = lattice_mod.solve_curve_intersections(
             L, template, constraints, contact=contacts,
@@ -356,53 +358,87 @@ def _parse_combo_text(text: str) -> dict[str, int]:
     return out
 
 
-def _parse_solve_files(template_text: str, constraints_text: str):
-    lhs = None
-    curve = None
-    support: list[str] = []
-    for raw in template_text.splitlines():
+def _data_lines(text: str):
+    """(line number, line) of each line with content, comments stripped."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, val = line.partition(":")
-        key = key.strip()
-        if key == "lhs":
-            lhs = val.strip()
-        elif key == "curve":
-            curve = val.strip()
-        elif key == "support":
-            support = val.split()
-    if lhs is None or curve is None or not support:
-        raise SinghuntError("template file needs lhs:, curve:, and support: lines")
-    coeff, _, cname = curve.rpartition("*")
-    curve_mult = int(coeff) if coeff else 1
-    lhs_map = _parse_combo_text(lhs)
-    template = lattice_mod.CurveTemplate.make(lhs_map, curve_mult, cname, support)
+        if line:
+            yield lineno, line
 
+
+@contextlib.contextmanager
+def _at_line(lineno: int):
+    """Report bad data, an unknown class name included, with its line."""
+    try:
+        yield
+    except KeyError as exc:
+        raise SinghuntError(f"line {lineno}: {exc.args[0]}") from exc
+    except (ValueError, SinghuntError) as exc:
+        raise SinghuntError(f"line {lineno}: {exc}") from exc
+
+
+def _parse_template(text: str, L):
+    found = {}
+    for lineno, line in _data_lines(text):
+        key, _, val = line.partition(":")
+        if key.strip() in ("lhs", "curve", "support"):
+            found[key.strip()] = (lineno, val.strip())
+    if len(found) < 3 or not found["support"][1]:
+        raise SinghuntError("template file needs lhs:, curve:, and support: lines")
+    lineno, lhs = found["lhs"]
+    with _at_line(lineno):
+        lhs_map = _parse_combo_text(lhs)
+        L.combo(lhs_map)
+    lineno, curve = found["curve"]
+    with _at_line(lineno):
+        coeff, _, cname = curve.rpartition("*")
+        curve_mult = int(coeff) if coeff else 1
+        if curve_mult == 0:
+            raise SinghuntError("the curve multiplicity must be nonzero")
+        if not cname or cname in L.names:
+            raise SinghuntError(f"the curve needs a name that is not a class: {cname!r}")
+    lineno, support = found["support"]
+    with _at_line(lineno):
+        for name in support.split():
+            L.index(name)
+    return lattice_mod.CurveTemplate.make(lhs_map, curve_mult, cname, support.split())
+
+
+def _head(text: str) -> tuple[str, str]:
+    """The first word of text and the rest."""
+    return tuple((text.split(None, 1) + ["", ""])[:2])
+
+
+def _parse_constraints(text: str, L, support):
     constraints: dict[str, tuple[int, ...]] = {}
     contacts: list[tuple[tuple[str, ...], int]] = []
     self_c = None
     positive = True
-    for raw in constraints_text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "nonneg":
-            positive = False
-            continue
-        parts = line.split(None, 1)
-        if parts[0] == "pair":
-            name, braces = parts[1].split(None, 1)
-            constraints[name] = _parse_int_set(braces)
-        elif parts[0] == "contact":
-            names_part, _, total = parts[1].partition("=")
-            names = tuple(nm.strip() for nm in names_part.split("+"))
-            contacts.append((names, int(total)))
-        elif parts[0] == "self":
-            self_c = _parse_int_set(parts[1])
-        else:
-            raise SinghuntError(f"bad constraint line {line!r}")
-    return template, constraints, contacts, self_c, positive
+    for lineno, line in _data_lines(text):
+        word, rest = _head(line)
+        with _at_line(lineno):
+            if line == "nonneg":
+                positive = False
+            elif word == "pair":
+                name, braces = _head(rest)
+                L.index(name)
+                constraints[name] = _parse_int_set(braces)
+            elif word == "contact":
+                names_part, eq, total = rest.partition("=")
+                names = tuple(nm.strip() for nm in names_part.split("+"))
+                for name in names:
+                    L.index(name)
+                if not eq:
+                    raise SinghuntError("expected contact A+B+... = total")
+                contacts.append((names, int(total)))
+            elif word == "self":
+                self_c = _parse_int_set(rest)
+            else:
+                raise SinghuntError(f"bad constraint line {line!r}")
+    for name in support:
+        if name not in constraints:
+            raise SinghuntError(f"support class {name!r} has no pair line")
+    return constraints, contacts, self_c, positive
 
 
 def _parse_int_set(braces: str) -> tuple[int, ...]:
@@ -460,13 +496,10 @@ def _parse_cover_file(text: str, L):
     group = None
     branch_divisors: list = []
     gen_lines: dict[tuple[int, ...], tuple[int, object]] = {}  # exps -> (line, class)
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _data_lines(text):
         key, _, val = line.partition(":")
         key = key.strip()
-        try:
+        with _at_line(lineno):
             if key == "group":
                 group = cover_mod.AbelianGroup(tuple(int(tok) for tok in val.split()))
             elif key == "branch":
@@ -485,10 +518,6 @@ def _parse_cover_file(text: str, L):
                 gen_lines[exps] = (lineno, L.combo(_parse_combo_text(val.strip())))
             else:
                 raise SinghuntError(f"bad cover file line {line!r}")
-        except KeyError as exc:  # an unknown class name
-            raise SinghuntError(f"line {lineno}: {exc.args[0]}") from exc
-        except (ValueError, SinghuntError) as exc:
-            raise SinghuntError(f"line {lineno}: {exc}") from exc
     if group is None:
         raise SinghuntError("cover file needs a group: line")
     for exps, (lineno, _) in gen_lines.items():

@@ -1,10 +1,11 @@
 """Dense exact linear algebra over GF(p^k) and over the rationals.
 
-Everything here is exact: Fractions (arbitrary precision) over QQ, modular
-integers over prime fields, FieldElement arithmetic over extensions.
-Prime-field elimination is vectorized with numpy int64 (safe for p < 2^31);
-rational determinants use fraction-free Bareiss elimination to limit
-intermediate swell.
+Everything here is exact: Fractions (arbitrary precision) over QQ, and over
+every finite field the digit planes of ``fields``, eliminated with numpy
+(int64 where a product of residues fits, Python ints otherwise); entries of
+a finite-field ExactMatrix are ints over GF(p) and FieldElements over
+GF(p^k), converted to planes once per call.  Rational determinants use
+fraction-free Bareiss elimination to limit intermediate swell.
 """
 
 from __future__ import annotations
@@ -16,7 +17,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContextMismatch, DimensionMismatch, MatrixSyntaxError, NotSquare
-from .fields import FieldCtx, FieldElement
+from .fields import (
+    FieldCtx,
+    FieldElement,
+    inv_digits,
+    plane_matmul,
+    plane_mul,
+    scalar,
+    to_planes,
+    to_scalars,
+)
 
 QQ = "QQ"
 
@@ -67,23 +77,18 @@ class ExactMatrix:
 
 
 def _coerce(domain, v):
+    if isinstance(domain, FieldCtx):
+        return scalar(domain, v)
     if domain == QQ:
         if isinstance(v, FieldElement):
             raise ContextMismatch("field element in a rational matrix")
         return Fraction(v)
-    if isinstance(domain, FieldCtx):
-        if domain.k == 1:
-            if isinstance(v, FieldElement):
-                if v.ctx != domain:
-                    raise ContextMismatch("entry from a different field context")
-                return v.coeffs[0]
-            return int(v) % domain.p
-        return domain.element(v)
     raise ContextMismatch(f"unknown coefficient domain {domain!r}")
 
 
-def _is_primefield(domain) -> bool:
-    return isinstance(domain, FieldCtx) and domain.k == 1
+def _planes(A: ExactMatrix) -> np.ndarray:
+    """The digit planes (k x rows x cols) of a finite-field matrix."""
+    return to_planes(A.domain, A.data).reshape(A.domain.k, A.rows, A.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -92,87 +97,71 @@ def _is_primefield(domain) -> bool:
 
 def rref(A: ExactMatrix) -> tuple[ExactMatrix, list[int], int]:
     """Returns (R, pivot column indices, rank); R is row-equivalent to A."""
-    if _is_primefield(A.domain) and A.domain.p < (1 << 31):
-        R, pivots = _rref_modp(
-            np.array(A.data, dtype=np.int64) if A.rows else np.zeros((0, A.cols), dtype=np.int64),
-            A.domain.p,
-        )
-        out = ExactMatrix(A.rows, A.cols, A.domain, [list(map(int, row)) for row in R])
-        return out, pivots, len(pivots)
-    data = [list(row) for row in A.data]
-    pivots = _rref_generic(data, A.domain)
-    return ExactMatrix(A.rows, A.cols, A.domain, data), pivots, len(pivots)
+    if A.domain == QQ:
+        data = [list(row) for row in A.data]
+        pivots = _rref_generic(data)
+        return ExactMatrix(A.rows, A.cols, QQ, data), pivots, len(pivots)
+    R, pivots = _rref_modp(_planes(A), A.domain)
+    out = ExactMatrix(A.rows, A.cols, A.domain, to_scalars(A.domain, R))
+    return out, pivots, len(pivots)
 
 
-def _rref_modp(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+def _rref_modp(M: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, list[int]]:
+    """RREF of the digit planes M (k x rows x cols) over ctx; M is not modified."""
+    p = ctx.p
     M = M % p
-    rows, cols = M.shape
+    _, rows, cols = M.shape
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        nz = np.nonzero(M[r:, c])[0]
+        nz = np.nonzero(M[:, r:, c])[1]
         if nz.size == 0:
             continue
-        pr = r + int(nz[0])
+        pr = r + int(nz.min())
         if pr != r:
-            M[[r, pr]] = M[[pr, r]]
-        inv = pow(int(M[r, c]), p - 2, p)
-        M[r] = (M[r] * inv) % p
-        col = M[:, c].copy()
-        col[r] = 0
-        mask = np.nonzero(col)[0]
+            M[:, [r, pr]] = M[:, [pr, r]]
+        M[:, r] = plane_mul(ctx, M[:, r], inv_digits(ctx, M[:, r, c])[:, None])
+        col = M[:, :, c].copy()
+        col[:, r] = 0
+        mask = np.nonzero(col.any(axis=0))[0]
         if mask.size:
-            M[mask] = (M[mask] - np.outer(col[mask], M[r])) % p
+            M[:, mask] = (M[:, mask] - plane_mul(ctx, col[:, mask, None], M[:, r, None])) % p
         pivots.append(c)
         r += 1
     return M, pivots
 
 
-def _rref_generic(data: list[list], domain) -> list[int]:
+def _rref_generic(data: list[list]) -> list[int]:
+    """Gauss-Jordan over QQ in place; returns the pivot columns."""
     rows = len(data)
     cols = len(data[0]) if rows else 0
-    if domain == QQ:
-        is_zero = lambda v: v == 0
-        invert = lambda v: 1 / v
-        combine = lambda a, f, b: a - f * b
-        scale_row = lambda row, s: [v * s for v in row]
-    elif _is_primefield(domain):
-        p = domain.p
-        is_zero = lambda v: v % p == 0
-        invert = lambda v: pow(v, p - 2, p)
-        combine = lambda a, f, b: (a - f * b) % p
-        scale_row = lambda row, s: [v * s % p for v in row]
-    else:
-        is_zero = lambda v: v.is_zero()
-        from .fields import inv as field_inv
-
-        invert = field_inv
-        combine = lambda a, f, b: a - f * b
-        scale_row = lambda row, s: [v * s for v in row]
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        pr = next((i for i in range(r, rows) if not is_zero(data[i][c])), None)
+        pr = next((i for i in range(r, rows) if data[i][c] != 0), None)
         if pr is None:
             continue
         data[r], data[pr] = data[pr], data[r]
-        data[r] = scale_row(data[r], invert(data[r][c]))
+        inv = 1 / data[r][c]
+        data[r] = [v * inv for v in data[r]]
         for i in range(rows):
-            if i == r or is_zero(data[i][c]):
+            if i == r or data[i][c] == 0:
                 continue
             f = data[i][c]
-            data[i] = [combine(a, f, b) for a, b in zip(data[i], data[r])]
+            data[i] = [a - f * b for a, b in zip(data[i], data[r])]
         pivots.append(c)
         r += 1
     return pivots
 
 
 def rank(A: ExactMatrix) -> int:
-    return rref(A)[2]
+    if A.domain == QQ:
+        return rref(A)[2]
+    return len(_rref_modp(_planes(A), A.domain)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -187,28 +176,28 @@ def nullspace(A: ExactMatrix) -> list[list]:
     published relations; over a finite field they come from the RREF with a
     unit at the free coordinate.
     """
+    if A.domain != QQ:
+        return to_scalars(A.domain, _kernel_planes(_planes(A), A.domain))
     R, pivots, _ = rref(A)
-    free = [c for c in range(A.cols) if c not in pivots]
     basis = []
-    if A.domain == QQ:
-        for fc in free:
-            v = [Fraction(0)] * A.cols
-            v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -R.data[r][fc]
-            basis.append(_primitive_integer(v))
-    else:
-        ctx = A.domain
-        one = ctx.one() if ctx.k > 1 else 1
-        zero = ctx.zero() if ctx.k > 1 else 0
-        for fc in free:
-            v = [zero] * A.cols
-            v[fc] = one
-            for r, pc in enumerate(pivots):
-                val = R.data[r][fc]
-                v[pc] = -val if ctx.k > 1 else (-val) % ctx.p
-            basis.append(v)
+    for fc in (c for c in range(A.cols) if c not in pivots):
+        v = [Fraction(0)] * A.cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -R.data[r][fc]
+        basis.append(_primitive_integer(v))
     return basis
+
+
+def _kernel_planes(M: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Planes (k x nullity x cols) of the RREF kernel basis of the planes M."""
+    R, pivots = _rref_modp(M, ctx)
+    cols = M.shape[2]
+    free = [c for c in range(cols) if c not in pivots]
+    K = np.zeros((ctx.k, len(free), cols), dtype=M.dtype)
+    K[0, range(len(free)), free] = 1
+    K[:, :, pivots] = (-R[:, :len(pivots)][:, :, free] % ctx.p).transpose(0, 2, 1)
+    return K
 
 
 def _primitive_integer(v: list[Fraction]) -> list[int]:
@@ -234,24 +223,23 @@ def _primitive_integer(v: list[Fraction]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def determinant(A: ExactMatrix):
+    if A.domain != QQ:
+        raise ContextMismatch("determinant is defined for rational matrices")
     if A.rows != A.cols:
         raise NotSquare(f"{A.rows}x{A.cols} matrix has no determinant")
-    n = A.rows
-    if n == 0:
-        return Fraction(1) if A.domain == QQ else A.domain.one()
-    if A.domain == QQ:
-        from math import lcm
+    if A.rows == 0:
+        return Fraction(1)
+    from math import lcm
 
-        scale = Fraction(1)
-        int_rows = []
-        for row in A.data:
-            d = 1
-            for x in row:
-                d = lcm(d, x.denominator)
-            scale /= d
-            int_rows.append([int(x * d) for x in row])
-        return scale * _bareiss(int_rows)
-    return _det_field(A)
+    scale = Fraction(1)
+    int_rows = []
+    for row in A.data:
+        d = 1
+        for x in row:
+            d = lcm(d, x.denominator)
+        scale /= d
+        int_rows.append([int(x * d) for x in row])
+    return scale * _bareiss(int_rows)
 
 
 def _bareiss(m: list[list[int]]):
@@ -275,47 +263,6 @@ def _bareiss(m: list[list[int]]):
     return Fraction(sign * m[n - 1][n - 1])
 
 
-def _det_field(A: ExactMatrix):
-    ctx = A.domain
-    n = A.rows
-    if ctx.k == 1:
-        p = ctx.p
-        m = [row[:] for row in A.data]
-        det = 1
-        for c in range(n):
-            pr = next((i for i in range(c, n) if m[i][c] % p), None)
-            if pr is None:
-                return 0
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                det = -det % p
-            det = det * m[c][c] % p
-            inv = pow(m[c][c], p - 2, p)
-            for i in range(c + 1, n):
-                f = m[i][c] * inv % p
-                if f:
-                    m[i] = [(a - f * b) % p for a, b in zip(m[i], m[c])]
-        return det % p
-    m = [row[:] for row in A.data]
-    det = ctx.one()
-    from .fields import inv as field_inv
-
-    for c in range(n):
-        pr = next((i for i in range(c, n) if not m[i][c].is_zero()), None)
-        if pr is None:
-            return ctx.zero()
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det = det * m[c][c]
-        f0 = field_inv(m[c][c])
-        for i in range(c + 1, n):
-            if not m[i][c].is_zero():
-                f = m[i][c] * f0
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
-
-
 # ---------------------------------------------------------------------------
 # solving, products, span operations
 # ---------------------------------------------------------------------------
@@ -324,14 +271,11 @@ def matvec(A: ExactMatrix, v: Sequence) -> list:
     if len(v) != A.cols:
         raise DimensionMismatch("vector length does not match column count")
     vals = [_coerce(A.domain, x) for x in v]
-    out = []
-    for row in A.data:
-        acc = _coerce(A.domain, 0)
-        for a, x in zip(row, vals):
-            prod = a * x
-            acc = (acc + prod) % A.domain.p if _is_primefield(A.domain) else acc + prod
-        out.append(acc)
-    return out
+    if A.domain == QQ:
+        return [sum((a * x for a, x in zip(row, vals)), Fraction(0)) for row in A.data]
+    ctx = A.domain
+    column = to_planes(ctx, vals).reshape(ctx.k, A.cols, 1)
+    return [row[0] for row in to_scalars(ctx, plane_matmul(ctx, _planes(A), column))]
 
 
 def solve(A: ExactMatrix, b: Sequence) -> tuple[list | None, list[list]]:
@@ -345,8 +289,6 @@ def solve(A: ExactMatrix, b: Sequence) -> tuple[list | None, list[list]]:
     x = [_coerce(A.domain, 0)] * A.cols
     for r, pc in enumerate(pivots):
         x[pc] = R.data[r][A.cols]
-    if isinstance(A.domain, FieldCtx) and A.domain.k > 1:
-        x = [A.domain.element(v) for v in x]
     return x, nullspace(ExactMatrix(A.rows, A.cols, A.domain, [row[:] for row in A.data]))
 
 
@@ -356,43 +298,20 @@ def row_span_rank(rows: Sequence[Sequence], domain) -> int:
     return rank(ExactMatrix.make(domain, rows))
 
 
-def span_intersection(B1: Sequence[Sequence], B2: Sequence[Sequence], domain) -> list[list]:
-    """Basis of rowspan(B1) ∩ rowspan(B2), RREF-normalized."""
+def span_intersection(B1: Sequence[Sequence], B2: Sequence[Sequence], ctx: FieldCtx) -> list[list]:
+    """Basis of rowspan(B1) ∩ rowspan(B2) over a finite field, RREF-normalized."""
+    if not isinstance(ctx, FieldCtx):
+        raise ContextMismatch("span intersection is defined over finite fields")
     if not B1 or not B2:
         return []
-    n = len(B1[0])
+    P1, P2 = to_planes(ctx, B1), to_planes(ctx, B2)
     # columns: coefficients a (over B1 rows) and b (over B2 rows); solve B1^T a = B2^T b
-    stacked = []
-    for i in range(n):
-        stacked.append([row[i] for row in B1] + [_negate(domain, row[i]) for row in B2])
-    kernel = nullspace(ExactMatrix.make(domain, stacked))
-    vectors = []
-    for combo in kernel:
-        a = combo[: len(B1)]
-        vec = [_coerce(domain, 0)] * n
-        for coeff, row in zip(a, B1):
-            for j in range(n):
-                prod = _coerce(domain, coeff) * _coerce(domain, row[j])
-                vec[j] = (vec[j] + prod) % domain.p if _is_primefield(domain) else vec[j] + prod
-        if any(not _entry_is_zero(domain, v) for v in vec):
-            vectors.append(vec)
-    if not vectors:
-        return []
-    R, pivots, rk = rref(ExactMatrix.make(domain, vectors))
-    return [R.data[i][:] for i in range(rk)]
-
-
-def _negate(domain, v):
-    c = _coerce(domain, v)
-    if _is_primefield(domain):
-        return (-c) % domain.p
-    return -c
-
-
-def _entry_is_zero(domain, v) -> bool:
-    if isinstance(v, FieldElement):
-        return v.is_zero()
-    return v == 0
+    stacked = np.concatenate([P1, -P2 % ctx.p], axis=1).transpose(0, 2, 1)
+    kernel = _kernel_planes(stacked, ctx)
+    vectors = plane_matmul(ctx, kernel[:, :, : len(B1)], P1)
+    vectors = vectors[:, vectors.any(axis=(0, 2))]
+    R, pivots = _rref_modp(vectors, ctx)
+    return to_scalars(ctx, R[:, : len(pivots)])
 
 
 def in_row_span(rows: Sequence[Sequence], v: Sequence, domain) -> bool:

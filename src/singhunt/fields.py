@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import (
     ContextMismatch,
     DivisionByZero,
@@ -104,15 +106,20 @@ class FieldCtx:
     For k > 1, ``modulus`` is the monic irreducible degree-k polynomial over
     GF(p) whose coefficient vector (t^(k-1), ..., t, 1) is lexicographically
     smallest; elements are coefficient tuples in the basis {1, t, ..., t^(k-1)}.
+    ``fold`` holds the basis digits of t^j mod the modulus for j = k..2k-2,
+    which reduce the planes of a product (see ``plane_mul``).
     """
 
-    __slots__ = ("p", "k", "modulus", "q")
+    __slots__ = ("p", "k", "modulus", "q", "fold")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None):
         self.p = p
         self.k = k
         self.modulus = modulus  # low-degree-first coefficients, monic; None iff k == 1
         self.q = p**k
+        self.fold = tuple(
+            tuple(_poly_rem([0] * j + [1], modulus, p) + [0] * k)[:k] for j in range(k, 2 * k - 1)
+        )
 
     def __repr__(self) -> str:
         if self.k == 1:
@@ -141,7 +148,7 @@ class FieldCtx:
     def element(self, value) -> "FieldElement":
         """Coerce an int, coefficient sequence, or FieldElement into this field."""
         if isinstance(value, FieldElement):
-            if value.ctx != self:
+            if value.ctx is not self and value.ctx != self:
                 raise ContextMismatch(f"element of {value.ctx} used in {self}")
             return value
         if isinstance(value, int):
@@ -348,9 +355,22 @@ def inv(a: FieldElement) -> FieldElement:
     if a.is_zero():
         raise DivisionByZero("inverse of zero")
     ctx = a.ctx
-    if ctx.k == 1:
-        return FieldElement(ctx, (pow(a.coeffs[0], ctx.p - 2, ctx.p),))
-    return a ** (ctx.q - 2)
+    p, k, mod = ctx.p, ctx.k, ctx.modulus
+    if k == 1:
+        return FieldElement(ctx, (pow(a.coeffs[0], p - 2, p),))
+    # extended Euclid modulo the modulus, keeping s * a = r (mod modulus)
+    r0, r1, s0, s1 = list(mod), _poly_trim(list(a.coeffs)), [0] * k, [1] + [0] * (k - 1)
+    while len(r1) > 1:
+        quot, r = [0] * (len(r0) - len(r1) + 1), list(r0)
+        for shift in reversed(range(len(quot))):
+            quot[shift] = f = r[shift + len(r1) - 1] * pow(r1[-1], p - 2, p) % p
+            for i, c in enumerate(r1):
+                r[shift + i] = (r[shift + i] - f * c) % p
+        qs = _poly_mulmod(_poly_trim(quot), s1, mod, p) + [0] * k
+        r0, r1 = r1, _poly_trim(r)
+        s0, s1 = s1, [(x - y) % p for x, y in zip(s0, qs)]
+    c = pow(r1[0], p - 2, p)
+    return FieldElement(ctx, tuple(x * c % p for x in s1))
 
 
 def to_basis_tuple(a: FieldElement) -> tuple[int, ...]:
@@ -364,6 +384,131 @@ def from_basis_tuple(ctx: FieldCtx, coeffs: Sequence[int]) -> FieldElement:
             f"tuple of length {len(coeffs)} does not match extension degree {ctx.k}"
         )
     return FieldElement(ctx, tuple(int(c) % ctx.p for c in coeffs))
+
+
+def scalar(ctx: FieldCtx, value):
+    """value as an exact matrix entry: an int residue over GF(p), a FieldElement over GF(p^k)."""
+    if ctx.k > 1:
+        return ctx.element(value)
+    if isinstance(value, FieldElement):
+        return ctx.element(value).coeffs[0]
+    return int(value) % ctx.p
+
+
+# ---------------------------------------------------------------------------
+# digit planes: inside a numpy kernel a GF(p^k) value is k integer arrays,
+# its basis digits low degree first (the order of FieldElement.coeffs), so an
+# array of values has shape (k, ...).  Over GF(p) there is one plane and a
+# product has nothing to fold.
+# ---------------------------------------------------------------------------
+
+def _dtype(p: int):
+    """int64 when a product of two residues fits, Python ints otherwise."""
+    return np.int64 if (p - 1) ** 2 < 2**63 else object
+
+
+def _dot_mod(X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
+    """(X @ Y) % p for residues, reducing term by term where int64 could overflow."""
+    if X.dtype == object or X.shape[1] * (p - 1) ** 2 < 2**63:
+        out = X @ Y
+        out %= p  # in place: one large temporary instead of two
+        return out
+    out = np.zeros((X.shape[0], Y.shape[1]), dtype=X.dtype)
+    for j in range(X.shape[1]):
+        out = (out + X[:, j, None] * Y[None, j] % p) % p
+    return out
+
+
+def _fold(ctx: FieldCtx, product) -> np.ndarray:
+    """Sum the k^2 plane products product(i, j) into planes i + j, then reduce
+    planes k..2k-2 by ctx.fold; every partial sum stays below 2p."""
+    p, k = ctx.p, ctx.k
+    if k == 1:
+        return product(0, 0)[None]
+    raw = [None] * (2 * k - 1)
+    for i in range(k):
+        for j in range(k):
+            term = product(i, j)
+            raw[i + j] = term if raw[i + j] is None else (raw[i + j] + term) % p
+    for j in range(k, 2 * k - 1):
+        for d, c in enumerate(ctx.fold[j - k]):
+            if c:
+                raw[d] = (raw[d] + raw[j] * c % p) % p
+    return np.stack(raw[:k])
+
+
+def plane_mul(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Elementwise product of plane arrays; the axes after the first broadcast."""
+    return _fold(ctx, lambda i, j: A[i] * B[j] % ctx.p)
+
+
+def plane_matmul(ctx: FieldCtx, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Matrix product of plane arrays X (k, m, n) and Y (k, n, r)."""
+    return _fold(ctx, lambda i, j: _dot_mod(X[i], Y[j], ctx.p))
+
+
+def plane_ones(ctx: FieldCtx, shape: tuple[int, ...]) -> np.ndarray:
+    out = np.zeros((ctx.k,) + shape, dtype=_dtype(ctx.p))
+    out[0] = 1
+    return out
+
+
+def monomial_values(ctx: FieldCtx, X: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """Planes (k, points, monomials) of the monomials (rows of exps) at the
+    points (planes X of shape (k, points, variables))."""
+    out = plane_ones(ctx, (X.shape[1], exps.shape[0]))
+    for i in range(exps.shape[1]):
+        top = int(exps[:, i].max(initial=0))
+        if top == 0:
+            continue
+        powers = [plane_ones(ctx, (X.shape[1],))]
+        for _ in range(top):
+            powers.append(plane_mul(ctx, powers[-1], X[:, :, i]))
+        out = plane_mul(ctx, out, np.stack(powers, axis=2)[:, :, exps[:, i]])
+    return out
+
+
+def decode(ctx: FieldCtx, index) -> np.ndarray:
+    """Planes of the index-th elements of ctx.elements() (an array of indices)."""
+    index = np.asarray(index)
+    p, k = ctx.p, ctx.k
+    return np.stack([index // p ** (k - 1 - i) % p for i in range(k)]).astype(_dtype(p))
+
+
+def to_planes(ctx: FieldCtx, values) -> np.ndarray:
+    """Planes (k, *shape) of a nested list of FieldElements of ctx, or of ints
+    (read as residues mod p)."""
+    dtype = _dtype(ctx.p)
+    first = values
+    while isinstance(first, (list, tuple)) and first:
+        first = first[0]
+    if isinstance(first, FieldElement):
+        obj = np.array(values, dtype=object)
+        digits = np.array([ctx.element(v).coeffs for v in obj.flat], dtype=dtype)
+        return np.moveaxis(digits.reshape(obj.shape + (ctx.k,)), -1, 0)
+    ints = np.array(values, dtype=dtype) % ctx.p
+    planes = np.zeros((ctx.k,) + ints.shape, dtype=dtype)
+    planes[0] = ints
+    return planes
+
+
+def to_elements(ctx: FieldCtx, planes: np.ndarray) -> list:
+    """Nested lists of the FieldElements whose digits are the planes."""
+    digits = np.moveaxis(planes, 0, -1)
+    out = np.empty(digits.shape[:-1], dtype=object)
+    out.flat[:] = [FieldElement(ctx, tuple(d)) for d in digits.reshape(-1, ctx.k).tolist()]
+    return out.tolist()
+
+
+def to_scalars(ctx: FieldCtx, planes: np.ndarray) -> list:
+    """Nested lists of matrix entries (see ``scalar``) whose digits are the planes."""
+    return planes[0].tolist() if ctx.k == 1 else to_elements(ctx, planes)
+
+
+def inv_digits(ctx: FieldCtx, digits: np.ndarray) -> np.ndarray:
+    """Digits of the inverse of the nonzero value with the given digits."""
+    value = FieldElement(ctx, tuple(int(d) for d in digits))
+    return np.array(inv(value).coeffs, dtype=digits.dtype)
 
 
 # ---------------------------------------------------------------------------

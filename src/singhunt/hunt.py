@@ -23,7 +23,18 @@ from .errors import (
     NotSingular,
     SmallCharacteristic,
 )
-from .fields import FieldCtx, FieldElement
+from .fields import (
+    FieldCtx,
+    FieldElement,
+    _dtype,
+    decode,
+    monomial_values,
+    plane_matmul,
+    scalar,
+    to_elements,
+    to_planes,
+    to_scalars,
+)
 from .poly import QQ, MultiPoly, ParametricFamily, monomial_basis
 from .rng import below_rows, first_occurrences, split
 
@@ -51,9 +62,6 @@ class SingularMember:
 
     def signature(self) -> str:
         return signature_string([pt.label for pt in self.points])
-
-    def has_unclassified(self) -> bool:
-        return any(pt.label == UNCLASSIFIED for pt in self.points)
 
     def text(self) -> str:
         params = "(" + ",".join(str(v) for v in self.params) + ")"
@@ -102,17 +110,9 @@ def singular_points(
 ) -> list[tuple[FieldElement, ...]]:
     """All canonical points of P^(nvars-1) where f and every partial vanish."""
     f = _over_field(f, ctx)
-    if ctx.k == 1:
-        params = np.zeros((1, 0), dtype=_dtype(ctx.p))
-        hits = _prime_field_scan(ParametricFamily(f, f.nvars, 0), ctx, params, budget)
-        return next((found for _, found in hits), [])
-    _check_budget(ctx.q, f.nvars, budget)
-    partials = [f.partial(i) for i in range(f.nvars)]
-    return [
-        pt
-        for pt in projective_points(ctx, f.nvars)
-        if f.eval(pt).is_zero() and all(g.eval(pt).is_zero() for g in partials)
-    ]
+    params = np.zeros((ctx.k, 1, 0), dtype=_dtype(ctx.p))
+    hits = _family_scan(ParametricFamily(f, f.nvars, 0), ctx, params, budget)
+    return next((found for _, found in hits), [])
 
 
 def _over_field(f: MultiPoly, ctx: FieldCtx) -> MultiPoly:
@@ -131,92 +131,70 @@ def _check_budget(q: int, nvars: int, budget: int) -> None:
         )
 
 
-# -- the batched scan over GF(p) ----------------------------------------------
+# -- the batched scan -----------------------------------------------------------
 #
-# Members are rows of an integer coefficient array C (members x monomials).
-# On a block of points, the values of f or of a partial at every point for
-# every member are one matrix product: monomial values (points x monomials)
-# times the coefficients of that polynomial (monomials x members), mod p.
+# Values are digit planes (see fields): members are rows of a coefficient
+# array C (k x members x monomials).  On a block of points, the values of f
+# or of a partial at every point for every member are one plane product:
+# monomial values (points x monomials) times the coefficients of that
+# polynomial (monomials x members).
 
 SCAN_CELLS = 1 << 15  # points x members (or x monomials) per transient block
-
-
-def _dtype(p: int):
-    """int64 when a product of two residues fits, Python ints otherwise."""
-    return np.int64 if (p - 1) ** 2 < 2**63 else object
-
-
-def _dot_mod(X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
-    """(X @ Y) % p for residues, reducing term by term where int64 could overflow."""
-    if X.dtype == object or X.shape[1] * (p - 1) ** 2 < 2**63:
-        return X @ Y % p
-    out = np.zeros((X.shape[0], Y.shape[1]), dtype=X.dtype)
-    for j in range(X.shape[1]):
-        out = (out + X[:, j, None] * Y[None, j] % p) % p
-    return out
-
-
-def _monomial_values(X: np.ndarray, exps: np.ndarray, p: int) -> np.ndarray:
-    """Values mod p of the monomials (rows of exps) at the points (rows of X)."""
-    out = np.ones((X.shape[0], exps.shape[0]), dtype=X.dtype)
-    for i in range(exps.shape[1]):
-        top = int(exps[:, i].max(initial=0))
-        if top == 0:
-            continue
-        powers = [np.ones_like(X[:, i])]
-        for _ in range(top):
-            powers.append(powers[-1] * X[:, i] % p)
-        out = out * np.stack(powers, axis=1)[:, exps[:, i]] % p
-    return out
 
 
 def _exponent_array(mons: Sequence[tuple[int, ...]], width: int) -> np.ndarray:
     return np.array(mons, dtype=np.int64).reshape(len(mons), width)
 
 
-def _projective_array(p: int, n: int, dtype) -> np.ndarray:
-    """Canonical points of P^(n-1) over GF(p), in projective_points order."""
-    blocks = []
+def _projective_array(ctx: FieldCtx, n: int) -> np.ndarray:
+    """Planes (k x points x n) of the points of projective_points(ctx, n), in order."""
+    p, k = ctx.p, ctx.k
+    out = np.zeros((k, projective_size(ctx.q, n), n), dtype=_dtype(p))
+    start = 0
     for lead in range(n):
-        width = n - lead - 1
-        block = np.zeros((p**width, n), dtype=np.int64)
-        block[:, lead] = 1
-        block[:, lead + 1:] = np.indices((p,) * width).reshape(width, p**width).T
-        blocks.append(block)
-    return np.concatenate(blocks).astype(dtype, copy=False)
+        width, size = n - lead - 1, ctx.q ** (n - lead - 1)
+        out[0, start:start + size, lead] = 1
+        # the digits of the tail coordinates, most significant first
+        digits = np.indices((p,) * (k * width)).reshape(width, k, size)
+        out[:, start:start + size, lead + 1:] = digits.transpose(1, 2, 0)
+        start += size
+    return out
 
 
 def _member_coefficients(
-    poly: MultiPoly, nvars: int, params: np.ndarray, p: int
+    poly: MultiPoly, nvars: int, params: np.ndarray, ctx: FieldCtx
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Specialise a family over GF(p) at every row of params at once.
+    """Specialise a family at every parameter row (planes k x rows x nparams) at once.
 
-    Returns the x-monomials and the members x monomials coefficient array
-    C = (Pmon @ A.T) % p, where A holds the family's coefficients (x-monomials
-    x p-monomials) and Pmon the p-monomials evaluated at each parameter row.
+    Returns the x-monomials and the coefficient planes C = Pmon @ A.T
+    (k x rows x monomials), where A holds the family's coefficients
+    (x-monomials x p-monomials) and Pmon the p-monomials at each parameter row.
     """
     xmons = sorted({e[:nvars] for e in poly.terms})
     pmons = sorted({e[nvars:] for e in poly.terms})
     xpos = {m: i for i, m in enumerate(xmons)}
     ppos = {m: i for i, m in enumerate(pmons)}
-    A = np.zeros((len(xmons), len(pmons)), dtype=params.dtype)
+    A = [[ctx.zero()] * len(pmons) for _ in xmons]
     for e, c in poly.terms.items():
-        A[xpos[e[:nvars]], ppos[e[nvars:]]] = c.coeffs[0]
-    pmon = _monomial_values(params, _exponent_array(pmons, params.shape[1]), p)
-    return xmons, _dot_mod(pmon, A.T, p)
+        A[xpos[e[:nvars]]][ppos[e[nvars:]]] = c
+    A = to_planes(ctx, A).reshape(ctx.k, len(xmons), len(pmons))
+    pmon = monomial_values(ctx, params, _exponent_array(pmons, params.shape[2]))
+    return xmons, plane_matmul(ctx, pmon, A.transpose(0, 2, 1))
 
 
 def _scan(
-    xmons: list[tuple[int, ...]], C: np.ndarray, p: int, points: np.ndarray, check_f: bool
-) -> list[tuple[int, list[tuple[int, ...]]]]:
-    """(row, singular points) of every singular member (row of C, coefficients of xmons).
+    xmons: list[tuple[int, ...]], C: np.ndarray, ctx: FieldCtx, points: np.ndarray, check_f: bool
+) -> Iterator[tuple[int, list[tuple[FieldElement, ...]]]]:
+    """(row, singular points) of every singular member (row of the planes C,
+    coefficients of xmons), scanning the points (planes k x points x n).
 
     A point is singular when every partial vanishes there, and f too when
     check_f (by the Euler relation, a form of degree prime to p vanishes
-    wherever its partials do).  Each member's points come in enumeration
-    order; a nonzero binary form's come sorted by coordinates.
+    wherever its partials do).  A value is zero when all its planes are.
+    Each member's points come in enumeration order; over GF(p) a nonzero
+    binary form's come sorted by coordinates.
     """
-    n = points.shape[1]
+    p, n = ctx.p, points.shape[2]
     checks = []  # (coefficient columns of C, their monomials, multipliers)
     if check_f:
         checks.append((range(len(xmons)), xmons, [1] * len(xmons)))
@@ -228,31 +206,32 @@ def _scan(
     mons = sorted({m for _, ms, _ in checks for m in ms})
     where = {m: j for j, m in enumerate(mons)}
     plan = [
-        ([where[m] for m in ms], (C[:, list(cols)] * np.array(mult, dtype=C.dtype) % p).T)
+        ([where[m] for m in ms],
+         (C[:, :, list(cols)] * np.array(mult, dtype=C.dtype) % p).transpose(0, 2, 1))
         for cols, ms, mult in checks
     ]
     exps = _exponent_array(mons, n)
-    T = C.shape[0]
+    T = C.shape[1]
     step = max(1, SCAN_CELLS // max(T, len(mons)))
     hits: dict[int, list[int]] = {}
-    for start in range(0, len(points), step):
-        values = _monomial_values(points[start:start + step], exps, p)
-        alive = np.ones((len(values), T), dtype=bool)
-        rows = np.arange(len(values))  # points some member is still singular at
+    for start in range(0, points.shape[1], step):
+        values = monomial_values(ctx, points[:, start:start + step], exps)
+        alive = np.ones((values.shape[1], T), dtype=bool)
+        rows = np.arange(values.shape[1])  # points some member is still singular at
         for idx, coeffs in plan:
-            alive[rows] &= _dot_mod(values[np.ix_(rows, idx)], coeffs, p) == 0
+            alive[rows] &= ~plane_matmul(ctx, values[:, rows[:, None], idx], coeffs).any(axis=0)
             rows = rows[alive[rows].any(axis=1)]
             if not len(rows):
                 break
         for b, t in zip(*np.nonzero(alive)):
             hits.setdefault(int(t), []).append(start + int(b))
-    out = []
+    used = sorted({b for found in hits.values() for b in found})
+    coords = dict(zip(used, map(tuple, to_elements(ctx, points[:, used]))))  # converted once
     for t in sorted(hits):
-        pts = [tuple(pt) for pt in points[hits[t]].tolist()]
-        if n == 2 and len({sum(m) for m, c in zip(xmons, C[t]) if c}) == 1:
-            pts.sort()
-        out.append((t, pts))
-    return out
+        found = hits[t]
+        if ctx.k == 1 and n == 2 and len({sum(m) for m, c in zip(xmons, C[0, t].tolist()) if c}) == 1:
+            found = sorted(found, key=lambda b: [c.coeffs for c in coords[b]])
+        yield t, [coords[b] for b in found]
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +314,7 @@ def _tjurina_truncated(g: MultiPoly, cap: int) -> int:
     basis = monomial_basis(n, cap - 1, "at-most")
     index = {m: i for i, m in enumerate(basis)}
     gens = [g] + [g.partial(i) for i in range(n)]
+    zero = scalar(domain, 0) if isinstance(domain, FieldCtx) else 0  # a matrix entry
     rows = []
     for h in gens:
         if h.is_zero():
@@ -343,7 +323,7 @@ def _tjurina_truncated(g: MultiPoly, cap: int) -> int:
         if order > cap - 1:
             continue  # every multiple is truncated away
         for m in monomial_basis(n, cap - 1 - order, "at-most"):
-            row = [0] * len(basis)
+            row = [zero] * len(basis)
             nonzero = False
             for exps, c in h.terms.items():
                 shifted = tuple(a + b for a, b in zip(exps, m))
@@ -442,8 +422,8 @@ def hunt_members(
     random-params samples parameter points without replacement (so a trial
     count covering the whole space degenerates to an exhaustive scan);
     solve-at-point fixes a random geometric point and solves the linear
-    conditions on the parameters.  Over GF(p) the members are scanned in
-    batches; the result is deterministic for a fixed seed and does not
+    conditions on the parameters.  The members are scanned in batches over
+    every field; the result is deterministic for a fixed seed and does not
     depend on the batch size.  A stats dict receives the number of distinct
     members tested ("tested") and, when random-params tests fewer than
     trials, the reason ("shortfall").
@@ -453,9 +433,7 @@ def hunt_members(
     if strategy == "random-params":
         digits = _param_candidates(fam.nparams, ctx, trials, seed)
     elif strategy == "solve-at-point":
-        digits = _solve_at_point_candidates(
-            fam, ctx, trials, seed, member_cap
-        )
+        digits = _solve_at_point_candidates(fam, ctx, trials, seed, member_cap, budget)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     if stats is not None:
@@ -463,15 +441,8 @@ def hunt_members(
         if strategy == "random-params" and len(digits) < trials:
             stats["shortfall"] = _shortfall(fam.nparams, ctx, trials, len(digits))
 
-    if ctx.k == 1:
-        tested = _prime_field_scan(fam, ctx, digits[:, :, 0], budget)
-    else:
-        tested = (
-            (t, singular_points(fam.specialize(_params(ctx, digits[t])), ctx, budget))
-            for t in range(len(digits))
-        )
     members = []
-    for t, pts in tested:
+    for t, pts in _family_scan(fam, ctx, np.moveaxis(digits, 2, 0), budget):
         if not pts:
             continue
         params = _params(ctx, digits[t])
@@ -496,21 +467,22 @@ def _classified(member_poly: MultiPoly, coords: tuple, cap: int) -> SingularPoin
         return SingularPoint(coords, UNCLASSIFIED, None, None, str(exc))
 
 
-def _prime_field_scan(
+def _family_scan(
     fam: ParametricFamily, ctx: FieldCtx, params: np.ndarray, budget: int
 ) -> Iterator[tuple[int, list[tuple[FieldElement, ...]]]]:
-    """(row, singular points) of every singular member, one row of params each."""
-    if not len(params):
+    """(row, singular points) of every singular member, one parameter row
+    (planes k x rows x nparams) each."""
+    if not params.shape[1]:
         return
-    p, n = ctx.p, fam.nvars
-    _check_budget(p, n, budget)
+    n = fam.nvars
+    _check_budget(ctx.q, n, budget)
     poly = _over_field(fam.poly, ctx)
-    check_f = not (fam.is_homogeneous_in_x() and fam.x_degree % p)
-    points = _projective_array(p, n, _dtype(p))
-    for start in range(0, len(params), SCAN_CELLS):
-        xmons, C = _member_coefficients(poly, n, params[start:start + SCAN_CELLS], p)
-        for t, found in _scan(xmons, C, p, points, check_f):
-            yield start + t, [tuple(ctx.element(c) for c in coords) for coords in found]
+    check_f = not (fam.is_homogeneous_in_x() and fam.x_degree % ctx.p)
+    points = _projective_array(ctx, n)
+    for start in range(0, params.shape[1], SCAN_CELLS):
+        xmons, C = _member_coefficients(poly, n, params[:, start:start + SCAN_CELLS], ctx)
+        for t, found in _scan(xmons, C, ctx, points, check_f):
+            yield start + t, found
 
 
 def _param_key(params: tuple):
@@ -567,40 +539,34 @@ def _shortfall(nparams: int, ctx: FieldCtx, trials: int, tested: int) -> str:
 
 
 def _solve_at_point_candidates(
-    fam: ParametricFamily, ctx: FieldCtx, trials: int, seed: int, member_cap: int
+    fam: ParametricFamily, ctx: FieldCtx, trials: int, seed: int, member_cap: int, budget: int
 ) -> np.ndarray:
     if not fam.is_linear_in_params():
         raise NotLinearInParams(
             "solve-at-point needs a family that is linear in the parameters"
         )
-    n = fam.nvars
-    npar = fam.nparams
-    poly = fam.poly.map_domain(ctx) if not isinstance(fam.poly.domain, FieldCtx) else fam.poly
-    eqs = [poly] + [poly.partial(i) for i in range(n)]
+    n, npar, p = fam.nvars, fam.nparams, ctx.p
+    poly = _over_field(fam.poly, ctx)
+    size = projective_size(ctx.q, n)
+    _check_budget(ctx.q, n, budget)
+    drawn = [split(seed, t).below(size) for t in range(trials)]
+    points = _projective_array(ctx, n)[:, drawn]
+    # each condition (f or a partial) at each trial's point, as an affine form
+    # in the parameters: columns p1..p{npar}, then minus the constant term
+    system = np.zeros((ctx.k, trials, n + 1, npar + 1), dtype=_dtype(p))
+    for row, eq in enumerate([poly] + [poly.partial(i) for i in range(n)]):
+        swapped = MultiPoly(npar + n, ctx, {e[n:] + e[:n]: c for e, c in eq.terms.items()})
+        pmons, C = _member_coefficients(swapped, npar, points, ctx)
+        for col, m in enumerate(pmons):
+            if any(m):
+                system[:, :, row, m.index(1)] = C[:, :, col]
+            else:
+                system[:, :, row, npar] = -C[:, :, col] % p
     candidates: list[tuple] = []
     seen: set[tuple] = set()
-    size = projective_size(ctx.q, n)
     for t in range(trials):
-        rng = split(seed, t)
-        pt = _nth_projective_point(ctx, n, rng.below(size))
-        rows = []
-        rhs = []
-        for eq in eqs:
-            # substitute the geometric point, keep the parameters symbolic
-            const = ctx.zero()
-            coeffs = [ctx.zero()] * npar
-            for exps, c in eq.terms.items():
-                val = c
-                for x, e in zip(pt, exps[:n]):
-                    if e:
-                        val = val * x**e
-                pidx = next((j for j, e in enumerate(exps[n:]) if e), None)
-                if pidx is None:
-                    const = const + val
-                else:
-                    coeffs[pidx] = coeffs[pidx] + val
-            rows.append(coeffs)
-            rhs.append(-const)
+        rows = to_scalars(ctx, system[:, t, :, :npar])
+        rhs = to_scalars(ctx, system[:, t, :, npar])
         sol, kernel = exactla.solve(exactla.ExactMatrix.make(ctx, rows), rhs)
         if sol is None:
             continue
@@ -609,39 +575,13 @@ def _solve_at_point_candidates(
             raise BudgetExceeded(
                 f"solution space has {count} parameter points (cap {member_cap})"
             )
-        for combo in _span_points(ctx, kernel, npar):
-            params = tuple(
-                ctx.element(s) + c for s, c in zip(sol, combo)
-            )
-            key = tuple(v.coeffs for v in params)
+        basis = to_planes(ctx, kernel).reshape(ctx.k, len(kernel), npar)
+        combos = decode(ctx, np.indices((ctx.q,) * len(kernel)).reshape(len(kernel), count).T)
+        members = (plane_matmul(ctx, combos, basis) + to_planes(ctx, sol)[:, None, :]) % p
+        for key in np.moveaxis(members, 0, -1).tolist():
+            key = tuple(map(tuple, key))
             if key not in seen:
                 seen.add(key)
                 candidates.append(key)
-    return np.array(candidates, dtype=_dtype(ctx.p)).reshape(len(candidates), npar, ctx.k)
+    return np.array(candidates, dtype=_dtype(p)).reshape(len(candidates), npar, ctx.k)
 
-
-def _span_points(ctx: FieldCtx, kernel: list[list], width: int) -> Iterator[list[FieldElement]]:
-    """Every vector of the span of kernel (the zero vector when it is empty)."""
-    basis = [[ctx.element(v) for v in vec] for vec in kernel]
-    for combo in itertools.product(list(ctx.elements()), repeat=len(basis)):
-        vec = [ctx.zero()] * width
-        for e, k in zip(combo, basis):
-            vec = [a + e * b for a, b in zip(vec, k)]
-        yield vec
-
-
-def _nth_projective_point(ctx: FieldCtx, nvars: int, index: int) -> tuple:
-    """The index-th point of projective_points(ctx, nvars), decoded directly."""
-    for lead in range(nvars):
-        width = nvars - lead - 1
-        if index < ctx.q**width:
-            digits = [index // ctx.q ** (width - 1 - j) % ctx.q for j in range(width)]
-            tail = tuple(_nth_element(ctx, d) for d in digits)
-            return (ctx.zero(),) * lead + (ctx.one(),) + tail
-        index -= ctx.q**width
-    raise IndexError("projective index out of range")
-
-
-def _nth_element(ctx: FieldCtx, index: int) -> FieldElement:
-    """The index-th element of ctx.elements()."""
-    return ctx.element(tuple(index // ctx.p ** (ctx.k - 1 - i) % ctx.p for i in range(ctx.k)))

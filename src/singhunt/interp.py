@@ -11,9 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import exactla
-from .errors import BudgetExceeded, ContextMismatch, InsufficientPoints, NotOnVariety
-from .fields import FieldCtx, FieldElement, parse_element
+from .errors import BudgetExceeded, InsufficientPoints, NotOnVariety
+from .fields import FieldCtx, FieldElement, monomial_values, parse_element, to_planes, to_scalars
 from .poly import MultiPoly, monomial_basis
 from .rng import split
 
@@ -73,46 +75,6 @@ class VanishingSystem:
             out.append(MultiPoly(self.nvars, self.ctx, terms))
         return out
 
-    def contains(self, f: MultiPoly) -> bool:
-        """Is f (over the same field, same degree bound) in the span?"""
-        vec = [f.terms.get(m, 0) for m in self.monomials]
-        extra = set(f.terms) - set(self.monomials)
-        if extra:
-            return False
-        return exactla.in_row_span(self.basis, vec, self.ctx)
-
-
-def _evaluation_rows(points: Sequence[tuple], monomials, ctx: FieldCtx):
-    rows = []
-    if ctx.k == 1:
-        p = ctx.p
-        for pt in points:
-            vals = [v.coeffs[0] for v in pt]
-            maxdeg = max((max(m) for m in monomials), default=0)
-            pows = [[1] * (maxdeg + 1) for _ in vals]
-            for i, v in enumerate(vals):
-                for e in range(1, maxdeg + 1):
-                    pows[i][e] = pows[i][e - 1] * v % p
-            row = []
-            for m in monomials:
-                acc = 1
-                for i, e in enumerate(m):
-                    if e:
-                        acc = acc * pows[i][e] % p
-                row.append(acc)
-            rows.append(row)
-    else:
-        for pt in points:
-            row = []
-            for m in monomials:
-                acc = ctx.one()
-                for v, e in zip(pt, m):
-                    if e:
-                        acc = acc * v**e
-                row.append(acc)
-            rows.append(row)
-    return rows
-
 
 def vanishing_system(
     pts: PointSet,
@@ -129,8 +91,10 @@ def vanishing_system(
         raise BudgetExceeded(
             f"{len(monomials)} monomial columns exceed the cap {column_cap}"
         )
-    rows = _evaluation_rows(pts.points, monomials, pts.ctx)
-    kernel = exactla.nullspace(exactla.ExactMatrix.make(pts.ctx, rows))
+    ctx = pts.ctx
+    rows = monomial_values(ctx, to_planes(ctx, pts.points), np.array(monomials, dtype=np.int64))
+    matrix = exactla.ExactMatrix(len(pts.points), len(monomials), ctx, to_scalars(ctx, rows))
+    kernel = exactla.nullspace(matrix)
     return VanishingSystem(pts.ctx, nvars, degree, homogeneous, monomials, kernel)
 
 

@@ -346,9 +346,6 @@ class CurveSolution:
     self_int: int
     relation: tuple[int, ...]   # canonical vector in the extended basis
 
-    def multiplicity(self, name: str) -> int:
-        return dict(self.multiplicities)[name]
-
 
 def solve_curve_intersections(
     L: GramLattice,

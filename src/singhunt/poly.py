@@ -105,9 +105,6 @@ class MultiPoly:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def degree_in(self, index: int) -> int:
-        return max((e[index] for e in self.terms), default=-1)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiPoly)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from singhunt import godeaux, hunt
 from singhunt.cli import main
-from singhunt.cover import AbelianGroup, char_generator_exponents, cyclic_subgroups
+from singhunt.cover import MAX_GROUP_ORDER, AbelianGroup, char_generator_exponents, cyclic_subgroups
 from singhunt.lattice import format_lattice
 
 HESSE = "# plane cubics\nx0^3+x1^3+x2^3+p1*x0*x1*x2\n"
@@ -384,6 +384,43 @@ def test_cover_bad_generator_lines_are_data_errors(tmp_path, capsys, lines, reas
     assert capsys.readouterr().err == f"error: {cov}: {reason}\n"
 
 
+def test_cover_group_order_is_bounded(tmp_path, capsys):
+    gram = tmp_path / "gram.txt"
+    gram.write_text("names: A B\n0 0\n0 0\n")
+    cov = tmp_path / "cover.txt"
+    cov.write_text(f"branch: A\ngroup: {MAX_GROUP_ORDER} 2\n")
+    assert main(["cover", "--lattice", str(gram), "--cover", str(cov), "verify"]) == 3
+    reason = f"group order {2 * MAX_GROUP_ORDER} exceeds {MAX_GROUP_ORDER}"
+    assert capsys.readouterr().err == f"error: {cov}: line 2: {reason}\n"
+
+
+@pytest.mark.parametrize("template, constraints, where, reason", [
+    ("lhs: 8*K\ncurve: 4*C'\nsupport: N1 Z3\n", CONSTRAINTS_C, "template", "line 3: no class named 'Z3'"),
+    ("lhs: 8*Q\ncurve: 4*C'\nsupport: N1\n", CONSTRAINTS_C, "template", "line 1: no class named 'Q'"),
+    ("lhs: K\ncurve: 0*X\nsupport: N1\n", "pair N1 {0}\nnonneg\n", "template",
+     "line 2: the curve multiplicity must be nonzero"),
+    ("lhs: K\ncurve: 2*K\nsupport: N1\n", "pair N1 {0}\n", "template",
+     "line 2: the curve needs a name that is not a class: 'K'"),
+    (TEMPLATE_C, CONSTRAINTS_C + "contact Z1+N2 = 1\n", "constraints", "line 11: no class named 'Z1'"),
+    (TEMPLATE_C, CONSTRAINTS_C.replace("pair N1 {1}\n", ""), "constraints",
+     "support class 'N1' has no pair line"),
+    (TEMPLATE_C, "pair\n" + CONSTRAINTS_C, "constraints", "line 1: no class named ''"),
+    (TEMPLATE_C, CONSTRAINTS_C + "contact N1\n", "constraints",
+     "line 11: expected contact A+B+... = total"),
+], ids=["unknown-support", "unknown-lhs", "zero-curve", "curve-is-a-class", "unknown-contact",
+        "support-without-pair", "bare-pair", "contact-without-total"])
+def test_lattice_solve_bad_files_are_data_errors(tmp_path, capsys, template, constraints, where, reason):
+    gram = tmp_path / "gram.txt"
+    gram.write_text(GRAM9)
+    files = {"template": tmp_path / "template.txt", "constraints": tmp_path / "constraints.txt"}
+    files["template"].write_text(template)
+    files["constraints"].write_text(constraints)
+    code = main(["lattice", "--gram", str(gram), "solve",
+                 "--template", str(files["template"]), "--constraints", str(files["constraints"])])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {files[where]}: {reason}\n"
+
+
 def test_cover_generator_lines_may_precede_the_group_line(tmp_path, capsys):
     gram = tmp_path / "gram11.txt"
     gram.write_text(format_lattice(godeaux.extended_lattice()) + "\n")
@@ -497,3 +534,59 @@ def test_fuzzed_gram_and_cover_files_keep_the_exit_contract(tmp_path_factory, fi
         assert code in (0, 1, 3), (argv, code)
         assert (code == 1) == ("\n  FAIL | " in out.getvalue()), argv
         assert (code == 3) == err.getvalue().startswith("error: "), (argv, err.getvalue())
+
+
+GRAM9_NAMES = ["N1", "N2", "N3", "N4", "N5", "N6", "N7", "N8", "K"]
+
+
+@st.composite
+def solve_files(draw):
+    """A template and a constraint file over GRAM9's class names: mostly well
+    formed (every support class has a pair line, value sets of one or two
+    values), with a corruption at each step now and then."""
+    def name():
+        return draw(st.sampled_from(["Q", "", "C'"])) if rarely(draw) else draw(st.sampled_from(GRAM9_NAMES))
+
+    def values():
+        vals = [draw(st.integers(-1, 2)) for _ in range(1 + (draw(st.integers(0, 3)) == 0))]
+        text = "{" + ",".join(map(str, vals)) + "}"
+        return draw(st.sampled_from(["{x}", "", "{1,,2}"])) if rarely(draw) else text
+
+    lhs = " + ".join(f"{draw(st.integers(1, 8))}*{name()}" for _ in range(draw(st.integers(1, 2))))
+    mult = draw(st.sampled_from([0, -1, "a"])) if rarely(draw) else draw(st.integers(1, 4))
+    curve = draw(st.sampled_from(["K", "", "C'"])) if rarely(draw) else "C'"
+    support = draw(st.lists(st.sampled_from(GRAM9_NAMES), min_size=1, max_size=4, unique=True))
+    template = [f"lhs: {lhs}", f"curve: {mult}*{curve}", "support: " + " ".join(name() for _ in support)]
+    if rarely(draw):
+        template.pop(draw(st.integers(0, 2)))
+    paired = support + draw(st.lists(st.sampled_from(GRAM9_NAMES), max_size=3))
+    if rarely(draw):
+        paired = paired[1:]
+    constraints = [f"pair {name() if rarely(draw) else nm} {values()}" for nm in dict.fromkeys(paired)]
+    for _ in range(draw(st.integers(0, 2))):
+        group = "+".join(name() for _ in range(draw(st.integers(1, 3))))
+        constraints.append(f"contact {group} = {draw(st.integers(0, 2))}")
+    if draw(st.booleans()):
+        constraints.append(f"self {values()}")
+    if draw(st.booleans()):
+        constraints.append("nonneg")
+    if rarely(draw):
+        constraints.append(draw(st.sampled_from(["pair", "contact N1", "self", "bogus 1", "# note"])))
+    return "\n".join(template) + "\n", "\n".join(draw(st.permutations(constraints))) + "\n"
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(solve_files())
+def test_fuzzed_solve_files_keep_the_exit_contract(tmp_path_factory, files):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    gram, template, constraints = tmp / "gram.txt", tmp / "template.txt", tmp / "constraints.txt"
+    gram.write_text(GRAM9)
+    template.write_text(files[0])
+    constraints.write_text(files[1])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["lattice", "--gram", str(gram), "solve",
+                     "--template", str(template), "--constraints", str(constraints)])
+    assert code in (0, 1, 3), code
+    assert (code == 1) == ("\n  FAIL | " in out.getvalue())
+    assert (code == 3) == err.getvalue().startswith("error: "), err.getvalue()

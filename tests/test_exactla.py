@@ -3,8 +3,9 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from singhunt.errors import NotSquare
+from singhunt.errors import ContextMismatch, NotSquare
 from singhunt.exactla import (
     QQ,
     ExactMatrix,
@@ -16,10 +17,11 @@ from singhunt.exactla import (
     parse_matrix,
     rank,
     rref,
+    solve,
     span_intersection,
     symmetric_signature,
 )
-from singhunt.fields import field_create
+from singhunt.fields import field_create, inv
 from singhunt.lattice import GODEAUX_GRAM_TEXT
 
 GRAM = parse_matrix(GODEAUX_GRAM_TEXT)
@@ -141,7 +143,7 @@ def test_rank_nullity_random_gf():
 
 
 def test_generic_path_for_large_prime_field():
-    # p >= 2^31 bypasses the vectorized path
+    # p >= 2^31: residue products still fit int64
     p = 2147483659
     ctx = field_create(p)
     A = ExactMatrix.make(ctx, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
@@ -162,6 +164,95 @@ def test_rank_nullity_extension_field():
         assert rank(A) + len(kernel) == 5
         for v in kernel:
             assert all(x.is_zero() for x in matvec(A, v))
+
+
+def reference_rref(ctx, rows):
+    """Gauss-Jordan in FieldElement arithmetic, the reference for the digit planes."""
+    data = [[ctx.element(v) for v in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(data[0]) if data else 0):
+        pr = next((i for i in range(r, len(data)) if not data[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        data[r], data[pr] = data[pr], data[r]
+        scale = inv(data[r][c])
+        data[r] = [v * scale for v in data[r]]
+        for i in range(len(data)):
+            if i != r and not data[i][c].is_zero():
+                f = data[i][c]
+                data[i] = [a - f * b for a, b in zip(data[i], data[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(data):
+            break
+    return data, pivots
+
+
+def reference_kernel(ctx, rows, cols):
+    R, pivots = reference_rref(ctx, rows)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [ctx.zero()] * cols
+        v[fc] = ctx.one()
+        for r, pc in enumerate(pivots):
+            v[pc] = -R[r][fc]
+        basis.append(v)
+    return basis
+
+
+def as_elements(ctx, rows):
+    return [[ctx.element(v) for v in row] for row in rows]
+
+
+LA_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (2147483629, 2), (2147483659, 1), (2**61 - 1, 1)]
+
+
+@st.composite
+def field_systems(draw):
+    """A matrix over GF(p^k) or over GF(p) with p > 2^31, often of low rank,
+    and a right-hand side."""
+    p, k = draw(st.sampled_from(LA_FIELDS))
+    ctx = field_create(p, k)
+    digit = st.one_of(st.integers(0, 1), st.integers(0, p - 1), st.just(p - 1))
+    element = st.tuples(*[digit] * k).map(ctx.element)
+    cols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(element, min_size=cols, max_size=cols), min_size=1, max_size=5))
+    if len(rows) > 1 and draw(st.booleans()):  # a dependent row
+        c = draw(element)
+        rows.insert(draw(st.integers(0, len(rows))), [a + c * b for a, b in zip(rows[0], rows[-1])])
+    return ctx, rows, draw(st.lists(element, min_size=len(rows), max_size=len(rows)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(field_systems())
+def test_field_linear_algebra_matches_element_reference(case):
+    ctx, rows, b = case
+    A = ExactMatrix.make(ctx, rows)
+    cols = A.cols
+    R, pivots, rk = rref(A)
+    ref_R, ref_pivots = reference_rref(ctx, rows)
+    assert (as_elements(ctx, R.data), pivots, rk) == (ref_R, ref_pivots, len(ref_pivots))
+    assert rank(A) == rk
+    kernel = nullspace(A)
+    assert as_elements(ctx, kernel) == reference_kernel(ctx, rows, cols)
+    x, sol_kernel = solve(A, b)
+    aug_R, aug_pivots = reference_rref(ctx, [row + [v] for row, v in zip(rows, b)])
+    if cols in aug_pivots:
+        assert x is None and sol_kernel == []
+    else:
+        want = [ctx.zero()] * cols
+        for r, pc in enumerate(aug_pivots):
+            want[pc] = aug_R[r][cols]
+        assert as_elements(ctx, [x])[0] == want and sol_kernel == kernel
+        assert as_elements(ctx, [matvec(A, x)])[0] == as_elements(ctx, [b])[0]
+    for v in kernel:
+        assert all(ctx.element(y).is_zero() for y in matvec(A, v))
+
+
+def test_determinant_is_rational_only():
+    with pytest.raises(ContextMismatch):
+        determinant(ExactMatrix.identity(2, field_create(7)))
 
 
 def test_rref_preserves_row_space():

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from singhunt.errors import ContextMismatch, DivisionByZero, InvalidDegree, NonPrime
@@ -9,7 +12,11 @@ from singhunt.fields import (
     inv,
     is_prime,
     parse_element,
+    plane_matmul,
+    plane_mul,
     to_basis_tuple,
+    to_elements,
+    to_planes,
 )
 
 
@@ -114,6 +121,7 @@ def test_fermat_lagrange_exhaustive():
             if a.is_zero():
                 continue
             assert a ** (ctx.q - 1) == one, (p, k, a)
+            assert a * inv(a) == one, (p, k, a)
 
 
 def quotient_ring_mul(a, b, modulus, p):
@@ -166,3 +174,33 @@ def test_parse_element_forms():
     assert parse_element(F25, " t ^ 1 ") == F25.gen()
     assert parse_element(F25, "-t") == -F25.gen()
     assert parse_element(field_create(7), "-3") == field_create(7).element(4)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2), (7, 2)])
+def test_plane_product_matches_field_multiplication(p, k):
+    ctx = field_create(p, k)
+    elems = list(ctx.elements())
+    A = to_planes(ctx, [[a] * len(elems) for a in elems])
+    B = to_planes(ctx, [elems] * len(elems))
+    assert to_elements(ctx, plane_mul(ctx, A, B)) == [[a * b for b in elems] for a in elems]
+
+
+@pytest.mark.parametrize("p,k,dtype", [
+    (2147483629, 2, np.int64),  # the largest residues whose products fit int64
+    (2**32 + 15, 2, object),     # products overflow int64: Python ints
+    (2**32 + 15, 1, object),
+    (3, 5, np.int64),
+])
+def test_plane_products_at_large_primes(p, k, dtype):
+    ctx = field_create(p, k)
+    rnd = random.Random(p + k)
+    values = [ctx.element(tuple(p - 1 - rnd.randrange(3) for _ in range(k))) for _ in range(12)]
+    values += [ctx.element(tuple(rnd.randrange(p) for _ in range(k))) for _ in range(12)]
+    X = to_planes(ctx, [values[:12], values[12:]])
+    assert X.dtype == dtype
+    assert to_elements(ctx, plane_mul(ctx, X, X[:, :, ::-1])) == [
+        [a * b for a, b in zip(row, reversed(row))] for row in (values[:12], values[12:])
+    ]
+    column = to_planes(ctx, [[v] for v in values[12:]])
+    want = [sum((a * b for a, b in zip(row, values[12:])), ctx.zero()) for row in (values[:12], values[12:])]
+    assert to_elements(ctx, plane_matmul(ctx, X, column)) == [[w] for w in want]

@@ -13,13 +13,13 @@ from singhunt.errors import (
     NotSingular,
     SmallCharacteristic,
 )
-from singhunt.fields import field_create
+from singhunt.fields import _dot_mod, field_create, to_elements, to_planes
 from singhunt.hunt import (
-    _dot_mod,
     _dtype,
     _member_coefficients,
-    _nth_projective_point,
     _param_candidates,
+    _projective_array,
+    _solve_at_point_candidates,
     classify,
     classify_local,
     hunt_members,
@@ -47,9 +47,10 @@ def brute_singular(f, ctx):
 
 
 def reference_points(f, ctx):
-    """brute_singular in report order: a nonzero binary form's points sorted."""
+    """brute_singular in report order: over GF(p), a nonzero binary form's
+    points sorted."""
     pts = brute_singular(f, ctx)
-    if f.nvars == 2 and not f.is_zero() and f.is_homogeneous():
+    if ctx.k == 1 and f.nvars == 2 and not f.is_zero() and f.is_homogeneous():
         pts.sort(key=lambda pt: tuple(c.coeffs for c in pt))
     return pts
 
@@ -147,25 +148,27 @@ def test_hunt_deterministic_and_block_invariant(monkeypatch):
     assert [m.text() for m in a] == [m.text() for m in b] == [m.text() for m in c]
 
 
+PRIME_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1)]
+EXTENSION_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2)]
+
+
 @st.composite
-def prime_field_families(draw):
-    """A family over ZZ with 0-3 parameters, forms or not, and a small prime."""
-    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
-    n = draw(st.integers(2, 3))
-    npar = draw(st.integers(0, 3))
+def field_families(draw, fields=PRIME_FIELDS, max_params=3):
+    """A family over ZZ with 0..max_params parameters, forms or not, and a
+    small field."""
+    p, k = draw(st.sampled_from(fields))
+    n = draw(st.integers(2, 3 if p**k < 25 else 2))
+    npar = draw(st.integers(0, max_params))
     degree = draw(st.integers(1, 4))
     form = draw(st.booleans())
     xmons = monomial_basis(n, degree, "exactly" if form else "at-most")
     pmons = monomial_basis(npar, 2, "at-most") if npar else [()]
     exps = st.tuples(st.sampled_from(xmons), st.sampled_from(pmons)).map(lambda t: t[0] + t[1])
     terms = draw(st.dictionaries(exps, st.integers(-3, 3), min_size=1, max_size=6))
-    return field_create(p), ParametricFamily(MultiPoly(n + npar, ZZ, terms), n, npar)
+    return field_create(p, k), ParametricFamily(MultiPoly(n + npar, ZZ, terms), n, npar)
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(prime_field_families(), st.integers(1, 6), st.integers(0, 3))
-def test_prime_field_scan_matches_brute_force(case, trials, seed):
-    ctx, fam = case
+def check_scan_against_brute_force(ctx, fam, trials, seed):
     candidates = [
         tuple(ctx.element(d) for d in row)
         for row in _param_candidates(fam.nparams, ctx, trials, seed).tolist()
@@ -181,6 +184,18 @@ def test_prime_field_scan_matches_brute_force(case, trials, seed):
     assert [(m.params, [pt.coords for pt in m.points]) for m in members] == expected
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(field_families(), st.integers(1, 6), st.integers(0, 3))
+def test_prime_field_scan_matches_brute_force(case, trials, seed):
+    check_scan_against_brute_force(*case, trials, seed)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(field_families(EXTENSION_FIELDS, max_params=2), st.integers(1, 4), st.integers(0, 3))
+def test_extension_field_scan_matches_brute_force(case, trials, seed):
+    check_scan_against_brute_force(*case, trials, seed)
+
+
 def test_binary_member_point_order():
     # the zero member lists every point in enumeration order; a nonzero form
     # lists its points sorted, so (0:1) comes before (1:0)
@@ -194,6 +209,31 @@ def test_binary_member_point_order():
     for params, m in members.items():
         f = fam.specialize(list(params))
         assert [pt.coords for pt in m.points] == reference_points(f, F5)
+
+
+def test_binary_member_point_order_over_extension_field():
+    # over GF(p^k) every member keeps enumeration order, so (1:0) comes first
+    F9 = field_create(3, 2)
+    fam = parse("p1*x0^2*x1^2+p2*x0^3*x1", 2, 2)
+    members = {m.params: m for m in hunt_members(fam, F9, trials=81, seed=0)}
+    node = members[(F9.one(), F9.zero())]
+    assert [pt.text() for pt in node.points] == ["(1:0)", "(0:1)"]
+    for params, m in members.items():
+        assert [pt.coords for pt in m.points] == reference_points(fam.specialize(list(params)), F9)
+
+
+@pytest.mark.parametrize("p,k", [(11, 1), (3, 2)])
+def test_solve_at_point_candidates_are_singular_at_a_drawn_point(p, k):
+    ctx = field_create(p, k)
+    fam = parse(CONIC, 3, 3)
+    points = list(projective_points(ctx, 3))
+    drawn = [points[split(5, t).below(len(points))] for t in range(4)]
+    candidates = _solve_at_point_candidates(fam, ctx, 4, 5, 10_000, hunt.DEFAULT_POINT_BUDGET)
+    assert len(candidates)
+    for row in candidates.tolist():
+        f = fam.specialize([ctx.element(d) for d in row])
+        conditions = [f] + [f.partial(i) for i in range(3)]
+        assert any(all(g.eval(list(pt)).is_zero() for g in conditions) for pt in drawn)
 
 
 def scalar_param_candidates(nparams, ctx, trials, seed, full_scan=2_000_000):
@@ -264,10 +304,10 @@ def test_member_coefficients_overflow_guard(p):
     ctx = field_create(p)
     rnd = random.Random(p)
     rows = [[p - 1 - rnd.randrange(4) for _ in range(3)] for _ in range(5)] + [[0, 0, 0]]
-    xmons, C = _member_coefficients(fam.poly.map_domain(ctx), 3, np.array(rows, dtype=_dtype(p)), p)
-    for row, coeffs in zip(rows, C.tolist()):
+    xmons, C = _member_coefficients(fam.poly.map_domain(ctx), 3, to_planes(ctx, rows), ctx)
+    for row, coeffs in zip(rows, to_elements(ctx, C)):
         member = fam.specialize([ctx.element(v) for v in row])
-        assert {m: ctx.element(c) for m, c in zip(xmons, coeffs) if c} == member.terms
+        assert {m: c for m, c in zip(xmons, coeffs) if c} == member.terms
 
 
 def test_dot_mod_reduces_term_by_term_near_two_to_the_31():
@@ -283,10 +323,9 @@ def test_dot_mod_reduces_term_by_term_near_two_to_the_31():
 @pytest.mark.parametrize("p,k,n", [(2, 1, 3), (3, 1, 4), (5, 1, 2), (7, 2, 2), (2, 2, 3), (7, 1, 1)])
 def test_nth_projective_point_decodes_enumeration(p, k, n):
     ctx = field_create(p, k)
-    for index, pt in enumerate(projective_points(ctx, n)):
-        assert _nth_projective_point(ctx, n, index) == pt
-    with pytest.raises(IndexError):
-        _nth_projective_point(ctx, n, projective_size(ctx.q, n))
+    points = _projective_array(ctx, n)
+    assert points.shape == (k, projective_size(ctx.q, n), n)
+    assert [tuple(pt) for pt in to_elements(ctx, points)] == list(projective_points(ctx, n))
 
 
 def test_solve_at_point_conic_members_are_singular():

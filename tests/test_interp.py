@@ -3,7 +3,7 @@ import random
 import pytest
 
 from singhunt.errors import InsufficientPoints, NotOnVariety
-from singhunt.exactla import in_row_span
+from singhunt.exactla import ExactMatrix, in_row_span, nullspace
 from singhunt.fields import field_create
 from singhunt.hunt import projective_points
 from singhunt.interp import (
@@ -64,6 +64,28 @@ def test_vanishing_system_soundness():
     for f in system.polys():
         for pt in pts:
             assert f.eval(list(pt)).is_zero()
+
+
+@pytest.mark.parametrize("degree,homogeneous", [(1, False), (2, True), (2, False), (3, False)])
+def test_vanishing_system_over_gf9_matches_element_rows(degree, homogeneous):
+    F9 = field_create(3, 2)
+    rnd = random.Random(degree)
+    elems = list(F9.elements())
+    pts = [tuple(rnd.choice(elems) for _ in range(3)) for _ in range(7)]
+    pts += [(a, b, a * a + F9.gen() * b) for a, b in zip(elems, reversed(elems))]
+    system = vanishing_system(PointSet(F9, pts), degree, homogeneous=homogeneous)
+    rows = []
+    for pt in PointSet(F9, pts).points:
+        row = []
+        for m in system.monomials:
+            acc = F9.one()
+            for v, e in zip(pt, m):
+                acc = acc * v**e
+            row.append(acc)
+        rows.append(row)
+    assert system.basis == nullspace(ExactMatrix.make(F9, rows))
+    for f in system.polys():
+        assert all(f.eval(list(pt)).is_zero() for pt in pts)
 
 
 def test_rank_nullity_of_system():
