@@ -2,10 +2,11 @@
 
 Everything here is exact: Fractions (arbitrary precision) over QQ, and over
 every finite field the digit planes of ``fields``, eliminated with numpy
-(int64 where a product of residues fits, Python ints otherwise); entries of
-a finite-field ExactMatrix are ints over GF(p) and FieldElements over
-GF(p^k), converted to planes once per call.  Rational determinants use
-fraction-free Bareiss elimination to limit intermediate swell.
+(int64 where a product of residues fits, Python ints otherwise).  A
+finite-field ExactMatrix holds its planes; its entries (ints over GF(p),
+FieldElements over GF(p^k)) are derived from them only when read.  Every
+elimination goes through ``rref``.  Rational determinants use fraction-free
+Bareiss elimination to limit intermediate swell.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from .errors import ContextMismatch, DimensionMismatch, MatrixSyntaxError, NotSq
 from .fields import (
     FieldCtx,
     FieldElement,
+    _dtype,
     inv_digits,
     plane_matmul,
     plane_mul,
-    scalar,
     to_planes,
     to_scalars,
 )
@@ -32,30 +33,59 @@ QQ = "QQ"
 
 
 class ExactMatrix:
-    __slots__ = ("rows", "cols", "domain", "data")
+    __slots__ = ("rows", "cols", "domain", "planes", "_data")
 
-    def __init__(self, rows: int, cols: int, domain, data: list[list]):
+    def __init__(self, rows: int, cols: int, domain, data: list[list] | None = None,
+                 planes: np.ndarray | None = None):
         self.rows = rows
         self.cols = cols
         self.domain = domain
-        self.data = data
+        self.planes = planes  # digit planes (k x rows x cols) over a finite field
+        self._data = data  # entries over QQ
 
     @classmethod
     def make(cls, domain, entries: Sequence[Sequence]) -> "ExactMatrix":
         rows = len(entries)
         cols = len(entries[0]) if rows else 0
-        data = []
-        for row in entries:
-            if len(row) != cols:
-                raise DimensionMismatch("ragged matrix")
-            data.append([_coerce(domain, v) for v in row])
-        return cls(rows, cols, domain, data)
+        if any(len(row) != cols for row in entries):
+            raise DimensionMismatch("ragged matrix")
+        if isinstance(domain, FieldCtx):
+            return cls.from_planes(domain, to_planes(domain, entries).reshape(domain.k, rows, cols))
+        if domain != QQ:
+            raise ContextMismatch(f"unknown coefficient domain {domain!r}")
+        return cls(rows, cols, QQ, [[_rational(v) for v in row] for row in entries])
+
+    @classmethod
+    def from_planes(cls, ctx: FieldCtx, planes: np.ndarray) -> "ExactMatrix":
+        _, rows, cols = planes.shape
+        return cls(rows, cols, ctx, planes=planes)
+
+    @classmethod
+    def sparse(cls, domain, rows: int, cols: int, entries: dict) -> "ExactMatrix":
+        """The rows x cols matrix whose nonzero entries are entries[(row, column)]."""
+        if not isinstance(domain, FieldCtx):
+            dense = [[0] * cols for _ in range(rows)]
+            for (i, j), v in entries.items():
+                dense[i][j] = v
+            return cls.make(domain, dense)
+        planes = np.zeros((domain.k, rows, cols), dtype=_dtype(domain.p))
+        if entries:
+            i, j = zip(*entries)
+            planes[:, list(i), list(j)] = to_planes(domain, list(entries.values()))
+        return cls.from_planes(domain, planes)
 
     @classmethod
     def identity(cls, n: int, domain) -> "ExactMatrix":
         return cls.make(
             domain, [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         )
+
+    @property
+    def data(self) -> list[list]:
+        """The entries as nested lists (see ``fields.to_scalars`` over a finite field)."""
+        if self._data is None:
+            self._data = to_scalars(self.domain, self.planes)
+        return self._data
 
     def __getitem__(self, ij):
         i, j = ij
@@ -76,19 +106,10 @@ class ExactMatrix:
         return f"<ExactMatrix {self.rows}x{self.cols} over {self.domain}>\n{body}"
 
 
-def _coerce(domain, v):
-    if isinstance(domain, FieldCtx):
-        return scalar(domain, v)
-    if domain == QQ:
-        if isinstance(v, FieldElement):
-            raise ContextMismatch("field element in a rational matrix")
-        return Fraction(v)
-    raise ContextMismatch(f"unknown coefficient domain {domain!r}")
-
-
-def _planes(A: ExactMatrix) -> np.ndarray:
-    """The digit planes (k x rows x cols) of a finite-field matrix."""
-    return to_planes(A.domain, A.data).reshape(A.domain.k, A.rows, A.cols)
+def _rational(v) -> Fraction:
+    if isinstance(v, FieldElement):
+        raise ContextMismatch("field element in a rational matrix")
+    return Fraction(v)
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +122,8 @@ def rref(A: ExactMatrix) -> tuple[ExactMatrix, list[int], int]:
         data = [list(row) for row in A.data]
         pivots = _rref_generic(data)
         return ExactMatrix(A.rows, A.cols, QQ, data), pivots, len(pivots)
-    R, pivots = _rref_modp(_planes(A), A.domain)
-    out = ExactMatrix(A.rows, A.cols, A.domain, to_scalars(A.domain, R))
-    return out, pivots, len(pivots)
+    R, pivots = _rref_modp(A.planes, A.domain)
+    return ExactMatrix.from_planes(A.domain, R), pivots, len(pivots)
 
 
 def _rref_modp(M: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, list[int]]:
@@ -159,9 +179,7 @@ def _rref_generic(data: list[list]) -> list[int]:
 
 
 def rank(A: ExactMatrix) -> int:
-    if A.domain == QQ:
-        return rref(A)[2]
-    return len(_rref_modp(_planes(A), A.domain)[1])
+    return rref(A)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +195,7 @@ def nullspace(A: ExactMatrix) -> list[list]:
     unit at the free coordinate.
     """
     if A.domain != QQ:
-        return to_scalars(A.domain, _kernel_planes(_planes(A), A.domain))
+        return to_scalars(A.domain, _kernel_planes(A))
     R, pivots, _ = rref(A)
     basis = []
     for fc in (c for c in range(A.cols) if c not in pivots):
@@ -189,14 +207,14 @@ def nullspace(A: ExactMatrix) -> list[list]:
     return basis
 
 
-def _kernel_planes(M: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Planes (k x nullity x cols) of the RREF kernel basis of the planes M."""
-    R, pivots = _rref_modp(M, ctx)
-    cols = M.shape[2]
-    free = [c for c in range(cols) if c not in pivots]
-    K = np.zeros((ctx.k, len(free), cols), dtype=M.dtype)
+def _kernel_planes(A: ExactMatrix) -> np.ndarray:
+    """Planes (k x nullity x cols) of the RREF kernel basis of a finite-field A."""
+    R, pivots, _ = rref(A)
+    ctx = A.domain
+    free = [c for c in range(A.cols) if c not in pivots]
+    K = np.zeros((ctx.k, len(free), A.cols), dtype=R.planes.dtype)
     K[0, range(len(free)), free] = 1
-    K[:, :, pivots] = (-R[:, :len(pivots)][:, :, free] % ctx.p).transpose(0, 2, 1)
+    K[:, :, pivots] = (-R.planes[:, :len(pivots)][:, :, free] % ctx.p).transpose(0, 2, 1)
     return K
 
 
@@ -270,26 +288,35 @@ def _bareiss(m: list[list[int]]):
 def matvec(A: ExactMatrix, v: Sequence) -> list:
     if len(v) != A.cols:
         raise DimensionMismatch("vector length does not match column count")
-    vals = [_coerce(A.domain, x) for x in v]
     if A.domain == QQ:
+        vals = [_rational(x) for x in v]
         return [sum((a * x for a, x in zip(row, vals)), Fraction(0)) for row in A.data]
     ctx = A.domain
-    column = to_planes(ctx, vals).reshape(ctx.k, A.cols, 1)
-    return [row[0] for row in to_scalars(ctx, plane_matmul(ctx, _planes(A), column))]
+    column = to_planes(ctx, list(v)).reshape(ctx.k, A.cols, 1)
+    return to_scalars(ctx, plane_matmul(ctx, A.planes, column)[:, :, 0])
 
 
 def solve(A: ExactMatrix, b: Sequence) -> tuple[list | None, list[list]]:
     """All solutions of A x = b as (particular, kernel basis); None if none."""
-    aug = ExactMatrix.make(
-        A.domain, [list(row) + [bv] for row, bv in zip(A.data, b)]
-    )
+    b = list(b)[: A.rows]
+    if A.domain == QQ:
+        aug = ExactMatrix.make(QQ, [list(row) + [bv] for row, bv in zip(A.data, b)])
+    else:
+        ctx = A.domain
+        column = to_planes(ctx, b).reshape(ctx.k, len(b), 1)
+        aug = ExactMatrix.from_planes(ctx, np.concatenate([A.planes[:, :len(b)], column], axis=2))
     R, pivots, _ = rref(aug)
     if A.cols in pivots:
         return None, []
-    x = [_coerce(A.domain, 0)] * A.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = R.data[r][A.cols]
-    return x, nullspace(ExactMatrix(A.rows, A.cols, A.domain, [row[:] for row in A.data]))
+    if A.domain == QQ:
+        x = [Fraction(0)] * A.cols
+        for r, pc in enumerate(pivots):
+            x[pc] = R.data[r][A.cols]
+    else:
+        X = np.zeros((A.domain.k, A.cols), dtype=R.planes.dtype)
+        X[:, pivots] = R.planes[:, :len(pivots), A.cols]
+        x = to_scalars(A.domain, X)
+    return x, nullspace(A)
 
 
 def row_span_rank(rows: Sequence[Sequence], domain) -> int:
@@ -307,11 +334,11 @@ def span_intersection(B1: Sequence[Sequence], B2: Sequence[Sequence], ctx: Field
     P1, P2 = to_planes(ctx, B1), to_planes(ctx, B2)
     # columns: coefficients a (over B1 rows) and b (over B2 rows); solve B1^T a = B2^T b
     stacked = np.concatenate([P1, -P2 % ctx.p], axis=1).transpose(0, 2, 1)
-    kernel = _kernel_planes(stacked, ctx)
+    kernel = _kernel_planes(ExactMatrix.from_planes(ctx, stacked))
     vectors = plane_matmul(ctx, kernel[:, :, : len(B1)], P1)
     vectors = vectors[:, vectors.any(axis=(0, 2))]
-    R, pivots = _rref_modp(vectors, ctx)
-    return to_scalars(ctx, R[:, : len(pivots)])
+    R, pivots, _ = rref(ExactMatrix.from_planes(ctx, vectors))
+    return to_scalars(ctx, R.planes[:, : len(pivots)])
 
 
 def in_row_span(rows: Sequence[Sequence], v: Sequence, domain) -> bool:

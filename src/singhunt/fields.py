@@ -355,22 +355,9 @@ def inv(a: FieldElement) -> FieldElement:
     if a.is_zero():
         raise DivisionByZero("inverse of zero")
     ctx = a.ctx
-    p, k, mod = ctx.p, ctx.k, ctx.modulus
-    if k == 1:
-        return FieldElement(ctx, (pow(a.coeffs[0], p - 2, p),))
-    # extended Euclid modulo the modulus, keeping s * a = r (mod modulus)
-    r0, r1, s0, s1 = list(mod), _poly_trim(list(a.coeffs)), [0] * k, [1] + [0] * (k - 1)
-    while len(r1) > 1:
-        quot, r = [0] * (len(r0) - len(r1) + 1), list(r0)
-        for shift in reversed(range(len(quot))):
-            quot[shift] = f = r[shift + len(r1) - 1] * pow(r1[-1], p - 2, p) % p
-            for i, c in enumerate(r1):
-                r[shift + i] = (r[shift + i] - f * c) % p
-        qs = _poly_mulmod(_poly_trim(quot), s1, mod, p) + [0] * k
-        r0, r1 = r1, _poly_trim(r)
-        s0, s1 = s1, [(x - y) % p for x, y in zip(s0, qs)]
-    c = pow(r1[0], p - 2, p)
-    return FieldElement(ctx, tuple(x * c % p for x in s1))
+    if ctx.k == 1:
+        return FieldElement(ctx, (pow(a.coeffs[0], ctx.p - 2, ctx.p),))
+    return a ** (ctx.q - 2)
 
 
 def to_basis_tuple(a: FieldElement) -> tuple[int, ...]:
@@ -384,15 +371,6 @@ def from_basis_tuple(ctx: FieldCtx, coeffs: Sequence[int]) -> FieldElement:
             f"tuple of length {len(coeffs)} does not match extension degree {ctx.k}"
         )
     return FieldElement(ctx, tuple(int(c) % ctx.p for c in coeffs))
-
-
-def scalar(ctx: FieldCtx, value):
-    """value as an exact matrix entry: an int residue over GF(p), a FieldElement over GF(p^k)."""
-    if ctx.k > 1:
-        return ctx.element(value)
-    if isinstance(value, FieldElement):
-        return ctx.element(value).coeffs[0]
-    return int(value) % ctx.p
 
 
 # ---------------------------------------------------------------------------
@@ -476,19 +454,15 @@ def decode(ctx: FieldCtx, index) -> np.ndarray:
 
 
 def to_planes(ctx: FieldCtx, values) -> np.ndarray:
-    """Planes (k, *shape) of a nested list of FieldElements of ctx, or of ints
+    """Planes (k, *shape) of a nested list of FieldElements of ctx and ints
     (read as residues mod p)."""
     dtype = _dtype(ctx.p)
-    first = values
-    while isinstance(first, (list, tuple)) and first:
-        first = first[0]
-    if isinstance(first, FieldElement):
-        obj = np.array(values, dtype=object)
+    obj = np.array(values, dtype=object)
+    if any(isinstance(v, FieldElement) for v in obj.flat):
         digits = np.array([ctx.element(v).coeffs for v in obj.flat], dtype=dtype)
         return np.moveaxis(digits.reshape(obj.shape + (ctx.k,)), -1, 0)
-    ints = np.array(values, dtype=dtype) % ctx.p
-    planes = np.zeros((ctx.k,) + ints.shape, dtype=dtype)
-    planes[0] = ints
+    planes = np.zeros((ctx.k,) + obj.shape, dtype=dtype)
+    planes[0] = obj % ctx.p
     return planes
 
 
@@ -501,7 +475,8 @@ def to_elements(ctx: FieldCtx, planes: np.ndarray) -> list:
 
 
 def to_scalars(ctx: FieldCtx, planes: np.ndarray) -> list:
-    """Nested lists of matrix entries (see ``scalar``) whose digits are the planes."""
+    """Nested lists of matrix entries whose digits are the planes: ints over
+    GF(p), FieldElements over GF(p^k)."""
     return planes[0].tolist() if ctx.k == 1 else to_elements(ctx, planes)
 
 

@@ -30,7 +30,6 @@ from .fields import (
     decode,
     monomial_values,
     plane_matmul,
-    scalar,
     to_elements,
     to_planes,
     to_scalars,
@@ -314,8 +313,8 @@ def _tjurina_truncated(g: MultiPoly, cap: int) -> int:
     basis = monomial_basis(n, cap - 1, "at-most")
     index = {m: i for i, m in enumerate(basis)}
     gens = [g] + [g.partial(i) for i in range(n)]
-    zero = scalar(domain, 0) if isinstance(domain, FieldCtx) else 0  # a matrix entry
-    rows = []
+    entries = {}  # (row, column) -> coefficient
+    rows = 0
     for h in gens:
         if h.is_zero():
             continue
@@ -323,19 +322,17 @@ def _tjurina_truncated(g: MultiPoly, cap: int) -> int:
         if order > cap - 1:
             continue  # every multiple is truncated away
         for m in monomial_basis(n, cap - 1 - order, "at-most"):
-            row = [zero] * len(basis)
-            nonzero = False
+            row = {}
             for exps, c in h.terms.items():
-                shifted = tuple(a + b for a, b in zip(exps, m))
-                pos = index.get(shifted)
+                pos = index.get(tuple(a + b for a, b in zip(exps, m)))
                 if pos is not None:
-                    row[pos] = c
-                    nonzero = True
-            if nonzero:
-                rows.append(row)
+                    row[rows, pos] = c
+            if row:
+                entries.update(row)
+                rows += 1
     if not rows:
         return len(basis)
-    rk = exactla.rank(exactla.ExactMatrix.make(_la_domain(domain), rows))
+    rk = exactla.rank(exactla.ExactMatrix.sparse(_la_domain(domain), rows, len(basis), entries))
     return len(basis) - rk
 
 
@@ -565,9 +562,8 @@ def _solve_at_point_candidates(
     candidates: list[tuple] = []
     seen: set[tuple] = set()
     for t in range(trials):
-        rows = to_scalars(ctx, system[:, t, :, :npar])
-        rhs = to_scalars(ctx, system[:, t, :, npar])
-        sol, kernel = exactla.solve(exactla.ExactMatrix.make(ctx, rows), rhs)
+        A = exactla.ExactMatrix.from_planes(ctx, system[:, t, :, :npar])
+        sol, kernel = exactla.solve(A, to_scalars(ctx, system[:, t, :, npar]))
         if sol is None:
             continue
         count = ctx.q ** len(kernel)

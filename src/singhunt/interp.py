@@ -15,7 +15,7 @@ import numpy as np
 
 from . import exactla
 from .errors import BudgetExceeded, InsufficientPoints, NotOnVariety
-from .fields import FieldCtx, FieldElement, monomial_values, parse_element, to_planes, to_scalars
+from .fields import FieldCtx, FieldElement, monomial_values, parse_element, to_planes
 from .poly import MultiPoly, monomial_basis
 from .rng import split
 
@@ -93,8 +93,7 @@ def vanishing_system(
         )
     ctx = pts.ctx
     rows = monomial_values(ctx, to_planes(ctx, pts.points), np.array(monomials, dtype=np.int64))
-    matrix = exactla.ExactMatrix(len(pts.points), len(monomials), ctx, to_scalars(ctx, rows))
-    kernel = exactla.nullspace(matrix)
+    kernel = exactla.nullspace(exactla.ExactMatrix.from_planes(ctx, rows))
     return VanishingSystem(pts.ctx, nvars, degree, homogeneous, monomials, kernel)
 
 

@@ -250,6 +250,40 @@ def test_field_linear_algebra_matches_element_reference(case):
         assert all(ctx.element(y).is_zero() for y in matvec(A, v))
 
 
+@pytest.mark.parametrize("domain", [QQ, field_create(7), field_create(3, 2)])
+def test_sparse_and_mixed_entries_match_dense_elements(domain):
+    rnd = random.Random(17)
+    for _ in range(10):
+        rows, cols = rnd.randint(1, 5), rnd.randint(1, 6)
+        entries = {(rnd.randrange(rows), rnd.randrange(cols)): rnd.randint(-20, 20)
+                   for _ in range(rnd.randint(0, rows * cols))}
+        if domain != QQ:  # FieldElements beside plain ints
+            entries = {ij: domain.element((v,) + (v + 1,) * (domain.k - 1)) if v % 2 else v
+                       for ij, v in entries.items()}
+        dense = [[entries.get((i, j), 0) for j in range(cols)] for i in range(rows)]
+        A = ExactMatrix.sparse(domain, rows, cols, entries)
+        assert A == ExactMatrix.make(domain, dense)
+        if domain != QQ:
+            assert as_elements(domain, A.data) == as_elements(domain, dense)
+            assert rank(A) == len(reference_rref(domain, dense)[1])
+
+
+def test_every_field_elimination_goes_through_rref(monkeypatch):
+    import singhunt.exactla as exactla
+
+    calls = []
+    original = exactla.rref
+    monkeypatch.setattr(exactla, "rref", lambda A: calls.append(A.domain) or original(A))
+    ctx = field_create(3, 2)
+    A = ExactMatrix.make(ctx, [[1, 2, 0], [2, 1, 0]])
+    rank(A)
+    nullspace(A)
+    solve(A, [1, 2])
+    span_intersection([[1, 0, 0], [0, 1, 0]], [[1, 1, 0]], ctx)
+    # rank 1, nullspace 1, solve 2 (augmented, then its kernel), span_intersection 2
+    assert calls == [ctx] * 6
+
+
 def test_determinant_is_rational_only():
     with pytest.raises(ContextMismatch):
         determinant(ExactMatrix.identity(2, field_create(7)))
