@@ -10,7 +10,6 @@ output apart from the trailing timings section.  Exit codes: 0 pass,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
@@ -20,7 +19,7 @@ from fractions import Fraction
 
 from . import cover as cover_mod
 from . import exactla, godeaux, hunt, interp, lattice as lattice_mod, lift, poly
-from .errors import HeldOutMismatch, SinghuntError
+from .errors import HeldOutMismatch, SinghuntError, at_line, data_lines
 from .fields import field_create, parse_element
 
 EXIT_PASS = 0
@@ -131,16 +130,17 @@ def _load(path: str, parse):
 
 def cmd_hunt(args) -> int:
     report = Report("hunt")
-    text = _read(args.family)
-    nvars, nparams = _infer_counts(text)
-    if args.nvars:
-        nvars = args.nvars
-    if args.nparams is not None:
-        nparams = args.nparams
-    families = poly.parse_poly_file(text, nvars, nparams)
-    if len(families) != 1:
-        raise SinghuntError(f"family file must contain one polynomial, got {len(families)}")
-    fam = families[0]
+
+    def parse_family(text):
+        nvars, nparams = _infer_counts(text)
+        families = poly.parse_poly_file(text, args.nvars or nvars,
+                                        nparams if args.nparams is None else args.nparams)
+        if len(families) != 1:
+            raise SinghuntError(f"family file must contain one polynomial, got {len(families)}")
+        return families[0]
+
+    fam = _load(args.family, parse_family)
+    nvars, nparams = fam.nvars, fam.nparams
     ctx = _parse_field(args.field)
     report.add_input("family", args.family)
     report.add_input("field", repr(ctx))
@@ -199,7 +199,7 @@ def cmd_classify(args) -> int:
 def cmd_interpolate(args) -> int:
     report = Report("interpolate")
     ctx = _parse_field(args.field)
-    pts = interp.PointSet.from_text(ctx, _read(args.points))
+    pts = _load(args.points, lambda text: interp.PointSet.from_text(ctx, text))
     report.add_input("points", args.points)
     report.add_input("count", len(pts))
     report.add_input("field", repr(ctx))
@@ -221,7 +221,8 @@ def cmd_interpolate(args) -> int:
 
 def cmd_lift(args) -> int:
     report = Report("lift")
-    rs = _load(args.residues, lift.parse_residue_file)
+    shape = "pair" if args.pairs else "tuple" if args.tuples else "value"
+    rs = _load(args.residues, lambda text: lift.parse_residue_file(text, shape))
     report.add_input("residues", args.residues)
     report.add_input("primes", " ".join(str(p) for p in rs.primes))
     try:
@@ -358,39 +359,20 @@ def _parse_combo_text(text: str) -> dict[str, int]:
     return out
 
 
-def _data_lines(text: str):
-    """(line number, line) of each line with content, comments stripped."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
-@contextlib.contextmanager
-def _at_line(lineno: int):
-    """Report bad data, an unknown class name included, with its line."""
-    try:
-        yield
-    except KeyError as exc:
-        raise SinghuntError(f"line {lineno}: {exc.args[0]}") from exc
-    except (ValueError, SinghuntError) as exc:
-        raise SinghuntError(f"line {lineno}: {exc}") from exc
-
-
 def _parse_template(text: str, L):
     found = {}
-    for lineno, line in _data_lines(text):
+    for lineno, line in data_lines(text):
         key, _, val = line.partition(":")
         if key.strip() in ("lhs", "curve", "support"):
             found[key.strip()] = (lineno, val.strip())
     if len(found) < 3 or not found["support"][1]:
         raise SinghuntError("template file needs lhs:, curve:, and support: lines")
     lineno, lhs = found["lhs"]
-    with _at_line(lineno):
+    with at_line(lineno):
         lhs_map = _parse_combo_text(lhs)
         L.combo(lhs_map)
     lineno, curve = found["curve"]
-    with _at_line(lineno):
+    with at_line(lineno):
         coeff, _, cname = curve.rpartition("*")
         curve_mult = int(coeff) if coeff else 1
         if curve_mult == 0:
@@ -398,7 +380,7 @@ def _parse_template(text: str, L):
         if not cname or cname in L.names:
             raise SinghuntError(f"the curve needs a name that is not a class: {cname!r}")
     lineno, support = found["support"]
-    with _at_line(lineno):
+    with at_line(lineno):
         for name in support.split():
             L.index(name)
     return lattice_mod.CurveTemplate.make(lhs_map, curve_mult, cname, support.split())
@@ -414,9 +396,9 @@ def _parse_constraints(text: str, L, support):
     contacts: list[tuple[tuple[str, ...], int]] = []
     self_c = None
     positive = True
-    for lineno, line in _data_lines(text):
+    for lineno, line in data_lines(text):
         word, rest = _head(line)
-        with _at_line(lineno):
+        with at_line(lineno):
             if line == "nonneg":
                 positive = False
             elif word == "pair":
@@ -496,10 +478,10 @@ def _parse_cover_file(text: str, L):
     group = None
     branch_divisors: list = []
     gen_lines: dict[tuple[int, ...], tuple[int, object]] = {}  # exps -> (line, class)
-    for lineno, line in _data_lines(text):
+    for lineno, line in data_lines(text):
         key, _, val = line.partition(":")
         key = key.strip()
-        with _at_line(lineno):
+        with at_line(lineno):
             if key == "group":
                 group = cover_mod.AbelianGroup(tuple(int(tok) for tok in val.split()))
             elif key == "branch":
@@ -709,7 +691,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lift", help="multimodular lifting to the rationals")
     p.add_argument("--residues", required=True)
     p.add_argument("--pairs", action="store_true", help="payloads are unordered pairs")
-    p.add_argument("--tuples", type=int, default=0, help="payloads are basis tuples of this length")
+    p.add_argument("--tuples", action="store_true",
+                   help="payloads are basis tuples, as long as the first line's")
     common(p)
     p.set_defaults(func=cmd_lift)
 

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all singhunt modules."""
+"""Exception hierarchy shared by all singhunt modules, and the line reader
+that every data-file parser uses to name the line of bad data."""
+
+from typing import Iterator
 
 
 class SinghuntError(Exception):
@@ -26,8 +29,8 @@ class ContextMismatch(SinghuntError):
 # -- polynomial parsing and manipulation -------------------------------------
 
 class PolySyntaxError(SinghuntError):
-    def __init__(self, message, line=1, column=1):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(self, message, line=None, column=None):
+        super().__init__(message if line is None else f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
 
@@ -130,3 +133,30 @@ class InconsistentData(SinghuntError):
 
 class NegativeH0(SinghuntError):
     pass
+
+
+# -- data files ------------------------------------------------------------------
+
+def data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line with content; '#' starts a comment."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+class at_line:
+    """Report bad data, an unknown name (KeyError) included, with its line.
+    A class rather than a generator: it wraps every line of a points file."""
+
+    def __init__(self, lineno: int):
+        self.lineno = lineno
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, KeyError):
+            raise SinghuntError(f"line {self.lineno}: {exc.args[0]}") from exc
+        if isinstance(exc, (ValueError, SinghuntError)):
+            raise SinghuntError(f"line {self.lineno}: {exc}") from exc

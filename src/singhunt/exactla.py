@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContextMismatch, DimensionMismatch, MatrixSyntaxError, NotSquare
+from .errors import ContextMismatch, DimensionMismatch, MatrixSyntaxError, NotSquare, data_lines
 from .fields import (
     FieldCtx,
     FieldElement,
@@ -28,8 +28,7 @@ from .fields import (
     to_planes,
     to_scalars,
 )
-
-QQ = "QQ"
+from .poly import QQ, ZZ
 
 
 class ExactMatrix:
@@ -44,14 +43,17 @@ class ExactMatrix:
         self._data = data  # entries over QQ
 
     @classmethod
-    def make(cls, domain, entries: Sequence[Sequence]) -> "ExactMatrix":
+    def make(cls, domain, entries: Sequence[Sequence], cols: int | None = None) -> "ExactMatrix":
+        """The matrix with the given rows; cols sizes a matrix of no rows.
+        An integer (ZZ) matrix is stored over QQ."""
         rows = len(entries)
-        cols = len(entries[0]) if rows else 0
+        if cols is None:
+            cols = len(entries[0]) if rows else 0
         if any(len(row) != cols for row in entries):
             raise DimensionMismatch("ragged matrix")
         if isinstance(domain, FieldCtx):
             return cls.from_planes(domain, to_planes(domain, entries).reshape(domain.k, rows, cols))
-        if domain != QQ:
+        if domain not in (QQ, ZZ):
             raise ContextMismatch(f"unknown coefficient domain {domain!r}")
         return cls(rows, cols, QQ, [[_rational(v) for v in row] for row in entries])
 
@@ -67,7 +69,7 @@ class ExactMatrix:
             dense = [[0] * cols for _ in range(rows)]
             for (i, j), v in entries.items():
                 dense[i][j] = v
-            return cls.make(domain, dense)
+            return cls.make(domain, dense, cols)
         planes = np.zeros((domain.k, rows, cols), dtype=_dtype(domain.p))
         if entries:
             i, j = zip(*entries)
@@ -300,7 +302,7 @@ def solve(A: ExactMatrix, b: Sequence) -> tuple[list | None, list[list]]:
     """All solutions of A x = b as (particular, kernel basis); None if none."""
     b = list(b)[: A.rows]
     if A.domain == QQ:
-        aug = ExactMatrix.make(QQ, [list(row) + [bv] for row, bv in zip(A.data, b)])
+        aug = ExactMatrix.make(QQ, [list(row) + [bv] for row, bv in zip(A.data, b)], A.cols + 1)
     else:
         ctx = A.domain
         column = to_planes(ctx, b).reshape(ctx.k, len(b), 1)
@@ -430,10 +432,7 @@ def symmetric_signature(A: ExactMatrix) -> tuple[int, int, int]:
 
 def parse_matrix(text: str, domain=QQ) -> ExactMatrix:
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].replace("[", " ").replace("]", " ").strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(text.replace("[", " ").replace("]", " ")):
         try:
             rows.append([Fraction(tok) for tok in line.split()])
         except (ValueError, ZeroDivisionError) as exc:

@@ -29,6 +29,8 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 37 * 37:
+        return True  # a composite this small has a prime factor below 37
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -491,12 +493,11 @@ def inv_digits(ctx: FieldCtx, digits: np.ndarray) -> np.ndarray:
 # t (e.g. "3*t+1", "t^2+4*t") for extensions; round trip is bit-exact
 # ---------------------------------------------------------------------------
 
-def format_element(a: FieldElement) -> str:
-    if a.ctx.k == 1:
-        return str(a.coeffs[0])
+def _format_t_poly(coeffs: Sequence[int]) -> str:
+    """The polynomial in t with these coefficients (low degree first), highest term first."""
     parts = []
-    for e in range(a.ctx.k - 1, -1, -1):
-        c = a.coeffs[e]
+    for e in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[e]
         if c == 0:
             continue
         if e == 0:
@@ -508,20 +509,13 @@ def format_element(a: FieldElement) -> str:
     return "+".join(parts) if parts else "0"
 
 
+def format_element(a: FieldElement) -> str:
+    return _format_t_poly(a.coeffs)
+
+
 def format_modulus(ctx: FieldCtx) -> str:
     assert ctx.modulus is not None
-    parts = []
-    for e in range(ctx.k, -1, -1):
-        c = ctx.modulus[e]
-        if c == 0:
-            continue
-        if e == 0:
-            parts.append(str(c))
-        elif e == 1:
-            parts.append("t" if c == 1 else f"{c}*t")
-        else:
-            parts.append(f"t^{e}" if c == 1 else f"{c}*t^{e}")
-    return "+".join(parts)
+    return _format_t_poly(ctx.modulus)
 
 
 def parse_element(ctx: FieldCtx, text: str) -> FieldElement:

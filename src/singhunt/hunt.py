@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -18,7 +17,6 @@ import numpy as np
 from . import exactla
 from .errors import (
     BudgetExceeded,
-    ContextMismatch,
     NotLinearInParams,
     NotSingular,
     SmallCharacteristic,
@@ -34,7 +32,7 @@ from .fields import (
     to_planes,
     to_scalars,
 )
-from .poly import QQ, MultiPoly, ParametricFamily, monomial_basis
+from .poly import QQ, ZZ, MultiPoly, ParametricFamily, coerce, monomial_basis
 from .rng import below_rows, first_occurrences, split
 
 DEFAULT_POINT_BUDGET = 2_000_000
@@ -108,18 +106,10 @@ def singular_points(
     f: MultiPoly, ctx: FieldCtx, budget: int = DEFAULT_POINT_BUDGET
 ) -> list[tuple[FieldElement, ...]]:
     """All canonical points of P^(nvars-1) where f and every partial vanish."""
-    f = _over_field(f, ctx)
+    f = f.map_domain(ctx)
     params = np.zeros((ctx.k, 1, 0), dtype=_dtype(ctx.p))
     hits = _family_scan(ParametricFamily(f, f.nvars, 0), ctx, params, budget)
     return next((found for _, found in hits), [])
-
-
-def _over_field(f: MultiPoly, ctx: FieldCtx) -> MultiPoly:
-    if isinstance(f.domain, FieldCtx):
-        if f.domain != ctx:
-            raise ContextMismatch("polynomial lives over a different field")
-        return f
-    return f.map_domain(ctx)
 
 
 def _check_budget(q: int, nvars: int, budget: int) -> None:
@@ -280,7 +270,6 @@ def classify_local(
 
 def _hessian_rank(g: MultiPoly) -> int:
     n = g.nvars
-    domain = g.domain
     entries = []
     for i in range(n):
         row = []
@@ -290,26 +279,15 @@ def _hessian_rank(g: MultiPoly) -> int:
             e[j] += 1
             c = g.terms.get(tuple(e), 0)
             if i == j:
-                c = c * _two(domain) if c else 0
+                c = 2 * c
             row.append(c)
         entries.append(row)
-    return exactla.rank(exactla.ExactMatrix.make(_la_domain(domain), entries))
-
-
-def _two(domain):
-    if isinstance(domain, FieldCtx):
-        return domain.element(2)
-    return 2
-
-
-def _la_domain(domain):
-    return domain if isinstance(domain, FieldCtx) else exactla.QQ
+    return exactla.rank(exactla.ExactMatrix.make(g.domain, entries))
 
 
 def _tjurina_truncated(g: MultiPoly, cap: int) -> int:
     """dim of O/(g, dg) modulo degree >= cap terms."""
     n = g.nvars
-    domain = g.domain
     basis = monomial_basis(n, cap - 1, "at-most")
     index = {m: i for i, m in enumerate(basis)}
     gens = [g] + [g.partial(i) for i in range(n)]
@@ -332,7 +310,7 @@ def _tjurina_truncated(g: MultiPoly, cap: int) -> int:
                 rows += 1
     if not rows:
         return len(basis)
-    rk = exactla.rank(exactla.ExactMatrix.sparse(_la_domain(domain), rows, len(basis), entries))
+    rk = exactla.rank(exactla.ExactMatrix.sparse(g.domain, rows, len(basis), entries))
     return len(basis) - rk
 
 
@@ -346,21 +324,21 @@ def classify(
     """
     if not f.is_homogeneous():
         raise NotSingular("projective classification needs a homogeneous polynomial")
-    if f.domain == "ZZ":
+    if f.domain == ZZ:
         f = f.map_domain(QQ)  # chart scaling needs division
     n = f.nvars
     domain = f.domain
-    pt = [_as_scalar(domain, v) for v in pt]
-    chart = next((i for i, v in enumerate(pt) if not _scalar_zero(v)), None)
+    pt = [coerce(domain, v) for v in pt]
+    chart = next((i for i, v in enumerate(pt) if v), None)
     if chart is None:
         raise NotSingular("zero vector is not a projective point")
-    if f.eval(pt) != _zero_scalar(domain):
+    if f.eval(pt):
         raise NotSingular("point does not lie on the hypersurface")
     # local coordinates: one variable per position != chart
     images = []
     local_index = 0
     m = n - 1
-    inv_c = _scalar_inv(domain, pt[chart])
+    inv_c = 1 / pt[chart]
     for i in range(n):
         if i == chart:
             images.append(MultiPoly.constant(m, domain, 1))
@@ -372,30 +350,6 @@ def classify(
     local = f.substitute(images)
     result = classify_local(local, cap, point=tuple(pt))
     return result
-
-
-def _as_scalar(domain, v):
-    if isinstance(domain, FieldCtx):
-        return domain.element(v)
-    return Fraction(v) if domain == QQ else v
-
-
-def _scalar_zero(v) -> bool:
-    return v.is_zero() if isinstance(v, FieldElement) else v == 0
-
-
-def _zero_scalar(domain):
-    if isinstance(domain, FieldCtx):
-        return domain.zero()
-    return Fraction(0) if domain == QQ else 0
-
-
-def _scalar_inv(domain, v):
-    if isinstance(domain, FieldCtx):
-        from .fields import inv
-
-        return inv(v)
-    return Fraction(1) / Fraction(v)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +398,8 @@ def hunt_members(
             continue
         params = _params(ctx, digits[t])
         if classify_points:
-            member_poly = fam.specialize(params)
+            # a family without parameters specialises to its own integer polynomial
+            member_poly = fam.specialize(params).map_domain(ctx)
             spts = [_classified(member_poly, coords, cap) for coords in pts]
         else:
             spts = [SingularPoint(coords) for coords in pts]
@@ -473,7 +428,7 @@ def _family_scan(
         return
     n = fam.nvars
     _check_budget(ctx.q, n, budget)
-    poly = _over_field(fam.poly, ctx)
+    poly = fam.poly.map_domain(ctx)
     check_f = not (fam.is_homogeneous_in_x() and fam.x_degree % ctx.p)
     points = _projective_array(ctx, n)
     for start in range(0, params.shape[1], SCAN_CELLS):
@@ -543,7 +498,7 @@ def _solve_at_point_candidates(
             "solve-at-point needs a family that is linear in the parameters"
         )
     n, npar, p = fam.nvars, fam.nparams, ctx.p
-    poly = _over_field(fam.poly, ctx)
+    poly = fam.poly.map_domain(ctx)
     size = projective_size(ctx.q, n)
     _check_budget(ctx.q, n, budget)
     drawn = [split(seed, t).below(size) for t in range(trials)]

@@ -14,8 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from . import exactla
-from .errors import BudgetExceeded, InsufficientPoints, NotOnVariety
-from .fields import FieldCtx, FieldElement, monomial_values, parse_element, to_planes
+from .errors import BudgetExceeded, InsufficientPoints, NotOnVariety, SinghuntError, at_line, data_lines
+from .fields import FieldCtx, monomial_values, parse_element, to_planes
 from .poly import MultiPoly, monomial_basis
 from .rng import split
 
@@ -46,12 +46,14 @@ class PointSet:
 
     @classmethod
     def from_text(cls, ctx: FieldCtx, text: str, dedup: bool = True) -> "PointSet":
+        """One point per line; every point has as many coordinates as the first."""
         pts = []
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            pts.append(tuple(parse_element(ctx, tok) for tok in line.split()))
+        for lineno, line in data_lines(text):
+            with at_line(lineno):
+                point = tuple(parse_element(ctx, tok) for tok in line.split())
+                if pts and len(point) != len(pts[0]):
+                    raise SinghuntError(f"{len(point)} coordinates, the first point has {len(pts[0])}")
+            pts.append(point)
         return cls(ctx, pts, dedup)
 
 
@@ -141,23 +143,14 @@ def tangent_dim(gens: Sequence[MultiPoly], pt: Sequence) -> int:
     if not gens:
         raise NotOnVariety("no generators given")
     nvars = gens[0].nvars
-    domain = gens[0].domain
     point = list(pt)
     rows = []
     for g in gens:
-        val = g.eval(point)
-        if not _is_zero(val):
+        if g.eval(point):
             raise NotOnVariety(f"generator {g} does not vanish at the point")
         rows.append([g.partial(i).eval(point) for i in range(nvars)])
-    la_domain = domain if isinstance(domain, FieldCtx) else exactla.QQ
-    rk = exactla.rank(exactla.ExactMatrix.make(la_domain, rows))
+    rk = exactla.rank(exactla.ExactMatrix.make(gens[0].domain, rows))
     return nvars - rk
-
-
-def _is_zero(v) -> bool:
-    if isinstance(v, FieldElement):
-        return v.is_zero()
-    return v == 0
 
 
 def filter_isolated(pts: PointSet, gens: Sequence[MultiPoly]) -> PointSet:

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import exactla
-from .errors import DimensionMismatch, NonIntegral, NoSolution
+from .errors import DimensionMismatch, NonIntegral, NoSolution, data_lines
 from .rng import below_rows
 
 
@@ -400,7 +400,7 @@ def solve_curve_intersections(
             row = [gram_row[nm][L.index(s)] for s in support]
             rows.append(row)
             rhs.append(lhs_pair[nm] - c * pair_val[nm])
-        sol, kernel = exactla.solve(exactla.ExactMatrix.make(exactla.QQ, rows), rhs)
+        sol, kernel = exactla.solve(exactla.ExactMatrix.make(exactla.QQ, rows, len(support)), rhs)
         if sol is None or kernel:
             continue  # inconsistent, or constraints do not pin the multiplicities
         mults = {}
@@ -488,13 +488,11 @@ def unique_curve_solution(solutions: list[CurveSolution]) -> CurveSolution:
 def parse_lattice(text: str) -> GramLattice:
     """A `names:` header line followed by the matrix rows."""
     names = None
-    body = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
+    body = text.splitlines()
+    for lineno, line in data_lines(text):
         if line.startswith("names:"):
             names = line[len("names:"):].split()
-            line = ""  # kept blank so matrix errors report file line numbers
-        body.append(line)
+            body[lineno - 1] = ""  # kept blank so matrix errors report file line numbers
     M = exactla.parse_matrix("\n".join(body))
     if names is None:
         names = [f"E{i + 1}" for i in range(M.rows)]

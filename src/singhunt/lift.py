@@ -23,7 +23,9 @@ from .errors import (
     HeldOutMismatch,
     NoReconstruction,
     SinghuntError,
+    data_lines,
 )
+from .fields import is_prime
 
 
 @dataclass(frozen=True)
@@ -240,24 +242,29 @@ def lift_extension_tuples(rs: ResidueSystem) -> list[Fraction]:
 # integer, a pair "a,b", or a tuple "a,b,...,z" when lifting basis tuples
 # ---------------------------------------------------------------------------
 
-def parse_residue_file(text: str) -> ResidueSystem:
+def parse_residue_file(text: str, shape: str | None = None) -> ResidueSystem:
+    """The residues of a file; a line of one residue gives an int payload, a
+    longer line a tuple.  shape, when given, is the payload every line must
+    have: "value" (one residue), "pair" (two) or "tuple" (as many as on the
+    first line, always a tuple)."""
     pairs = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    width = {"value": 1, "pair": 2}.get(shape)
+    for lineno, line in data_lines(text):
         head, colon, tail = line.partition(":")
         try:
             if not colon:
                 raise ValueError("expected 'prime: residues'")
             p = int(head.strip())
-            parts = [int(tok) for tok in tail.replace(",", " ").split()]
+            if not is_prime(p):
+                raise ValueError(f"{p} is not a prime")
+            parts = tuple(int(tok) for tok in tail.replace(",", " ").split())
+            if not parts:
+                raise ValueError("no residues")
+            if shape == "tuple" and width is None:
+                width = len(parts)
+            if width not in (None, len(parts)):
+                raise ValueError(f"expected {width} residue(s), got {len(parts)}")
         except ValueError as exc:
             raise SinghuntError(f"line {lineno}: bad residue line {line!r}: {exc}") from exc
-        payload: object
-        if len(parts) == 1:
-            payload = parts[0]
-        else:
-            payload = tuple(parts)
-        pairs.append((p, payload))
+        pairs.append((p, parts if len(parts) > 1 or shape == "tuple" else parts[0]))
     return ResidueSystem.make(pairs)

@@ -15,21 +15,19 @@ from .errors import (
     IndexOutOfRange,
     PolySyntaxError,
     UnknownVariable,
+    data_lines,
 )
-from .fields import FieldCtx, FieldElement
+from .fields import FieldCtx, FieldElement, format_element
 
 # Coefficient domains: a FieldCtx instance, or one of the tags below.
 ZZ = "ZZ"
 QQ = "QQ"
 
 
-def _zero_of(domain):
-    if isinstance(domain, FieldCtx):
-        return domain.zero()
-    return Fraction(0) if domain == QQ else 0
-
-
-def _coerce_coeff(domain, value):
+def coerce(domain, value):
+    """value as a scalar of domain: a FieldElement of a FieldCtx, a Fraction
+    over QQ, an int over ZZ.  Raises ContextMismatch for an element of
+    another field, a field element over QQ or ZZ, or a non-integer over ZZ."""
     if isinstance(domain, FieldCtx):
         if isinstance(value, FieldElement):
             if value.ctx != domain:
@@ -51,12 +49,6 @@ def _coerce_coeff(domain, value):
     raise ContextMismatch(f"{value!r} is not an exact integer")
 
 
-def _is_zero_coeff(c) -> bool:
-    if isinstance(c, FieldElement):
-        return c.is_zero()
-    return c == 0
-
-
 class MultiPoly:
     __slots__ = ("nvars", "domain", "terms")
 
@@ -70,8 +62,8 @@ class MultiPoly:
                     raise IndexOutOfRange(
                         f"exponent vector {exps} has length != {nvars}"
                     )
-                c = _coerce_coeff(domain, c)
-                if not _is_zero_coeff(c):
+                c = coerce(domain, c)
+                if c:
                     clean[tuple(int(e) for e in exps)] = c
         self.terms = clean
 
@@ -155,7 +147,7 @@ class MultiPoly:
         return self.scale(other)
 
     def scale(self, scalar) -> "MultiPoly":
-        scalar = _coerce_coeff(self.domain, scalar)
+        scalar = coerce(self.domain, scalar)
         return MultiPoly(
             self.nvars, self.domain, {e: c * scalar for e, c in self.terms.items()}
         )
@@ -177,8 +169,8 @@ class MultiPoly:
             raise IndexOutOfRange(
                 f"point of length {len(point)} for {self.nvars} variables"
             )
-        values = [_coerce_coeff(self.domain, v) for v in point]
-        acc = _zero_of(self.domain)
+        values = [coerce(self.domain, v) for v in point]
+        acc = coerce(self.domain, 0)
         for exps, c in self.terms.items():
             term = c
             for v, e in zip(values, exps):
@@ -198,7 +190,7 @@ class MultiPoly:
                 continue
             new = list(exps)
             new[index] = e - 1
-            terms[tuple(new)] = c * _coerce_coeff(self.domain, e)
+            terms[tuple(new)] = c * coerce(self.domain, e)
         return MultiPoly(self.nvars, self.domain, terms)
 
     def substitute(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
@@ -242,12 +234,12 @@ def _convert(c, domain):
             if c.ctx != domain:
                 raise ContextMismatch("cannot move elements between field contexts")
             return c
-        return _coerce_coeff(domain, c)
+        return coerce(domain, c)
     if isinstance(c, FieldElement):
         if c.ctx.k != 1:
             raise ContextMismatch("cannot lift an extension-field coefficient directly")
-        return _coerce_coeff(domain, c.coeffs[0])
-    return _coerce_coeff(domain, c)
+        return coerce(domain, c.coeffs[0])
+    return coerce(domain, c)
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +317,14 @@ class ParametricFamily:
             domain = QQ
         else:
             domain = self.poly.domain
-        values = [_coerce_coeff(domain, v) for v in params]
+        values = [coerce(domain, v) for v in params]
         terms: dict = {}
         for exps, c in self.poly.terms.items():
             coeff = _convert(c, domain)
             for v, e in zip(values, exps[self.nvars:]):
                 if e:
                     coeff = coeff * (v**e if e > 1 else v)
-            if _is_zero_coeff(coeff):
+            if not coeff:
                 continue
             key = exps[: self.nvars]
             acc = terms.get(key)
@@ -366,10 +358,10 @@ def parse_poly(text: str, nvars: int, domain=ZZ) -> MultiPoly:
     return _parse_poly(text, nvars, 0, domain)
 
 
-def _parse_poly(text: str, nvars: int, nparams: int, domain) -> MultiPoly:
+def _parse_poly(text: str, nvars: int, nparams: int, domain, line: int = 1) -> MultiPoly:
+    """line: the file line that text starts on, for error positions."""
     total = nvars + nparams
     terms: dict = {}
-    line = 1
     i = 0
     n = len(text)
 
@@ -418,8 +410,8 @@ def _parse_poly(text: str, nvars: int, nparams: int, domain) -> MultiPoly:
                     dstart = i
                     while i < n and text[i].isdigit():
                         i += 1
-                    if dstart == i:
-                        err("missing denominator", i + 1)
+                    if dstart == i or not int(text[dstart:i]):
+                        err("missing or zero denominator", i + 1)
                     coeff *= Fraction(num, int(text[dstart:i]))
                 else:
                     coeff *= num
@@ -477,12 +469,7 @@ def _parse_poly(text: str, nvars: int, nparams: int, domain) -> MultiPoly:
         expect_term = False
         first = False
 
-    out: dict = {}
-    for exps, c in terms.items():
-        if c == 0:
-            continue
-        out[exps] = c if domain == QQ else c  # coercion happens in MultiPoly
-    return MultiPoly(total, domain, out)
+    return MultiPoly(total, domain, terms)
 
 
 def format_poly(f: MultiPoly, nvars: int | None = None, nparams: int = 0) -> str:
@@ -496,7 +483,7 @@ def format_poly(f: MultiPoly, nvars: int | None = None, nparams: int = 0) -> str
         c = f.terms[exps]
         if isinstance(c, FieldElement):
             csign, cabs = 1, _field_coeff_str(c)
-            is_one = c == c.ctx.one()
+            is_one = c == 1
         else:
             csign = -1 if c < 0 else 1
             cc = -c if c < 0 else c
@@ -523,19 +510,13 @@ def format_poly(f: MultiPoly, nvars: int | None = None, nparams: int = 0) -> str
 
 
 def _field_coeff_str(c: FieldElement) -> str:
-    if c.ctx.k == 1:
-        return str(c.coeffs[0])
-    from .fields import format_element
-
-    return f"({format_element(c)})"
+    text = format_element(c)
+    return text if c.ctx.k == 1 else f"({text})"
 
 
 def parse_poly_file(text: str, nvars: int, nparams: int = 0) -> list[ParametricFamily]:
     """One polynomial per line; '#' starts a comment; blank lines skipped."""
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        out.append(parse(line, nvars, nparams))
-    return out
+    return [
+        ParametricFamily(_parse_poly(line, nvars, nparams, ZZ, lineno), nvars, nparams)
+        for lineno, line in data_lines(text)
+    ]

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -346,6 +347,40 @@ def test_residue_line_without_colon_is_data_error(tmp_path, capsys):
     assert f"{res}: line 3: bad residue line '103 7'" in err
 
 
+def test_lift_tuples_reads_the_tuple_length_from_the_file(tmp_path, capsys):
+    res = tmp_path / "tuples.txt"
+    res.write_text("101: 3, 0, 1\n103: 3, 0, 1\n107: 3, 0, 1\n")
+    assert main(["lift", "--residues", str(res), "--tuples"]) == 0
+    assert "tuple: (3, 0, 1)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, flags, where, reason", [
+    ("101: 1,2\n103: 3,4\n107: 5,6\n", [], "line 1", "expected 1 residue(s), got 2"),
+    ("101: 1\n103: 3\n107: 5\n", ["--pairs"], "line 1", "expected 2 residue(s), got 1"),
+    ("101: 1,2\n# note\n103: 3\n", ["--tuples"], "line 3", "expected 2 residue(s), got 1"),
+    ("101: 1\n103:\n", [], "line 2", "no residues"),
+    ("101: 1\n8: 3\n", [], "line 2", "8 is not a prime"),
+])
+def test_residue_payloads_of_the_wrong_shape_are_data_errors(tmp_path, capsys, text, flags, where, reason):
+    res = tmp_path / "res.txt"
+    res.write_text(text)
+    assert main(["lift", "--residues", str(res)] + flags) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {res}: {where}: bad residue line") and reason in err
+
+
+def test_family_and_points_errors_name_the_file_and_line(tmp_path, capsys):
+    fam = tmp_path / "fam.txt"
+    fam.write_text("# a conic\n\nx0^2+x1^2+x2^2+p1*x0*x1 ? p2\n")
+    assert main(["hunt", "--family", str(fam), "--field", "7"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fam}: ") and "(line 3, column" in err
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0 1 0\n0 x 1\n")
+    assert main(["interpolate", "--points", str(pts), "--field", "7", "--degree", "1"]) == 3
+    assert capsys.readouterr().err == f"error: {pts}: line 2: bad prime-field element 'x'\n"
+
+
 def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     fam = tmp_path / "hesse.txt"
     fam.write_text(HESSE)
@@ -590,3 +625,75 @@ def test_fuzzed_solve_files_keep_the_exit_contract(tmp_path_factory, files):
     assert code in (0, 1, 3), code
     assert (code == 1) == ("\n  FAIL | " in out.getvalue())
     assert (code == 3) == err.getvalue().startswith("error: "), err.getvalue()
+
+
+FAMILY_TERMS = ["x0^2", "x1^2", "x2^2", "x0*x1", "3*x0*x2", "p1*x0*x1", "p2*x1*x2", "p1*x2^2", "x1", "2"]
+BAD_TERMS = ["1/0*x0", "2/3*x1^2", "x", "p0", "x0^", "*x0", "x0^2 x1", "+"]
+POINT_ENTRIES = ["0", "1", "2", "3", "-1", "13"]
+BAD_ENTRIES = ["t", "x", "1/2", ""]
+RESIDUE_PRIMES = [101, 103, 107, 109, 113]
+
+
+@st.composite
+def family_points_and_residue_files(draw):
+    """A family, a points and a residue file: mostly well formed (a family
+    over x0..x2 and p1..p2, points of one length, residues of small
+    rationals modulo distinct primes, one width per file), with a
+    corruption at each step now and then."""
+    terms = draw(st.lists(st.sampled_from(FAMILY_TERMS), min_size=1, max_size=5))
+    if rarely(draw):
+        terms.insert(draw(st.integers(0, len(terms))), draw(st.sampled_from(BAD_TERMS)))
+    family = [" + ".join(terms)]
+    if rarely(draw):
+        family.append(draw(st.sampled_from(["# note", "", family[0]])))
+
+    n = draw(st.integers(1, 3))
+    points = [[draw(st.sampled_from(POINT_ENTRIES)) for _ in range(n)] for _ in range(draw(st.integers(0, 8)))]
+    if points and rarely(draw):
+        points[-1].append(draw(st.sampled_from(POINT_ENTRIES + BAD_ENTRIES)))
+    if points and rarely(draw):
+        points[0][0] = draw(st.sampled_from(BAD_ENTRIES))
+
+    width = draw(st.integers(1, 3))
+    values = [Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9))) for _ in range(width)]
+    primes = draw(st.lists(st.sampled_from(RESIDUE_PRIMES), min_size=2, max_size=5, unique=True))
+    residues = []
+    for p in primes:
+        payload = [v.numerator * pow(v.denominator, -1, p) % p for v in values]
+        if rarely(draw):
+            payload[0] += 1  # a bad prime
+        if rarely(draw):
+            payload = payload[:-1] if draw(st.booleans()) else payload + [1]
+        head = draw(st.sampled_from(["8", "x", "101", ""])) if rarely(draw) else str(p)
+        residues.append(f"{head}: " + ", ".join(map(str, payload)))
+    if rarely(draw):
+        residues.append(draw(st.sampled_from(["# note", "103 7", "107:", "109: 1,,2"])))
+
+    def lines(rows):
+        return "\n".join(draw(st.permutations(rows))) + "\n"
+
+    return lines(family), lines([" ".join(pt) for pt in points]), lines(residues)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(family_points_and_residue_files())
+def test_fuzzed_family_points_and_residue_files_keep_the_exit_contract(tmp_path_factory, files):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    fam, pts, res = tmp / "family.txt", tmp / "points.txt", tmp / "residues.txt"
+    for path, text in zip((fam, pts, res), files):
+        path.write_text(text)
+    for argv in (
+        ["hunt", "--family", str(fam), "--field", "7", "--trials", "3", "--classify"],
+        ["hunt", "--family", str(fam), "--field", "7", "--trials", "2", "--strategy", "solve-at-point"],
+        ["interpolate", "--points", str(pts), "--field", "7", "--degree", "1"],
+        ["interpolate", "--points", str(pts), "--field", "7", "--degree", "1", "--slack", "1"],
+        ["lift", "--residues", str(res)],
+        ["lift", "--residues", str(res), "--pairs"],
+        ["lift", "--residues", str(res), "--tuples"],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 3), (argv, code)
+        assert (code == 1) == ("\n  FAIL | " in out.getvalue()), argv
+        assert (code == 3) == err.getvalue().startswith("error: "), (argv, err.getvalue())

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from singhunt.errors import ContextMismatch, NotSquare
 from singhunt.exactla import (
     QQ,
+    ZZ,
     ExactMatrix,
     determinant,
     is_negative_definite,
@@ -282,6 +283,19 @@ def test_every_field_elimination_goes_through_rref(monkeypatch):
     span_intersection([[1, 0, 0], [0, 1, 0]], [[1, 1, 0]], ctx)
     # rank 1, nullspace 1, solve 2 (augmented, then its kernel), span_intersection 2
     assert calls == [ctx] * 6
+
+
+@pytest.mark.parametrize("domain", [QQ, field_create(7), field_create(3, 2)])
+def test_empty_system_leaves_every_unknown_free(domain):
+    x, kernel = solve(ExactMatrix.make(domain, [], 3), [])
+    assert x == [0, 0, 0]
+    assert kernel == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_integer_matrices_are_stored_over_qq():
+    A = ExactMatrix.make(ZZ, [[2, 4], [1, 2]])
+    assert A.domain == "QQ" and A == ExactMatrix.make(QQ, [[2, 4], [1, 2]])
+    assert rank(A) == 1 and nullspace(A) == [[2, -1]]
 
 
 def test_determinant_is_rational_only():

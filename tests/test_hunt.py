@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from singhunt import hunt
@@ -378,6 +379,35 @@ def test_tjurina_of_ak_normal_form(k):
     f = parse_poly(f"x0^2+x1^2+x2^{k + 1}", 3, domain=QQ)
     res = classify_local(f, cap=max(8, k + 2))
     assert res.tjurina == k and res.label == f"A{k}"
+
+
+def groebner_tjurina(text: str, nvars: int, p: int | None = None) -> int:
+    """dim k[x]/(g, dg/dx0, ...) over Q (or GF(p)): the standard monomials of
+    a sympy Groebner basis, counted.  For a g whose only singular point is
+    the origin this is the Tjurina number there."""
+    xs = sympy.symbols(f"x0:{nvars}")
+    g = sympy.sympify(text.replace("^", "**"), locals={str(x): x for x in xs})
+    basis = sympy.groebner([g] + [g.diff(x) for x in xs], *xs, order="grevlex",
+                           **({"modulus": p} if p else {}))
+    leads = [sympy.Poly(h, *xs).monoms(order="grevlex")[0] for h in basis.exprs]
+    # the ideal is zero-dimensional, so every variable has a pure power among the leads
+    tops = [min(m[i] for m in leads if sum(m) == m[i] > 0) for i in range(nvars)]
+    return sum(
+        not any(all(a >= b for a, b in zip(m, lead)) for lead in leads)
+        for m in itertools.product(*map(range, tops))
+    )
+
+
+@pytest.mark.parametrize("text, nvars", [(f"x0^2+x1^{k + 1}", 2) for k in range(1, 7)] + [
+    ("x0^2+x1^2+x2^4+x0*x2^2", 3),  # A3 after completing the square
+    ("x0^3+x1^4", 2),  # E6, corank 2
+    ("x0^2*x1+x1^3", 2),  # D4, corank 2
+    ("x0^4+x1^5+x0^2*x1^3", 2),  # not quasi-homogeneous: tau 11 < mu 12
+])
+@pytest.mark.parametrize("domain", [QQ, F11], ids=["QQ", "GF11"])
+def test_tjurina_matches_a_groebner_basis_oracle(text, nvars, domain):
+    res = classify_local(parse_poly(text, nvars, domain=domain))
+    assert res.tjurina == groebner_tjurina(text, nvars, None if domain == QQ else domain.p)
 
 
 def test_classify_coordinate_invariance():

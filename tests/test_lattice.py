@@ -414,6 +414,11 @@ def test_solve_inconsistent_template():
         unique_curve_solution(sols)
 
 
+def test_solve_without_constraints_pins_nothing():
+    # no pairing is fixed, so no multiplicity is forced
+    assert solve_curve_intersections(L9, godeaux.C_TEMPLATE, {}) == []
+
+
 def test_solutions_lie_in_extended_radical():
     sols = solve_curve_intersections(
         L9, godeaux.C_TEMPLATE, godeaux.C_CONSTRAINTS, contact=godeaux.C_CONTACTS
