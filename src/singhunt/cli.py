@@ -137,6 +137,8 @@ def cmd_hunt(args) -> int:
                                         nparams if args.nparams is None else args.nparams)
         if len(families) != 1:
             raise SinghuntError(f"family file must contain one polynomial, got {len(families)}")
+        if families[0].nvars == 0:
+            raise SinghuntError("family has no variable x0, x1, ...")
         return families[0]
 
     fam = _load(args.family, parse_family)

@@ -1,18 +1,20 @@
 """Dense exact linear algebra over GF(p^k) and over the rationals.
 
-Everything here is exact: Fractions (arbitrary precision) over QQ, and over
-every finite field the digit planes of ``fields``, eliminated with numpy
-(int64 where a product of residues fits, Python ints otherwise).  A
-finite-field ExactMatrix holds its planes; its entries (ints over GF(p),
-FieldElements over GF(p^k)) are derived from them only when read.  Every
-elimination goes through ``rref``.  Rational determinants use fraction-free
-Bareiss elimination to limit intermediate swell.
+Everything here is exact.  A rational ExactMatrix holds integer rows (Python
+ints) over one common positive denominator; one fraction-free Gauss-Jordan
+elimination over Z serves its rref, rank, kernel, solve and determinant, with
+no Fraction arithmetic.  Over every finite field a matrix holds the digit
+planes of ``fields``, eliminated with numpy (int64 where a product of
+residues fits, Python ints otherwise).  Either way the entries (over QQ ints,
+or Fractions where not integral; ints over GF(p), FieldElements over GF(p^k))
+are derived only when first read.  Every rank, kernel, solve and span intersection goes through ``rref``;
+``determinant`` runs its elimination directly, for the row swaps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -32,15 +34,17 @@ from .poly import QQ, ZZ
 
 
 class ExactMatrix:
-    __slots__ = ("rows", "cols", "domain", "planes", "_data")
+    __slots__ = ("rows", "cols", "domain", "planes", "num", "den", "_data")
 
-    def __init__(self, rows: int, cols: int, domain, data: list[list] | None = None,
-                 planes: np.ndarray | None = None):
+    def __init__(self, rows: int, cols: int, domain, planes: np.ndarray | None = None,
+                 num: list[list[int]] | None = None, den: int = 1):
         self.rows = rows
         self.cols = cols
         self.domain = domain
         self.planes = planes  # digit planes (k x rows x cols) over a finite field
-        self._data = data  # entries over QQ
+        self.num = num  # integer rows over QQ: entry (i, j) is num[i][j] / den
+        self.den = den  # positive
+        self._data = None
 
     @classmethod
     def make(cls, domain, entries: Sequence[Sequence], cols: int | None = None) -> "ExactMatrix":
@@ -53,9 +57,9 @@ class ExactMatrix:
             raise DimensionMismatch("ragged matrix")
         if isinstance(domain, FieldCtx):
             return cls.from_planes(domain, to_planes(domain, entries).reshape(domain.k, rows, cols))
-        if domain not in (QQ, ZZ):
-            raise ContextMismatch(f"unknown coefficient domain {domain!r}")
-        return cls(rows, cols, QQ, [[_rational(v) for v in row] for row in entries])
+        _check_rational(domain)
+        num, den = _integer_rows(entries)
+        return cls(rows, cols, QQ, num=num, den=den)
 
     @classmethod
     def from_planes(cls, ctx: FieldCtx, planes: np.ndarray) -> "ExactMatrix":
@@ -66,10 +70,12 @@ class ExactMatrix:
     def sparse(cls, domain, rows: int, cols: int, entries: dict) -> "ExactMatrix":
         """The rows x cols matrix whose nonzero entries are entries[(row, column)]."""
         if not isinstance(domain, FieldCtx):
-            dense = [[0] * cols for _ in range(rows)]
-            for (i, j), v in entries.items():
-                dense[i][j] = v
-            return cls.make(domain, dense, cols)
+            _check_rational(domain)
+            (values,), den = _integer_rows([list(entries.values())])
+            num = [[0] * cols for _ in range(rows)]
+            for (i, j), v in zip(entries, values):
+                num[i][j] = v
+            return cls(rows, cols, QQ, num=num, den=den)
         planes = np.zeros((domain.k, rows, cols), dtype=_dtype(domain.p))
         if entries:
             i, j = zip(*entries)
@@ -84,9 +90,16 @@ class ExactMatrix:
 
     @property
     def data(self) -> list[list]:
-        """The entries as nested lists (see ``fields.to_scalars`` over a finite field)."""
+        """The entries as nested lists: over QQ ints, with Fractions only
+        where an entry is not integral; over a finite field see
+        ``fields.to_scalars``."""
         if self._data is None:
-            self._data = to_scalars(self.domain, self.planes)
+            if self.domain == QQ:
+                den = self.den
+                self._data = [[Fraction(x, den) if x % den else x // den for x in row]
+                              for row in self.num]
+            else:
+                self._data = to_scalars(self.domain, self.planes)
         return self._data
 
     def __getitem__(self, ij):
@@ -108,10 +121,26 @@ class ExactMatrix:
         return f"<ExactMatrix {self.rows}x{self.cols} over {self.domain}>\n{body}"
 
 
+def _check_rational(domain) -> None:
+    if domain not in (QQ, ZZ):
+        raise ContextMismatch(f"unknown coefficient domain {domain!r}")
+
+
 def _rational(v) -> Fraction:
     if isinstance(v, FieldElement):
         raise ContextMismatch("field element in a rational matrix")
     return Fraction(v)
+
+
+def _integer_rows(entries: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(num, den): rows of ints and the least positive den with entries == num / den."""
+    try:  # ints and Fractions both have a numerator and a denominator
+        den = lcm(*{v.denominator for row in entries for v in row})
+    except AttributeError:
+        return _integer_rows([[_rational(v) for v in row] for row in entries])
+    if den == 1:
+        return [[v.numerator for v in row] for row in entries], 1
+    return [[v.numerator * (den // v.denominator) for v in row] for row in entries], den
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +148,68 @@ def _rational(v) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def rref(A: ExactMatrix) -> tuple[ExactMatrix, list[int], int]:
-    """Returns (R, pivot column indices, rank); R is row-equivalent to A."""
+    """Returns (R, pivot column indices, rank); R is row-equivalent to A.
+
+    Over QQ every pivot entry of R.num equals R.den."""
     if A.domain == QQ:
-        data = [list(row) for row in A.data]
-        pivots = _rref_generic(data)
-        return ExactMatrix(A.rows, A.cols, QQ, data), pivots, len(pivots)
+        num = list(A.num)
+        den, pivots, _ = _fraction_free(num)
+        if den < 0:
+            num[: len(pivots)] = [[-x for x in row] for row in num[: len(pivots)]]
+            den = -den
+        return ExactMatrix(A.rows, A.cols, QQ, num=num, den=den), pivots, len(pivots)
     R, pivots = _rref_modp(A.planes, A.domain)
     return ExactMatrix.from_planes(A.domain, R), pivots, len(pivots)
+
+
+def _fraction_free(num: list[list[int]]) -> tuple[int, list[int], int]:
+    """Fraction-free Gauss-Jordan over Z on the rows num, in place.
+
+    For each pivot a in row p, with d the previous pivot (1 at first), every
+    other row becomes (a*row - f*p) / d, f being its entry in the pivot
+    column; the division is exact.  A row with f = 0 is only scaled by a/d,
+    which is put off: at[i] is the pivot at which row i was last updated,
+    its value is num[i] * den / at[i] for the current pivot den, and its
+    next update divides by at[i] instead of den.  Returns (den, pivots,
+    swaps): num / den is the RREF of the input, every pivot entry equals
+    den (the last pivot, of either sign), and swaps counts the row
+    exchanges, so that a square input of full rank has determinant
+    (-1)^swaps * den.
+    """
+    rows = len(num)
+    cols = len(num[0]) if rows else 0
+    at = [1] * rows
+    pivots: list[int] = []
+    den = 1
+    swaps = 0
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if num[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            num[r], num[pr] = num[pr], num[r]
+            at[r], at[pr] = at[pr], at[r]
+            swaps += 1
+        p = num[r] = _scaled(num[r], den, at[r])
+        a = p[c]
+        for i, row in enumerate(num):
+            f = row[c]
+            if f and i != r:
+                num[i] = [(a * x - f * y) // at[i] for x, y in zip(row, p)]
+                at[i] = a
+        at[r] = den = a
+        pivots.append(c)
+    for i in range(len(pivots)):  # the rows below are zero
+        num[i] = _scaled(num[i], den, at[i])
+    return den, pivots, swaps
+
+
+def _scaled(row: list[int], den: int, at: int) -> list[int]:
+    """row * den / at, exactly."""
+    return row if at == den else [x * den // at for x in row]
 
 
 def _rref_modp(M: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, list[int]]:
@@ -155,31 +239,6 @@ def _rref_modp(M: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, list[int]]:
     return M, pivots
 
 
-def _rref_generic(data: list[list]) -> list[int]:
-    """Gauss-Jordan over QQ in place; returns the pivot columns."""
-    rows = len(data)
-    cols = len(data[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        pr = next((i for i in range(r, rows) if data[i][c] != 0), None)
-        if pr is None:
-            continue
-        data[r], data[pr] = data[pr], data[r]
-        inv = 1 / data[r][c]
-        data[r] = [v * inv for v in data[r]]
-        for i in range(rows):
-            if i == r or data[i][c] == 0:
-                continue
-            f = data[i][c]
-            data[i] = [a - f * b for a, b in zip(data[i], data[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
 def rank(A: ExactMatrix) -> int:
     return rref(A)[2]
 
@@ -199,13 +258,22 @@ def nullspace(A: ExactMatrix) -> list[list]:
     if A.domain != QQ:
         return to_scalars(A.domain, _kernel_planes(A))
     R, pivots, _ = rref(A)
+    return _kernel_rows(R, pivots, A.cols)
+
+
+def _kernel_rows(R: ExactMatrix, pivots: list[int], cols: int) -> list[list[int]]:
+    """The primitive kernel basis of the first cols columns of a QQ RREF R
+    whose pivots all lie among them: R.den at the free column f, minus
+    column f of R.num at the pivots."""
     basis = []
-    for fc in (c for c in range(A.cols) if c not in pivots):
-        v = [Fraction(0)] * A.cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -R.data[r][fc]
-        basis.append(_primitive_integer(v))
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        v = [0] * cols
+        v[fc] = R.den
+        for row, pc in zip(R.num, pivots):
+            v[pc] = -row[fc]
+        basis.append(_primitive(v))
     return basis
 
 
@@ -220,67 +288,35 @@ def _kernel_planes(A: ExactMatrix) -> np.ndarray:
     return K
 
 
-def _primitive_integer(v: list[Fraction]) -> list[int]:
-    from math import lcm
+def _primitive(v: list[int]) -> list[int]:
+    """v divided by its content, with its first nonzero entry positive."""
+    g = gcd(*v)
+    if next((x for x in v if x), 0) < 0:
+        g = -g
+    return v if g in (0, 1) else [x // g for x in v]
 
-    denom = 1
-    for x in v:
-        denom = lcm(denom, x.denominator)
-    ints = [int(x * denom) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 1)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return ints
+
+def _primitive_integer(v: Sequence) -> list[int]:
+    """The primitive integer vector (see ``_primitive``) on the line of a rational v."""
+    (ints,), _ = _integer_rows([v])
+    return _primitive(ints)
 
 
 # ---------------------------------------------------------------------------
-# determinants (fraction-free over QQ)
+# determinants
 # ---------------------------------------------------------------------------
 
-def determinant(A: ExactMatrix):
+def determinant(A: ExactMatrix) -> Fraction:
+    """det(A) over QQ: +-den of the fraction-free elimination of A.num, by
+    the parity of its row swaps, over A.den^n; 0 below full rank."""
     if A.domain != QQ:
         raise ContextMismatch("determinant is defined for rational matrices")
     if A.rows != A.cols:
         raise NotSquare(f"{A.rows}x{A.cols} matrix has no determinant")
-    if A.rows == 0:
-        return Fraction(1)
-    from math import lcm
-
-    scale = Fraction(1)
-    int_rows = []
-    for row in A.data:
-        d = 1
-        for x in row:
-            d = lcm(d, x.denominator)
-        scale /= d
-        int_rows.append([int(x * d) for x in row])
-    return scale * _bareiss(int_rows)
-
-
-def _bareiss(m: list[list[int]]):
-    """Fraction-free elimination; every division below is exact."""
-    n = len(m)
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1])
+    den, pivots, swaps = _fraction_free(list(A.num))
+    if len(pivots) < A.rows:
+        return Fraction(0)
+    return Fraction(-den if swaps % 2 else den, A.den ** A.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +327,9 @@ def matvec(A: ExactMatrix, v: Sequence) -> list:
     if len(v) != A.cols:
         raise DimensionMismatch("vector length does not match column count")
     if A.domain == QQ:
-        vals = [_rational(x) for x in v]
-        return [sum((a * x for a, x in zip(row, vals)), Fraction(0)) for row in A.data]
+        (ints,), den = _integer_rows([v])
+        den *= A.den
+        return [Fraction(sum(a * x for a, x in zip(row, ints)), den) for row in A.num]
     ctx = A.domain
     column = to_planes(ctx, list(v)).reshape(ctx.k, A.cols, 1)
     return to_scalars(ctx, plane_matmul(ctx, A.planes, column)[:, :, 0])
@@ -302,23 +339,28 @@ def solve(A: ExactMatrix, b: Sequence) -> tuple[list | None, list[list]]:
     """All solutions of A x = b as (particular, kernel basis); None if none."""
     b = list(b)[: A.rows]
     if A.domain == QQ:
-        aug = ExactMatrix.make(QQ, [list(row) + [bv] for row, bv in zip(A.data, b)], A.cols + 1)
-    else:
-        ctx = A.domain
-        column = to_planes(ctx, b).reshape(ctx.k, len(b), 1)
-        aug = ExactMatrix.from_planes(ctx, np.concatenate([A.planes[:, :len(b)], column], axis=2))
+        (ints,), bden = _integer_rows([b])
+        den = lcm(A.den, bden)
+        s, t = den // A.den, den // bden
+        aug = [[x * s for x in row] + [y * t] for row, y in zip(A.num, ints)]
+        R, pivots, _ = rref(ExactMatrix(len(aug), A.cols + 1, QQ, num=aug, den=den))
+        if A.cols in pivots:
+            return None, []
+        x = [Fraction(0)] * A.cols
+        for row, pc in zip(R.num, pivots):
+            x[pc] = Fraction(row[A.cols], R.den)
+        if len(b) < A.rows:
+            return x, nullspace(A)
+        return x, _kernel_rows(R, pivots, A.cols)  # the first A.cols columns of R are A's RREF
+    ctx = A.domain
+    column = to_planes(ctx, b).reshape(ctx.k, len(b), 1)
+    aug = ExactMatrix.from_planes(ctx, np.concatenate([A.planes[:, :len(b)], column], axis=2))
     R, pivots, _ = rref(aug)
     if A.cols in pivots:
         return None, []
-    if A.domain == QQ:
-        x = [Fraction(0)] * A.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = R.data[r][A.cols]
-    else:
-        X = np.zeros((A.domain.k, A.cols), dtype=R.planes.dtype)
-        X[:, pivots] = R.planes[:, :len(pivots), A.cols]
-        x = to_scalars(A.domain, X)
-    return x, nullspace(A)
+    X = np.zeros((ctx.k, A.cols), dtype=R.planes.dtype)
+    X[:, pivots] = R.planes[:, :len(pivots), A.cols]
+    return to_scalars(ctx, X), nullspace(A)
 
 
 def row_span_rank(rows: Sequence[Sequence], domain) -> int:
@@ -352,77 +394,55 @@ def in_row_span(rows: Sequence[Sequence], v: Sequence, domain) -> bool:
 # symmetric forms: definiteness and signature, all exact
 # ---------------------------------------------------------------------------
 
-def leading_minors(A: ExactMatrix) -> list:
+def leading_minors(A: ExactMatrix) -> list[Fraction]:
+    if A.domain != QQ:
+        raise ContextMismatch("leading minors are defined for rational matrices")
     if A.rows != A.cols:
         raise NotSquare("leading minors need a square matrix")
-    out = []
-    for k in range(1, A.rows + 1):
-        sub = ExactMatrix.make(A.domain, [row[:k] for row in A.data[:k]])
-        out.append(determinant(sub))
-    return out
+    return [determinant(ExactMatrix(k, k, QQ, num=[row[:k] for row in A.num[:k]], den=A.den))
+            for k in range(1, A.rows + 1)]
 
 
 def is_negative_definite(A: ExactMatrix) -> bool:
-    """Sylvester: -A has all leading principal minors positive."""
-    neg = ExactMatrix.make(A.domain, [[-v for v in row] for row in A.data])
-    return all(m > 0 for m in leading_minors(neg))
+    """Sylvester: -A has all leading principal minors positive, that is the
+    k-th leading minor of A has the sign of (-1)^k."""
+    return all((-1) ** k * m > 0 for k, m in enumerate(leading_minors(A), 1))
 
 
 def symmetric_signature(A: ExactMatrix) -> tuple[int, int, int]:
     """(n_plus, n_minus, n_zero) of a symmetric rational matrix.
 
-    Congruence-reduces with symmetric pivots; a zero diagonal with a nonzero
-    off-diagonal entry is repaired by adding the partner row/column, which
-    preserves the congruence class.
+    Splits off one nonzero diagonal pivot d at a time: the signature is that
+    of d plus that of its Schur complement, kept in integers as |d| times
+    the complement over the gcd of its entries.  A zero diagonal with a
+    nonzero off-diagonal entry is repaired by adding the partner row and
+    column, which preserves the congruence class.
     """
     if A.domain != QQ:
         raise ContextMismatch("signature is defined for rational matrices")
-    n = A.rows
-    m = [[Fraction(v) for v in row] for row in A.data]
+    m = [list(row) for row in A.num]  # A.num / A.den, and A.den > 0
     plus = minus = 0
-    idx = list(range(n))
-    used = 0
-    while used < n:
-        k = used
-        piv = next((i for i in range(used, n) if m[i][i] != 0), None)
-        if piv is None:
-            pair = None
-            for i in range(used, n):
-                for j in range(i + 1, n):
-                    if m[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+    while m:
+        n = len(m)
+        k = next((i for i in range(n) if m[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j]), None)
             if pair is None:
-                break  # remaining block is zero
-            i, j = pair
-            for c in range(n):
-                m[i][c] += m[j][c]
-            for r in range(n):
-                m[r][i] += m[r][j]
-            piv = i
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            for r in range(n):
-                m[r][k], m[r][piv] = m[r][piv], m[r][k]
+                break  # the rest is zero
+            k, j = pair
+            m[k] = [x + y for x, y in zip(m[k], m[j])]
+            for row in m:
+                row[k] += row[j]
         d = m[k][k]
-        if d > 0:
-            plus += 1
-        else:
-            minus += 1
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] / d
-                for c in range(n):
-                    m[i][c] -= f * m[k][c]
-        for j in range(k + 1, n):
-            if m[k][j] != 0:
-                f = m[k][j] / d
-                for r in range(n):
-                    m[r][j] -= f * m[r][k]
-        used += 1
-    return plus, minus, n - plus - minus
+        sign = 1 if d > 0 else -1
+        plus += sign > 0
+        minus += sign < 0
+        rest = [i for i in range(n) if i != k]
+        m = [[sign * (d * m[i][j] - m[i][k] * m[k][j]) for j in rest] for i in rest]
+        g = gcd(*(x for row in m for x in row))
+        if g > 1:
+            m = [[x // g for x in row] for row in m]
+    return plus, minus, A.rows - plus - minus
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +454,19 @@ def parse_matrix(text: str, domain=QQ) -> ExactMatrix:
     rows = []
     for lineno, line in data_lines(text.replace("[", " ").replace("]", " ")):
         try:
-            rows.append([Fraction(tok) for tok in line.split()])
+            rows.append([_parse_entry(tok) for tok in line.split()])
         except (ValueError, ZeroDivisionError) as exc:
             raise MatrixSyntaxError(f"line {lineno}: bad matrix entry: {exc}") from exc
     if not rows:
         raise DimensionMismatch("empty matrix")
     return ExactMatrix.make(domain, rows)
+
+
+def _parse_entry(tok: str) -> int | Fraction:
+    try:
+        return int(tok)
+    except ValueError:
+        return Fraction(tok)
 
 
 def format_matrix(A: ExactMatrix) -> str:

@@ -413,9 +413,12 @@ def _params(ctx: FieldCtx, digits: np.ndarray) -> list[FieldElement]:
 
 
 def _classified(member_poly: MultiPoly, coords: tuple, cap: int) -> SingularPoint:
+    """The classified point, or an unclassified one with the reason where
+    classification does not apply: a characteristic too small for the degree,
+    or a member that is not homogeneous in x."""
     try:
         return classify(member_poly, coords, cap)
-    except SmallCharacteristic as exc:
+    except (SmallCharacteristic, NotSingular) as exc:
         return SingularPoint(coords, UNCLASSIFIED, None, None, str(exc))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import gcd, prod
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -272,9 +272,7 @@ def search_relations(
                     rels = tuple(sorted(canonical_relation(v, k_index) for v in rad))
                     hits.append(RelationHit(pairings, self_int, rels))
     else:
-        inv = _inverse_rows(L)
-        D = lcm(*(x.denominator for row in inv for x in row))
-        A = [[int(x * D) for x in row] for row in inv]
+        A, D = _inverse_rows(L)
         vmax = max((max(abs(r.start), abs(r.stop - 1)) for r in ranges[:-1]), default=0)
         smax = max(abs(ranges[-1].start), abs(ranges[-1].stop - 1))
         amax = max((abs(x) for row in A for x in row), default=0)
@@ -313,12 +311,16 @@ def _box_blocks(ranges: Sequence[range], seed: int, draws: int | None, dtype):
         yield offsets.astype(dtype) + starts
 
 
-def _inverse_rows(L: GramLattice) -> list[list[Fraction]]:
+def _inverse_rows(L: GramLattice) -> tuple[list[list[int]], int]:
+    """(A, D) with A = D*M^-1 integral and D the least positive such integer,
+    for the nondegenerate Gram matrix M of L."""
     n = L.size
     aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(L.gram)]
     R, pivots, rk = exactla.rref(exactla.ExactMatrix.make(exactla.QQ, aug))
     assert rk == n
-    return [row[n:] for row in R.data]
+    # R = [I | M^-1] is R.num / R.den; cancel what R.den shares with every entry
+    g = gcd(R.den, *(x for row in R.num for x in row[n:]))
+    return [[x // g for x in row[n:]] for row in R.num], R.den // g
 
 
 # ---------------------------------------------------------------------------

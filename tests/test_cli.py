@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singhunt import godeaux, hunt
+from singhunt import godeaux, hunt, poly
 from singhunt.cli import main
 from singhunt.cover import MAX_GROUP_ORDER, AbelianGroup, char_generator_exponents, cyclic_subgroups
+from singhunt.fields import field_create
 from singhunt.lattice import format_lattice
 
 HESSE = "# plane cubics\nx0^3+x1^3+x2^3+p1*x0*x1*x2\n"
@@ -104,6 +105,31 @@ def test_hunt_solve_at_point_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "members: 0" not in out and "member 1: (" in out
+
+
+def test_hunt_classify_reports_non_homogeneous_members_unclassified(tmp_path, capsys):
+    fam = tmp_path / "affine.txt"
+    fam.write_text("x1 + x1 + x0^2 + x0^2 + p2*x1*x2\n")
+    argv = ["hunt", "--family", str(fam), "--field", "7", "--trials", "3"]
+    assert main(argv) == 0
+    plain = strip_timings(capsys.readouterr().out)
+    assert main(argv + ["--classify"]) == 0
+    # the members the plain hunt finds, every point unclassified
+    assert strip_timings(capsys.readouterr().out) == plain
+    assert "  member 1: (6,5) | 1? | (0:0:1)" in plain.splitlines()
+    family = poly.parse_poly_file(fam.read_text(), 3, 2)[0]
+    members = hunt.hunt_members(family, field_create(7), trials=3, classify_points=True)
+    assert [pt.diagnostic for m in members for pt in m.points] == [
+        "projective classification needs a homogeneous polynomial"]
+
+
+@pytest.mark.parametrize("strategy", ["random-params", "solve-at-point"])
+def test_hunt_rejects_a_family_without_variables(tmp_path, capsys, strategy):
+    fam = tmp_path / "constant.txt"
+    fam.write_text("p1+1\n")
+    assert main(["hunt", "--family", str(fam), "--field", "7", "--strategy", strategy]) == 3
+    err = capsys.readouterr().err
+    assert f"{fam}: family has no variable x0, x1, ..." in err and "Traceback" not in err
 
 
 def test_interpolate_command(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from singhunt.errors import ContextMismatch, NotSquare
@@ -22,7 +24,7 @@ from singhunt.exactla import (
     span_intersection,
     symmetric_signature,
 )
-from singhunt.fields import field_create, inv
+from singhunt.fields import field_create
 from singhunt.lattice import GODEAUX_GRAM_TEXT
 
 GRAM = parse_matrix(GODEAUX_GRAM_TEXT)
@@ -116,7 +118,7 @@ def fraction_gauss_det(rows):
     return det
 
 
-def test_bareiss_matches_fraction_elimination():
+def test_determinant_matches_fraction_elimination():
     rnd = random.Random(5)
     for _ in range(40):
         n = rnd.randint(1, 6)
@@ -167,20 +169,23 @@ def test_rank_nullity_extension_field():
             assert all(x.is_zero() for x in matvec(A, v))
 
 
-def reference_rref(ctx, rows):
-    """Gauss-Jordan in FieldElement arithmetic, the reference for the digit planes."""
-    data = [[ctx.element(v) for v in row] for row in rows]
+def reference_rref(domain, rows):
+    """Gauss-Jordan in Fraction arithmetic over QQ and in FieldElement
+    arithmetic over a finite field: the reference for the integer rows and
+    for the digit planes."""
+    scalar = Fraction if domain == QQ else domain.element
+    data = [[scalar(v) for v in row] for row in rows]
     pivots = []
     r = 0
     for c in range(len(data[0]) if data else 0):
-        pr = next((i for i in range(r, len(data)) if not data[i][c].is_zero()), None)
+        pr = next((i for i in range(r, len(data)) if data[i][c]), None)
         if pr is None:
             continue
         data[r], data[pr] = data[pr], data[r]
-        scale = inv(data[r][c])
+        scale = 1 / data[r][c]
         data[r] = [v * scale for v in data[r]]
         for i in range(len(data)):
-            if i != r and not data[i][c].is_zero():
+            if i != r and data[i][c]:
                 f = data[i][c]
                 data[i] = [a - f * b for a, b in zip(data[i], data[r])]
         pivots.append(c)
@@ -190,16 +195,31 @@ def reference_rref(ctx, rows):
     return data, pivots
 
 
-def reference_kernel(ctx, rows, cols):
-    R, pivots = reference_rref(ctx, rows)
+def reference_kernel(domain, rows, cols):
+    scalar = Fraction if domain == QQ else domain.element
+    R, pivots = reference_rref(domain, rows)
     basis = []
     for fc in (c for c in range(cols) if c not in pivots):
-        v = [ctx.zero()] * cols
-        v[fc] = ctx.one()
+        v = [scalar(0)] * cols
+        v[fc] = scalar(1)
         for r, pc in enumerate(pivots):
             v[pc] = -R[r][fc]
         basis.append(v)
     return basis
+
+
+def reference_primitive(v):
+    """The integer multiple of a rational vector with content 1 and its first
+    nonzero entry positive."""
+    denom = 1
+    for x in v:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in v]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    lead = next((x for x in ints if x != 0), 1)
+    return [x // g * (-1 if lead < 0 else 1) for x in ints] if g else ints
 
 
 def as_elements(ctx, rows):
@@ -349,3 +369,163 @@ def test_matrix_text_round_trip():
     text = format_matrix(GRAM)
     again = parse_matrix(text)
     assert again.data == GRAM.data
+
+
+BIG = 2**64
+
+
+@st.composite
+def rational_systems(draw):
+    """A rational matrix and a right-hand side: mixed denominators, entries
+    past 2^64, often a dependent row, a zero row or a zero column, and
+    possibly no rows (the column count is kept) or no columns."""
+    cols = draw(st.integers(0, 6))
+    entry = st.one_of(
+        st.integers(-3, 3),
+        st.fractions(-5, 5, max_denominator=12),
+        st.integers(BIG, 4 * BIG) | st.integers(-4 * BIG, -BIG),
+        st.builds(Fraction, st.integers(-(BIG**2), BIG**2), st.integers(1, BIG)),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=5))
+    if rows and draw(st.booleans()):  # a combination of two rows
+        u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        a, b = draw(st.fractions(-3, 3, max_denominator=4)), draw(st.integers(-2, 2))
+        rows.insert(draw(st.integers(0, len(rows))), [a * x + b * y for x, y in zip(u, v)])
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = [0] * cols
+    if cols and draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for row in rows:
+            row[j] = 0
+    return rows, cols, draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+
+
+@st.composite
+def rational_squares(draw):
+    """A square rational matrix: random, rank-deficient (one row a
+    combination of two others), or a permutation with nonzero entries."""
+    n = draw(st.integers(0, 6))
+    entry = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=7),
+                      st.integers(-4 * BIG, 4 * BIG))
+    kind = draw(st.sampled_from(["random", "deficient", "permutation"]))
+    if kind == "permutation":
+        perm = draw(st.permutations(range(n)))
+        scale = draw(st.lists(entry.filter(bool), min_size=n, max_size=n))
+        return [[scale[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind == "deficient" and n:
+        k = draw(st.integers(0, n - 1))
+        others = rows[:k] + rows[k + 1:]
+        u, v = (draw(st.sampled_from(others)) for _ in range(2)) if others else ([0] * n,) * 2
+        a, b = draw(st.fractions(-3, 3, max_denominator=4)), draw(st.integers(-2, 2))
+        rows[k] = [a * x + b * y for x, y in zip(u, v)]
+    return rows
+
+
+def sympy_rref(rows, cols):
+    R, pivots = sympy.Matrix(len(rows), cols, [sympy.Rational(v.numerator, v.denominator)
+                                               for row in rows for v in map(Fraction, row)]).rref()
+    data = [[Fraction(int(x.p), int(x.q)) for x in R.row(i)] for i in range(R.rows)]
+    return data, list(pivots)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(rational_systems())
+def test_rational_linear_algebra_matches_fraction_reference(case):
+    rows, cols, b = case
+    A = ExactMatrix.make(QQ, rows, cols)
+    R, pivots, rk = rref(A)
+    ref_R, ref_pivots = reference_rref(QQ, rows)
+    assert (R.data, pivots, rk) == (ref_R, ref_pivots, len(ref_pivots))
+    assert (R.data, pivots) == sympy_rref(rows, cols)
+    # integer rows over one positive denominator, which every pivot entry equals
+    assert R.den > 0 and all(R.num[r][pc] == R.den for r, pc in enumerate(pivots))
+    assert rank(A) == rk
+    kernel = nullspace(A)
+    assert kernel == [reference_primitive(v) for v in reference_kernel(QQ, rows, cols)]
+    x, sol_kernel = solve(A, b)
+    aug_R, aug_pivots = reference_rref(QQ, [row + [v] for row, v in zip(rows, b)])
+    if cols in aug_pivots:
+        assert x is None and sol_kernel == []
+    else:
+        want = [Fraction(0)] * cols
+        for r, pc in enumerate(aug_pivots):
+            want[pc] = aug_R[r][cols]
+        assert x == want and sol_kernel == kernel
+        assert matvec(A, x) == [Fraction(v) for v in b]
+    for v in kernel:
+        assert matvec(A, v) == [0] * len(rows)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(rational_squares())
+def test_rational_determinant_matches_fraction_elimination(rows):
+    A = ExactMatrix.make(QQ, rows, len(rows))
+    det = determinant(A)
+    assert det == fraction_gauss_det(rows)
+    assert det == sympy.Matrix(len(rows), len(rows), [sympy.Rational(str(Fraction(v)))
+                                                      for row in rows for v in row]).det()
+    assert (det != 0) == (rank(A) == len(rows))
+
+
+@pytest.mark.parametrize("rows, pivots, den", [
+    ([[-1, 2]], [0], 1),  # a negative last pivot: den is made positive
+    ([[0, 0], [-3, 1]], [0], 3),
+    ([[-2, 1], [1, -2]], [0, 1], 3),
+    ([[0, 0, 0]], [], 1),
+])
+def test_rational_rref_keeps_a_positive_denominator(rows, pivots, den):
+    R, got, _ = rref(ExactMatrix.make(QQ, rows))
+    assert (got, R.den) == (pivots, den)
+    assert R.data == reference_rref(QQ, rows)[0]
+
+
+@pytest.mark.parametrize("perm", list(permutations(range(4))))
+def test_determinant_sign_of_a_permutation(perm):
+    rows = [[int(j == perm[i]) for j in range(4)] for i in range(4)]
+    inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+    assert determinant(ExactMatrix.make(QQ, rows)) == (-1) ** inversions
+
+
+def test_rational_matrix_stores_integer_rows():
+    A = ExactMatrix.make(QQ, [[Fraction(1, 2), 3], [Fraction(-2, 3), 0]])
+    assert (A.num, A.den) == ([[3, 18], [-4, 0]], 6)
+    assert A.data == [[Fraction(1, 2), 3], [Fraction(-2, 3), 0]]
+    S = ExactMatrix.sparse(QQ, 2, 3, {(1, 2): Fraction(5, 4), (0, 0): 7})
+    assert (S.num, S.den) == ([[28, 0, 0], [0, 0, 5]], 4)
+    big = ExactMatrix.make(QQ, [[2**70, -1]])
+    assert big.num == [[2**70, -1]] and type(big.num[0][0]) is int and big.den == 1
+
+
+@st.composite
+def symmetric_rationals(draw):
+    n = draw(st.integers(0, 5))
+    entry = st.one_of(st.integers(-3, 3), st.just(0), st.fractions(-3, 3, max_denominator=5))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(entry)
+    if n > 1 and draw(st.booleans()):  # a zero diagonal
+        for i in range(n):
+            m[i][i] = 0
+    return m
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(symmetric_rationals())
+def test_signature_matches_the_characteristic_polynomial(m):
+    # every root of the characteristic polynomial is real, so Descartes'
+    # rule of signs counts the positive and the negative ones exactly
+    n = len(m)
+    x = sympy.Symbol("x")
+    coeffs = sympy.Poly(sympy.Matrix(n, n, [sympy.Rational(str(Fraction(v))) for row in m for v in row])
+                        .charpoly(x).as_expr(), x).all_coeffs() if n else [1]
+    zero = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c)
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    negated = [c * (-1) ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs)]
+    want = (sign_changes(coeffs), sign_changes(negated), zero)
+    assert symmetric_signature(ExactMatrix.make(QQ, m, n)) == want

@@ -199,6 +199,12 @@ def test_sampled_search_tests_the_scalar_boxes_in_order(spans, self_span, seed, 
     assert tested == list(scalar_sampled_boxes(ranges, seed, trials))
 
 
+def inverse_fractions(L):
+    """M^-1 as Fraction rows, from the integer rows A = D*M^-1 of the search."""
+    A, D = lattice._inverse_rows(L)
+    return [[Fraction(a, D) for a in row] for row in A]
+
+
 def scalar_search_relations(L, bounds, self_bounds=(-2, 8), seed=0, trials=10_000,
                             exhaustive_limit=100_000, curve_name="C", k_name="K"):
     """The per-box loop that the block search replaced: a Fraction Schur test
@@ -213,7 +219,7 @@ def scalar_search_relations(L, bounds, self_bounds=(-2, 8), seed=0, trials=10_00
     else:
         candidates = scalar_sampled_boxes(ranges, seed, trials)
     k_index = L.index(k_name) if k_name in L.names else None
-    inv_rows = lattice._inverse_rows(L) if determinant(L.matrix()) != 0 else None
+    inv_rows = inverse_fractions(L) if determinant(L.matrix()) != 0 else None
     hits = []
     for vec in candidates:
         pairings, self_int = vec[:-1], vec[-1]
@@ -281,7 +287,7 @@ def test_search_relations_python_int_path(L, centre, sampled, rows):
     # holds a hit; |v|^2 >= 2^72 is past what int64 products can hold
     det = int(determinant(L.matrix()))
     v = [det * w for w in centre[:L.size]]
-    inv = lattice._inverse_rows(L)
+    inv = inverse_fractions(L)
     s = sum(v[i] * inv[i][j] * v[j] for i in range(L.size) for j in range(L.size))
     assert s.denominator == 1
     bounds = {nm: (x, x + 1) for nm, x in zip(L.names, v)}
