@@ -433,12 +433,11 @@ def _parse_int_set(braces: str) -> tuple[int, ...]:
 def cmd_cover(args) -> int:
     report = Report(f"cover {args.action}")
     L = _load(args.lattice, lattice_mod.parse_lattice)
-    group, branch, generators = _load(args.cover, lambda text: _parse_cover_file(text, L))
+    data = _load(args.cover, lambda text: _parse_cover_file(text, L))
+    group, Lmap = data.group, data.L
     report.add_input("lattice", args.lattice)
     report.add_input("cover", args.cover)
     report.add_input("group", "x".join(f"Z/{m}" for m in group.orders))
-    Lmap = cover_mod.derive_all_L(L, branch, generators)
-    data = cover_mod.CoverData(group, branch, L, Lmap)
     if args.action == "verify":
         for exps, ok in data.verify_reduced_data():
             report.verdict(ok, f"reduced-data {exps}", "relation lies in the radical")
@@ -476,8 +475,11 @@ def _combo_str(L, cls) -> str:
     return out[1:] if out.startswith("+") else out
 
 
-def _parse_cover_file(text: str, L):
+def _parse_cover_file(text: str, L) -> cover_mod.CoverData:
+    """The cover data of a cover file, with every L class derived from the
+    generator lines."""
     group = None
+    branch_line = None
     branch_divisors: list = []
     gen_lines: dict[tuple[int, ...], tuple[int, object]] = {}  # exps -> (line, class)
     for lineno, line in data_lines(text):
@@ -485,8 +487,11 @@ def _parse_cover_file(text: str, L):
         key = key.strip()
         with at_line(lineno):
             if key == "group":
+                if not val.split():
+                    raise SinghuntError("no cyclic order after group:")
                 group = cover_mod.AbelianGroup(tuple(int(tok) for tok in val.split()))
             elif key == "branch":
+                branch_line = lineno
                 for chunk in val.split("|"):
                     chunk = chunk.strip()
                     if chunk in ("0", ""):
@@ -508,9 +513,12 @@ def _parse_cover_file(text: str, L):
         reason = _character_error(exps, group.orders)
         if reason:
             raise SinghuntError(f"line {lineno}: L {exps}: {reason}")
-    branch = cover_mod.BranchAssignment.assign(group, branch_divisors)
+    try:
+        branch = cover_mod.BranchAssignment.assign(group, branch_divisors)
+    except ValueError as exc:
+        raise SinghuntError(f"line {branch_line}: {exc}" if branch_line else str(exc)) from exc
     generators = {cover_mod.Character(group, exps): cls for exps, (_, cls) in gen_lines.items()}
-    return group, branch, generators
+    return cover_mod.CoverData(group, branch, L, cover_mod.derive_all_L(L, branch, generators))
 
 
 def _character_error(exps: tuple[int, ...], orders: tuple[int, ...]) -> str | None:

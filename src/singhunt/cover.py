@@ -5,14 +5,21 @@ exponent tuples; characters take values in Q/Z.  A cover of a surface is
 described numerically by one branch divisor class per (cyclic subgroup,
 generator character) slot plus line-bundle classes L_chi, tied together by
 the reduced-building-data congruences and the epsilon carry terms.
+
+The restriction exponents of all characters on all slots come from one
+integer product.  Classes are checked as integer rows over one common
+denominator: every factorization of the derived L classes, and the reduced
+building data of every character, in one product with the Gram rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     InconsistentData,
@@ -267,6 +274,26 @@ def reduced_building_data(
     return acc
 
 
+def restriction_table(G: AbelianGroup, slots: Sequence[BranchSlot]) -> np.ndarray:
+    """r[e, s] = exponent_from_restriction(chi_e, H_s, psi_s) for the
+    characters e in G.elements() order and the slots s, from one integer
+    product: t = E X mod N for the exponent rows E and the generator columns
+    X scaled by N / m_i, then r = (t |H| / N) j^-1 mod |H|."""
+    for slot in slots:
+        if gcd(slot.psi, slot.subgroup.order) != 1:
+            raise NotAGenerator(f"psi_{slot.psi} does not generate the characters of H")
+    N = lcm(*G.orders)
+    E = np.array(G.elements(), dtype=np.int64).reshape(G.size, len(G.orders))
+    X = np.array([[x * (N // mi) for x, mi in zip(slot.subgroup.generator, G.orders)] for slot in slots],
+                 dtype=np.int64).reshape(len(slots), len(G.orders))
+    m = np.array([slot.subgroup.order for slot in slots], dtype=np.int64)
+    t = E @ X.T % N  # |G| <= 256 keeps every entry far below 2^63
+    if (t * m % N).any():
+        raise NonIntegral("character value does not restrict to the subgroup")
+    inverse = np.array([pow(slot.psi, -1, slot.subgroup.order) for slot in slots], dtype=np.int64)
+    return t * m // N * inverse % m
+
+
 @dataclass
 class CoverData:
     group: AbelianGroup
@@ -275,15 +302,32 @@ class CoverData:
     L: dict[tuple[int, ...], DivisorClass]  # keyed by character exponents
 
     def verify_reduced_data(self) -> list[tuple[tuple[int, ...], bool]]:
-        out = []
-        for chi in character_group(self.group):
-            if chi.is_trivial():
-                continue
-            rel = reduced_building_data(
-                chi, self.branch, self.L[chi.exps], self.lattice
-            )
-            out.append((chi.exps, self.lattice.in_radical(rel)))
-        return out
+        """Whether each nontrivial character's reduced building data
+        (reduced_building_data) lies in the radical: the relations of all
+        characters are stacked into one product with the Gram rows."""
+        G = self.group
+        chars = [chi for chi in character_group(G) if not chi.is_trivial()]
+        slots = [s for s in self.branch.slots if s.divisor is not None]
+        r = restriction_table(G, slots)[1:]  # the trivial character comes first
+        order = np.array([chi.order() for chi in chars], dtype=np.int64)
+        m = np.array([s.subgroup.order for s in slots], dtype=np.int64)
+        scaled = order[:, None] * r  # below 256^2
+        bad = np.argwhere(scaled % m)
+        if len(bad):
+            i, s = bad[0]
+            raise NonIntegral(f"{chars[i].order()} * {r[i, s]} is not divisible by |H| = {m[s]}")
+        coeffs = scaled // m
+        # |rel| <= (order + sum of the coefficients) * largest class entry
+        bound = int(order.max(initial=0)) + int(coeffs.sum(axis=1).max(initial=0))
+        rows, _ = self.lattice.class_array([self.L[chi.exps] for chi in chars]
+                                           + [s.divisor for s in slots], bound)
+        Lrows, D = rows[:len(chars)], rows[len(chars):]
+        rel = order.astype(rows.dtype)[:, None] * Lrows - coeffs.astype(rows.dtype) @ D
+        ok = self.lattice.annihilated(rel)
+        return [(chi.exps, bool(v)) for chi, v in zip(chars, ok)]
+
+
+PAIR_ROWS = 1 << 12  # factorizations checked per product with the Gram rows
 
 
 def derive_all_L(
@@ -297,7 +341,11 @@ def derive_all_L(
     order; afterwards every alternative factorization is checked to agree
     modulo the lattice radical (numerical equivalence).  The restriction
     exponents r of every character on every slot are computed once, and
-    eps(chi1, chi2) on a slot is the carry r1 + r2 >= |H|."""
+    eps(chi1, chi2) on a slot is the carry r1 + r2 >= |H|.
+
+    The classes are integer rows over one common denominator; the
+    factorizations are checked by one product of their difference rows
+    with the Gram rows (per PAIR_ROWS of them)."""
     gens = list(generators.items())
     if not gens:
         raise InconsistentData("no generator characters given")
@@ -311,13 +359,19 @@ def derive_all_L(
                 f"character {chi.exps} is not reduced mod the orders {G.orders}"
             )
     slots = [s for s in branch.slots if s.divisor is not None]
-    restrict = {
-        e: [exponent_from_restriction(Character(G, e), s.subgroup, s.psi) for s in slots]
-        for e in elements
-    }
-    known: dict[tuple[int, ...], DivisorClass] = {G.identity(): DivisorClass((0,) * lattice.size)}
-    for chi, L in gens:
+    restrict = restriction_table(G, slots)
+    m = np.array([s.subgroup.order for s in slots], dtype=np.int64)
+    index = {e: i for i, e in enumerate(elements)}
+    # a stored class is a sum of at most |G| generator classes minus at most
+    # |G| |slots| divisors; a difference of factorizations, four such terms
+    rows, d = lattice.class_array([L for _, L in gens] + [s.divisor for s in slots],
+                                  4 * G.size * (1 + len(slots)))
+    D = rows[len(gens):]
+    K = np.zeros((G.size, lattice.size), dtype=rows.dtype)  # rows by element index
+    known: dict[tuple[int, ...], DivisorClass | None] = {G.identity(): DivisorClass((0,) * lattice.size)}
+    for (chi, L), row in zip(gens, rows):
         known[chi.exps] = L
+        K[index[chi.exps]] = row
     # extend along generator products so the stored representatives stay in
     # reduced form; alternative factorizations are reconciled below
     changed = True
@@ -328,37 +382,32 @@ def derive_all_L(
                 e = G.add(e1, chi2.exps)
                 if e in known:
                     continue
-                known[e] = _product_class(e1, chi2.exps, known, restrict, slots)
+                i1, i2 = index[e1], index[chi2.exps]
+                carry = (restrict[i1] + restrict[i2] >= m).astype(K.dtype)
+                K[index[e]] = K[i1] + K[i2] - carry @ D
+                known[e] = None  # its class is made from K below
                 changed = True
     if len(known) != G.size:
         raise InconsistentData("character group not exhausted (unreachable)")
     # path independence: every factorization agrees up to numerical
     # equivalence; a product class is symmetric in its factors, so the
-    # pairs e1 <= e2 cover every factorization
-    order = sorted(known)
-    for i, e1 in enumerate(order):
-        for e2 in order[i:]:
-            candidate = _product_class(e1, e2, known, restrict, slots)
-            if not lattice.equivalent(candidate, known[G.add(e1, e2)]):
-                raise InconsistentData(
-                    f"factorization {e1} * {e2} disagrees with the stored class"
-                )
+    # pairs e1 <= e2 cover every factorization, checked in that order
+    E = np.array(elements, dtype=np.int64).reshape(G.size, len(G.orders))
+    radix = np.array([prod(G.orders[k + 1:]) for k in range(len(G.orders))], dtype=np.int64)
+    first, second = np.triu_indices(G.size)
+    for lo in range(0, len(first), PAIR_ROWS):
+        i1, i2 = first[lo:lo + PAIR_ROWS], second[lo:lo + PAIR_ROWS]
+        i12 = (E[i1] + E[i2]) % np.array(G.orders, dtype=np.int64) @ radix
+        carry = (restrict[i1] + restrict[i2] >= m).astype(K.dtype)
+        bad = np.flatnonzero(~lattice.annihilated(K[i1] + K[i2] - carry @ D - K[i12]))
+        if bad.size:
+            e1, e2 = elements[i1[bad[0]]], elements[i2[bad[0]]]
+            raise InconsistentData(f"factorization {e1} * {e2} disagrees with the stored class")
+    for e, cls in known.items():
+        if cls is None:
+            known[e] = DivisorClass(tuple(x // d if x % d == 0 else Fraction(x, d)
+                                          for x in K[index[e]].tolist()))
     return known
-
-
-def _product_class(
-    e1: tuple[int, ...],
-    e2: tuple[int, ...],
-    known: Mapping[tuple[int, ...], DivisorClass],
-    restrict: Mapping[tuple[int, ...], Sequence[int]],
-    slots: Sequence[BranchSlot],
-) -> DivisorClass:
-    """L_e1 + L_e2 minus the branch divisor of every slot that carries."""
-    acc = known[e1] + known[e2]
-    for slot, r1, r2 in zip(slots, restrict[e1], restrict[e2]):
-        if r1 + r2 >= slot.subgroup.order:
-            acc = acc - slot.divisor
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Exact intersection-lattice computations for divisor classes on surfaces.
 
 A GramLattice is an ordered list of named classes with their pairwise
-intersection numbers.  Numerical equivalences show up as the radical
-(kernel) of the Gram matrix; hypothetical curves are appended as extra
-rows/columns and divisibility relations are found by exhaustively solving
-for intersection data that forces the wanted relation into the radical.
+intersection numbers, held once as integer rows over one positive
+denominator.  Numerical equivalences show up as the radical (kernel) of the
+Gram matrix; rank and radical share one elimination of the rows, and a
+pairing, a radical test or a batch of radical tests is an integer product
+against them (int64 under a proven bound, Python ints otherwise).
+Hypothetical curves are appended as extra rows/columns and divisibility
+relations are found by exhaustively solving for intersection data that
+forces the wanted relation into the radical.  DivisorClass is the API type;
+Fractions appear only where a value is not integral.
 """
 
 from __future__ import annotations
@@ -79,22 +84,42 @@ def b2(inv: SurfaceInvariants) -> int:
 
 
 class GramLattice:
-    def __init__(self, names: Sequence[str], gram: Sequence[Sequence]):
+    """Named classes and their Gram matrix, held once as an exactla
+    ExactMatrix: integer rows `num` over one positive denominator `den`.
+
+    `rank` and `radical` share one elimination of those rows; a pairing, a
+    radical test and a batch of radical tests are integer products against
+    them.  `gram` gives the entries (ints, Fractions where not integral).
+    """
+
+    def __init__(self, names: Sequence[str], gram):
+        """gram: the rows of the matrix, or an ExactMatrix over QQ."""
         self.names = list(names)
         n = len(self.names)
         if len(set(self.names)) != n:
             raise ValueError("duplicate class names")
-        self.gram = [[_exact(v) for v in row] for row in gram]
-        if len(self.gram) != n or any(len(row) != n for row in self.gram):
+        if isinstance(gram, exactla.ExactMatrix):
+            M = gram
+        elif len(gram) != n or any(len(row) != n for row in gram):
             raise DimensionMismatch("Gram matrix shape does not match names")
-        for i in range(n):
-            for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
+        else:
+            M = exactla.ExactMatrix.make(exactla.QQ, gram, n)
+        if M.rows != n or M.cols != n:
+            raise DimensionMismatch("Gram matrix shape does not match names")
+        num = M.num
+        if any(num[i][j] != num[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("Gram matrix must be symmetric")
+        self._matrix = M
+        self._echelon = None  # (R, pivots, rank) of the one elimination
+        self._rows = None  # num as an integer array, see _int_array
 
     @property
     def size(self) -> int:
         return len(self.names)
+
+    @property
+    def gram(self) -> list[list[int | Fraction]]:
+        return self._matrix.data
 
     def index(self, name: str) -> int:
         try:
@@ -103,7 +128,7 @@ class GramLattice:
             raise KeyError(f"no class named {name!r}") from None
 
     def matrix(self) -> exactla.ExactMatrix:
-        return exactla.ExactMatrix.make(exactla.QQ, self.gram)
+        return self._matrix
 
     def entry(self, a: str, b: str) -> int | Fraction:
         return self.gram[self.index(a)][self.index(b)]
@@ -121,32 +146,47 @@ class GramLattice:
         return DivisorClass(tuple(vec), name)
 
     def pairing(self, u: DivisorClass, v: DivisorClass) -> int | Fraction:
-        if len(u.coeffs) != self.size or len(v.coeffs) != self.size:
+        """u.v = (a num b) / (e^2 den) for the integer rows a, b = e*u, e*v."""
+        (a, b), e = self.class_rows([u, v])
+        acc = sum(x * sum(g * y for g, y in zip(row, b)) for x, row in zip(a, self._matrix.num) if x)
+        return _exact(Fraction(acc, e * e * self._matrix.den))
+
+    def class_rows(self, classes: Sequence[DivisorClass]) -> tuple[list[list[int]], int]:
+        """(rows, e): the classes times their least common denominator e, as ints."""
+        if any(len(c.coeffs) != self.size for c in classes):
             raise DimensionMismatch("class length does not match the lattice")
-        acc = 0
-        for i, a in enumerate(u.coeffs):
-            if a == 0:
-                continue
-            row = self.gram[i]
-            for j, b in enumerate(v.coeffs):
-                if b != 0:
-                    acc += a * b * row[j]
-        return _exact(acc)
+        return exactla._integer_rows([c.coeffs for c in classes])
+
+    def class_array(self, classes: Sequence[DivisorClass], bound: int = 1) -> tuple[np.ndarray, int]:
+        """class_rows as an integer array, int64 when `bound` times its largest
+        entry stays below INT64_ENTRY (see _int_array)."""
+        rows, e = self.class_rows(classes)
+        return _int_array(rows, self.size, bound), e
 
     # -- structure ----------------------------------------------------------------
 
+    def _rref(self):
+        if self._echelon is None:
+            self._echelon = exactla.rref(self._matrix)
+        return self._echelon
+
     def rank(self) -> int:
-        return exactla.rank(self.matrix())
+        return self._rref()[2]
 
     def radical(self) -> list[list[int]]:
         """Primitive integer basis of the kernel of the Gram matrix."""
-        return exactla.nullspace(self.matrix())
+        R, pivots, _ = self._rref()
+        return exactla._kernel_rows(R, pivots, self.size)
+
+    def annihilated(self, W: np.ndarray) -> np.ndarray:
+        """Whether each row of the integer array W (classes times any common
+        nonzero scale) pairs to zero with every class: W @ num == 0."""
+        if self._rows is None:
+            self._rows = _int_array(self._matrix.num, self.size)
+        return ~_product(W, self._rows).any(axis=1)
 
     def in_radical(self, v: DivisorClass) -> bool:
-        if len(v.coeffs) != self.size:
-            raise DimensionMismatch("class length does not match the lattice")
-        terms = [(c, self.gram[i]) for i, c in enumerate(v.coeffs) if c]
-        return all(sum(c * row[j] for c, row in terms) == 0 for j in range(self.size))
+        return bool(self.annihilated(self.class_array([v])[0])[0])
 
     def equivalent(self, u: DivisorClass, v: DivisorClass) -> bool:
         """Numerical equivalence: the difference pairs to zero with everything."""
@@ -168,14 +208,42 @@ class GramLattice:
     def is_adjunction_even(self, k_name: str) -> bool:
         """Every basis class u has u.u + u.K even (holds on smooth surfaces)."""
         k = self.index(k_name)
-        for i in range(self.size):
-            val = self.gram[i][i] + self.gram[i][k]
-            if val.denominator != 1 or val.numerator % 2 != 0:
-                return False
-        return True
+        num, den = self._matrix.num, self._matrix.den
+        return all((row[i] + row[k]) % (2 * den) == 0 for i, row in enumerate(num))
 
     def __repr__(self) -> str:
         return f"<GramLattice {' '.join(self.names)}>"
+
+
+# int64 holds every entry of an array below this bound; a sum of four such
+# entries (a product's difference of two sums, say) still fits
+INT64_ENTRY = 2**61
+
+
+def _int_array(rows: Sequence[Sequence[int]], cols: int, bound: int = 1) -> np.ndarray:
+    """Integer rows as an int64 array when bound * |entry| < INT64_ENTRY for
+    every entry (a caller adding up to `bound` rows then stays exact), else
+    as Python ints (dtype object)."""
+    try:
+        A = np.array(rows, dtype=np.int64).reshape(len(rows), cols)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(len(rows), cols)
+    return A if bound * _magnitude(A) < INT64_ENTRY else A.astype(object)
+
+
+def _magnitude(A: np.ndarray) -> int:
+    """The largest |entry| of an integer array, as a Python int."""
+    if not A.size:
+        return 0
+    return max(-int(A.min()), int(A.max()))
+
+
+def _product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B exactly: in int64 where no sum of products can reach 2^63, in
+    Python ints otherwise."""
+    if A.dtype == B.dtype == np.int64 and A.shape[1] * _magnitude(A) * _magnitude(B) < 2**63:
+        return A @ B
+    return A.astype(object) @ B.astype(object)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +269,7 @@ GODEAUX_NAMES = ["N1", "N2", "N3", "N4", "N5", "N6", "N7", "N8", "K"]
 def godeaux_fixture() -> GramLattice:
     """The 9x9 lattice {N1..N8, K}: two nodes, two A3 chains, K^2 = 1."""
     M = exactla.parse_matrix(GODEAUX_GRAM_TEXT)
-    return GramLattice(GODEAUX_NAMES, M.data)
+    return GramLattice(GODEAUX_NAMES, M)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +284,18 @@ def canonical_relation(vec: Sequence[Fraction | int], k_index: int | None) -> tu
         if ints[k_index] < 0:
             ints = [-x for x in ints]
     return tuple(ints)
+
+
+def _canonical_rows(H: np.ndarray, k_index: int | None) -> list[list[int]]:
+    """canonical_relation of every row of the integer array H, at once: each
+    row over the gcd of its entries, signed so that its K entry, or where that
+    is zero its first nonzero entry, is positive."""
+    g = np.gcd.reduce(H, axis=1)
+    lead = H[np.arange(len(H)), (H != 0).argmax(axis=1)]
+    if k_index is not None:
+        lead = np.where(H[:, k_index] != 0, H[:, k_index], lead)
+    g = np.where(g == 0, 1, g)  # a zero row stays zero
+    return (H // np.where(lead < 0, -g, g)[:, None]).tolist()
 
 
 @dataclass(frozen=True)
@@ -254,7 +334,8 @@ def search_relations(
     ranges.append(range(self_bounds[0], self_bounds[1] + 1))
     draws = None if prod(len(r) for r in ranges) <= exhaustive_limit else trials
     k_index = L.index(k_name) if k_name in L.names else None
-    if exactla.determinant(L.matrix()) == 0:
+    inverse = _inverse_rows(L)
+    if inverse is None:
         # the kernel of an extension can have any dimension: RREF every box,
         # each once (every one costs far more than remembering it)
         hits = []
@@ -272,7 +353,7 @@ def search_relations(
                     rels = tuple(sorted(canonical_relation(v, k_index) for v in rad))
                     hits.append(RelationHit(pairings, self_int, rels))
     else:
-        A, D = _inverse_rows(L)
+        A, D = inverse
         vmax = max((max(abs(r.start), abs(r.stop - 1)) for r in ranges[:-1]), default=0)
         smax = max(abs(ranges[-1].start), abs(ranges[-1].stop - 1))
         amax = max((abs(x) for row in A for x in row), default=0)
@@ -281,11 +362,27 @@ def search_relations(
         dtype = np.int64 if small else object
         A = np.array(A, dtype=dtype).reshape(L.size, L.size)
         found = {}  # repeats drawn in different blocks collapse here
-        for block in _box_blocks(ranges, seed, draws, dtype):
-            V = block[:, :-1]
+        if draws is None:
+            # of the boxes (v, s) of one v only s = v^T A v / D can be a hit,
+            # so each v is tested once
+            blocks = _box_blocks(ranges[:-1], seed, None, dtype)
+        else:
+            blocks = _box_blocks(ranges, seed, draws, dtype)
+        for block in blocks:
+            V = block[:, :L.size]
             VA = V @ A
-            for r in np.flatnonzero(np.einsum("ij,ij->i", VA, V) == D * block[:, -1]).tolist():
-                found[tuple(block[r].tolist())] = canonical_relation(VA[r].tolist() + [-D], k_index)
+            quad = np.einsum("ij,ij->i", VA, V)
+            if draws is None:
+                s = quad // D
+                hit = np.flatnonzero((quad % D == 0) & (s >= ranges[-1].start) & (s < ranges[-1].stop))
+                boxes = np.concatenate([V[hit], s[hit, None]], axis=1)
+            else:
+                hit = np.flatnonzero(quad == D * block[:, -1])
+                boxes = block[hit]
+            if hit.size:
+                kernel = np.concatenate([VA[hit], np.full((hit.size, 1), -D, dtype=dtype)], axis=1)
+                rels = _canonical_rows(kernel, k_index)
+                found.update(zip(map(tuple, boxes.tolist()), map(tuple, rels)))
         hits = [RelationHit(vec[:-1], vec[-1], (rel,)) for vec, rel in found.items()]
     hits.sort(key=lambda h: (h.pairings, h.self_int))
     return hits
@@ -294,30 +391,36 @@ def search_relations(
 def _box_blocks(ranges: Sequence[range], seed: int, draws: int | None, dtype):
     """Candidate boxes as integer arrays of at most SEARCH_ROWS rows.
 
-    draws=None: every box, in itertools.product order.  Otherwise trial t <
-    draws picks one offset per range from stream split(seed, t), in trial
-    order, repeats included: callers drop them, so that no set of the draws
-    is kept here.
+    draws=None: every box, in itertools.product order, cut from one grid of
+    all boxes.  Otherwise trial t < draws picks one offset per range from
+    stream split(seed, t), in trial order, repeats included: callers drop
+    them, so that no set of the draws is kept here.
     """
     shape = [len(r) for r in ranges]
+    if draws is None:
+        grid = np.empty(shape + [len(shape)], dtype=dtype)
+        for k, r in enumerate(ranges):
+            grid[..., k] = np.arange(r.start, r.stop).reshape([-1] + [1] * (len(shape) - 1 - k))
+        grid = grid.reshape(prod(shape), len(shape))
+        for lo in range(0, len(grid), SEARCH_ROWS):
+            yield grid[lo:lo + SEARCH_ROWS]
+        return
     starts = np.array([r.start for r in ranges], dtype=dtype)
-    total = prod(shape) if draws is None else draws
-    for lo in range(0, total, SEARCH_ROWS):
-        index = np.arange(lo, min(lo + SEARCH_ROWS, total))
-        if draws is None:
-            offsets = np.stack(np.unravel_index(index, shape), axis=1)
-        else:
-            offsets = below_rows(seed, index, shape)
-        yield offsets.astype(dtype) + starts
+    for lo in range(0, draws, SEARCH_ROWS):
+        index = np.arange(lo, min(lo + SEARCH_ROWS, draws))
+        yield below_rows(seed, index, shape).astype(dtype) + starts
 
 
-def _inverse_rows(L: GramLattice) -> tuple[list[list[int]], int]:
+def _inverse_rows(L: GramLattice) -> tuple[list[list[int]], int] | None:
     """(A, D) with A = D*M^-1 integral and D the least positive such integer,
-    for the nondegenerate Gram matrix M of L."""
+    for the Gram matrix M of L; None when M is degenerate.  Both come from
+    one elimination of [M | I]."""
     n = L.size
-    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(L.gram)]
-    R, pivots, rk = exactla.rref(exactla.ExactMatrix.make(exactla.QQ, aug))
-    assert rk == n
+    M = L.matrix()
+    aug = [row + [M.den if i == j else 0 for j in range(n)] for i, row in enumerate(M.num)]
+    R, pivots, _ = exactla.rref(exactla.ExactMatrix(n, 2 * n, exactla.QQ, num=aug, den=M.den))
+    if pivots and pivots[-1] >= n:
+        return None  # a pivot in the I half: M has rank < n
     # R = [I | M^-1] is R.num / R.den; cancel what R.den shares with every entry
     g = gcd(R.den, *(x for row in R.num for x in row[n:]))
     return [[x // g for x in row[n:]] for row in R.num], R.den // g
@@ -367,74 +470,72 @@ def solve_curve_intersections(
     the base lattice does, and the relation vector must land in the radical
     of the extended lattice.  `contact` entries fix the total pairing over a
     group of classes (e.g. one transverse branch through a chain).
+
+    Only the right-hand side of the linear system for the multiplicities
+    depends on the assignment, so its matrix A is eliminated once, as
+    [A | I]: that gives a left inverse of A and the rows that vanish on
+    every consistent right-hand side.
     """
     names = L.names
+    pos = {nm: i for i, nm in enumerate(names)}
     assigned = [nm for nm in names if nm in constraints]
     derived = [nm for nm in names if nm not in constraints]
     support = list(template.support)
-    sup_idx = {nm: i for i, nm in enumerate(support)}
-    lhs_vec = L.combo(dict(template.lhs))
+    lhs = L.combo(dict(template.lhs)).coeffs
     c = template.curve_mult
     parity = L.is_adjunction_even(k_name) if k_name in names else False
     k_pos = L.index(k_name) if k_name in names else None
-
-    # precompute pairing rows
-    gram_row = {nm: L.gram[L.index(nm)] for nm in names}
-    lhs_pair = {nm: L.pairing(lhs_vec, L.basis_class(nm)) for nm in names}
+    M = L.matrix()
+    gram = L.gram
+    lhs_pair = {nm: _exact(Fraction(sum(a * row[j] for a, row in zip(lhs, M.num) if a), M.den))
+                for j, nm in enumerate(names)}
 
     choice_sets = [sorted(set(int(v) for v in constraints[nm])) for nm in assigned]
-    solutions: list[CurveSolution] = []
+    choices = []
     for choice in product(*choice_sets):
         pair_val = dict(zip(assigned, choice))
-        ok = True
-        for group, total in contact:
-            if all(g in pair_val for g in group):
-                if sum(pair_val[g] for g in group) != total:
-                    ok = False
-                    break
-        if not ok:
+        if all(sum(pair_val[g] for g in group) == total
+               for group, total in contact if all(g in pair_val for g in group)):
+            choices.append(choice)
+    if not choices:
+        return []
+    # pairing the relation with an assigned class gives a linear condition
+    # on the multiplicities
+    k, m = len(support), len(assigned)
+    A = exactla.ExactMatrix.make(exactla.QQ, [[gram[pos[nm]][L.index(s)] for s in support]
+                                              for nm in assigned], k)
+    aug = [row + [A.den if i == j else 0 for j in range(m)] for i, row in enumerate(A.num)]
+    R, pivots, _ = exactla.rref(exactla.ExactMatrix(m, k + m, exactla.QQ, num=aug, den=A.den))
+    if pivots[:k] != list(range(k)):
+        return []  # the constraints do not pin the multiplicities
+    left = [row[k:] for row in R.num[:k]]  # R.den times a left inverse of A
+    checks = [row[k:] for row in R.num[k:]]
+    sup_pos = [pos[s] for s in support]
+    least = 1 if require_positive else 0
+    self_values = None if self_constraint is None else set(self_constraint)
+
+    solutions: list[CurveSolution] = []
+    for choice in choices:
+        rhs = [lhs_pair[nm] - c * v for nm, v in zip(assigned, choice)]
+        if any(sum(e * b for e, b in zip(row, rhs)) for row in checks):
+            continue  # inconsistent
+        quotients = [divmod(sum(e * b for e, b in zip(row, rhs)), R.den) for row in left]
+        if any(rest or v < least for v, rest in quotients):
             continue
-        # pairing the relation with an assigned class gives a linear
-        # condition on the multiplicities
-        rows = []
-        rhs = []
-        for nm in assigned:
-            row = [gram_row[nm][L.index(s)] for s in support]
-            rows.append(row)
-            rhs.append(lhs_pair[nm] - c * pair_val[nm])
-        sol, kernel = exactla.solve(exactla.ExactMatrix.make(exactla.QQ, rows, len(support)), rhs)
-        if sol is None or kernel:
-            continue  # inconsistent, or constraints do not pin the multiplicities
-        mults = {}
-        ok = True
-        for s, val in zip(support, sol):
-            if val.denominator != 1:
-                ok = False
-                break
-            v = int(val)
-            if v < (1 if require_positive else 0):
-                ok = False
-                break
-            mults[s] = v
-        if not ok:
-            continue
+        mults = {s: v for s, (v, _) in zip(support, quotients)}
         # derived pairings come from the remaining equations
+        pair_val = dict(zip(assigned, choice))
+        ok = True
         for nm in derived:
-            num = lhs_pair[nm] - sum(
-                mults[s] * gram_row[nm][L.index(s)] for s in support
-            )
-            val = Fraction(num, c)
+            row = gram[pos[nm]]
+            val = Fraction(lhs_pair[nm] - sum(mults[s] * row[j] for s, j in zip(support, sup_pos)), c)
             if val.denominator != 1:
                 ok = False
                 break
             pair_val[nm] = int(val)
         if not ok:
             continue
-        for group, total in contact:
-            if sum(pair_val[g] for g in group) != total:
-                ok = False
-                break
-        if not ok:
+        if any(sum(pair_val[g] for g in group) != total for group, total in contact):
             continue
         # self-intersection from pairing the relation with the curve itself
         num = sum(coef * pair_val[nm] for nm, coef in template.lhs) - sum(
@@ -446,25 +547,29 @@ def solve_curve_intersections(
         self_int = int(self_val)
         if parity and k_pos is not None and (self_int + pair_val[k_name]) % 2 != 0:
             continue
-        if self_constraint is not None and self_int not in set(self_constraint):
+        if self_values is not None and self_int not in self_values:
             continue
+        if template.curve_name in pos:  # the extension would repeat a class name
+            raise ValueError("duplicate class names")
         pair_seq = [pair_val[nm] for nm in names]
-        ext = L.extend_with_curve(template.curve_name, pair_seq, self_int)
-        rel = [0] * ext.size
+        rel = [0] * len(names)
         for nm, coef in template.lhs:
-            rel[ext.index(nm)] += coef
-        rel[ext.index(template.curve_name)] -= c
-        for s, m in mults.items():
-            rel[ext.index(s)] -= m
-        rel_class = DivisorClass(tuple(rel))
-        if not ext.in_radical(rel_class):
+            rel[pos[nm]] += coef
+        for s, v in mults.items():
+            rel[pos[s]] -= v
+        # rel - c*curve lies in the radical of the extension: it pairs to zero
+        # with every row of [[M, p], [p^T, self]] (M = num / den)
+        if any(sum(r * row[j] for r, row in zip(rel, M.num) if r) != c * M.den * p
+               for j, p in enumerate(pair_seq)):
+            continue
+        if sum(r * p for r, p in zip(rel, pair_seq)) != c * self_int:
             continue
         solutions.append(
             CurveSolution(
                 tuple((s, mults[s]) for s in support),
                 tuple(pair_seq),
                 self_int,
-                canonical_relation(rel, k_pos),
+                canonical_relation(rel + [-c], k_pos),
             )
         )
     solutions.sort(key=lambda s: (s.pairings, s.self_int))
@@ -498,7 +603,7 @@ def parse_lattice(text: str) -> GramLattice:
     M = exactla.parse_matrix("\n".join(body))
     if names is None:
         names = [f"E{i + 1}" for i in range(M.rows)]
-    return GramLattice(names, M.data)
+    return GramLattice(names, M)
 
 
 def format_lattice(L: GramLattice) -> str:

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import pathlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -455,6 +457,29 @@ def test_cover_group_order_is_bounded(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {cov}: line 2: {reason}\n"
 
 
+COVER_BRANCH = "branch: N4+N7 | N1 | N2 | N3 | N5 | N6 | N8\n"
+COVER_GENERATORS = "L (1,0): 2*K - D' - N7\nL (1,1): 2*K - C'\n"
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("group: 2 4\nbranch: N4+N7 | N1\n" + COVER_GENERATORS, "line 2: 7 slots need 7 divisors, got 2"),
+    ("group: 2 4\n" + COVER_GENERATORS, "7 slots need 7 divisors, got 0"),
+    ("group: 2 4\n" + COVER_BRANCH, "no generator characters given"),
+    ("group: 2 4\n" + COVER_BRANCH + "L (0,2): K\n", "the given characters do not generate the dual group"),
+    ("group: 2 4\n" + COVER_BRANCH + "L (1,0): K\nL (1,1): 2*K - C'\n",
+     "factorization (0, 1) * (0, 1) disagrees with the stored class"),
+    ("group:\n" + COVER_BRANCH + "L (1): K\n", "line 1: no cyclic order after group:"),
+], ids=["branch-count", "no-branch-line", "no-generators", "not-generating", "inconsistent", "empty-group"])
+def test_cover_data_errors_name_the_file_and_line(tmp_path, capsys, text, reason):
+    gram = tmp_path / "gram11.txt"
+    gram.write_text(format_lattice(godeaux.extended_lattice()) + "\n")
+    cov = tmp_path / "cover.txt"
+    cov.write_text(text)
+    for action in ("verify", "invariants"):
+        assert main(["cover", "--lattice", str(gram), "--cover", str(cov), action]) == 3
+        assert capsys.readouterr() == ("", f"error: {cov}: {reason}\n")
+
+
 @pytest.mark.parametrize("template, constraints, where, reason", [
     ("lhs: 8*K\ncurve: 4*C'\nsupport: N1 Z3\n", CONSTRAINTS_C, "template", "line 3: no class named 'Z3'"),
     ("lhs: 8*Q\ncurve: 4*C'\nsupport: N1\n", CONSTRAINTS_C, "template", "line 1: no class named 'Q'"),
@@ -516,6 +541,96 @@ def test_solve_with_non_integral_derived_pairing_finds_nothing(tmp_path, capsys)
 
 
 # ---------------------------------------------------------------------------
+# golden reports: the benchmark's lattice and cover commands (input texts
+# copied from perfbench/workloads.py) and a search on a degenerate and on a
+# rational lattice, compared byte for byte, up to timings:, with the reports
+# recorded in tests/golden/
+# ---------------------------------------------------------------------------
+
+BENCH_NAMES9 = "N1 N2 N3 N4 N5 N6 N7 N8 K".split()
+BENCH_GRAM9 = (
+    (-2, 0, 0, 0, 0, 0, 0, 0, 0), (0, -2, 0, 0, 0, 0, 0, 0, 0), (0, 0, -2, 1, 0, 0, 0, 0, 0),
+    (0, 0, 1, -2, 1, 0, 0, 0, 0), (0, 0, 0, 1, -2, 0, 0, 0, 0), (0, 0, 0, 0, 0, -2, 1, 0, 0),
+    (0, 0, 0, 0, 0, 1, -2, 1, 0), (0, 0, 0, 0, 0, 0, 1, -2, 0), (0, 0, 0, 0, 0, 0, 0, 0, 1),
+)
+BENCH_C_ROW = (1, 0, 0, 0, 1, 1, 0, 0, 2)
+BENCH_D_ROW = (1, 1, 0, 0, 0, 0, 1, 0, 2)
+BENCH_GRAM11 = tuple(r + (c, d) for r, c, d in zip(BENCH_GRAM9, BENCH_C_ROW, BENCH_D_ROW)) + (
+    BENCH_C_ROW + (2, 3), BENCH_D_ROW + (3, 2))
+BENCH_TEMPLATE_C = "lhs: 8*K\ncurve: 4*C'\nsupport: N1 N3 N4 N5 N6 N7 N8\n"
+BENCH_CONSTRAINTS_C = (
+    "pair N1 {1}\npair N2 {0}\npair N3 {0}\npair N4 {0,1}\npair N5 {0,1}\n"
+    "pair N6 {0,1}\npair N7 {0,1}\npair N8 {0}\ncontact N3+N4+N5 = 1\ncontact N6+N7+N8 = 1\n"
+)
+BENCH_COVER = (
+    "group: 2 4\nbranch: N4+N7 | N1 | N2 | N3 | N5 | N6 | N8\n"
+    "L (1,0): 2*K - D' - N7\nL (1,1): 2*K - C'\n"
+)
+BENCH_EXHAUSTIVE_BOX = ",".join([f"N{i}=0..1" for i in range(1, 9)] + ["K=0..4", "self=-2..4"])
+BENCH_SAMPLED_BOX = ",".join([f"N{i}=0..2" for i in range(1, 9)] + ["K=0..4", "self=-2..4"])
+DEGENERATE_GRAM = "names: a b K\n0 0 0\n0 -2 1\n0 1 1\n"
+RATIONAL_GRAM = "names: A B K\n2/3 1/3 1\n1/3 -4/3 0\n1 0 1\n"
+
+
+def _bench_gram_text(names, gram) -> str:
+    return "names: " + " ".join(names) + "\n" + "".join(" ".join(map(str, r)) + "\n" for r in gram)
+
+
+GOLDEN_COMMANDS = {
+    "fixture": ["fixture"],
+    "rank11": ["lattice", "--gram", "{gram11}", "rank"],
+    "search-exhaustive": ["lattice", "--gram", "{gram9}", "search", "--bounds", BENCH_EXHAUSTIVE_BOX,
+                          "--limit", "500"],
+    "search-sampled": ["lattice", "--gram", "{gram9}", "search", "--bounds", BENCH_SAMPLED_BOX,
+                       "--seed", "7349", "--trials", "2000", "--limit", "500"],
+    "solve": ["lattice", "--gram", "{gram9}", "solve", "--template", "{template}",
+              "--constraints", "{constraints}"],
+    "cover-verify": ["cover", "--lattice", "{gram11}", "--cover", "{cover}", "verify"],
+    "cover-invariants": ["cover", "--lattice", "{gram11}", "--cover", "{cover}", "invariants"],
+    "search-degenerate": ["lattice", "--gram", "{degenerate}", "search",
+                          "--bounds", "a=-1..1,b=-2..2,K=0..2,self=-3..3", "--limit", "500"],
+    "search-rational": ["lattice", "--gram", "{rational}", "search",
+                        "--bounds", "A=-3..3,B=-3..3,K=-2..2,self=-4..4", "--limit", "500"],
+}
+
+
+def golden_reports(tmp_path):
+    """(name, report) of every golden command, text and --json: the exit
+    code, stderr and the report cut at timings:, with tmp_path as <tmp>."""
+    files = {
+        "gram9": _bench_gram_text(BENCH_NAMES9, BENCH_GRAM9),
+        "gram11": _bench_gram_text(BENCH_NAMES9 + ["C'", "D'"], BENCH_GRAM11),
+        "template": BENCH_TEMPLATE_C,
+        "constraints": BENCH_CONSTRAINTS_C,
+        "cover": BENCH_COVER,
+        "degenerate": DEGENERATE_GRAM,
+        "rational": RATIONAL_GRAM,
+    }
+    paths = {}
+    for key, text in files.items():
+        paths[key] = tmp_path / f"{key}.txt"
+        paths[key].write_text(text)
+    for name, argv in GOLDEN_COMMANDS.items():
+        for flags, suffix in (([], "txt"), (["--json"], "json")):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([a.format(**paths) for a in argv] + flags)
+            report = re.split(r'^(?:timings:|  "timings":)', out.getvalue(), flags=re.M)[0]
+            text = f"exit: {code}\nstderr: {err.getvalue()!r}\n{report}"
+            yield f"{name}.{suffix}", text.replace(str(tmp_path), "<tmp>")
+
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+
+def test_golden_reports_are_byte_identical(tmp_path):
+    reports = dict(golden_reports(tmp_path))
+    assert sorted(reports) == sorted(p.name for p in GOLDEN_DIR.iterdir())
+    for name, text in reports.items():
+        assert text == (GOLDEN_DIR / name).read_text(), name
+
+
+# ---------------------------------------------------------------------------
 # the CLI contract on fuzzed gram and cover files: exit 0, 1 (only with a
 # FAIL verdict) or 3 (with an error line), never an exception
 # ---------------------------------------------------------------------------
@@ -559,14 +674,18 @@ def lattice_and_cover_files(draw):
     orders = draw(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=2))
     G = AbelianGroup(tuple(orders))
     nslots = sum(len(char_generator_exponents(H)) for H in cyclic_subgroups(G))
-    if rarely(draw):
-        orders = draw(st.lists(st.sampled_from([1, 0, -2, 2, "z"]), max_size=2))
-    if rarely(draw):
+    # a fault of the cover data now and then
+    fault = draw(st.sampled_from(["orders", "empty-group", "slots", "no-generators"] + [None] * 4))
+    if fault == "orders":
+        orders = draw(st.lists(st.sampled_from([1, 0, -2, 2, "z"]), min_size=1, max_size=2))
+    elif fault == "empty-group":
+        orders = []
+    elif fault == "slots":
         nslots += draw(st.sampled_from([-1, 1]))
     lines = ["group: " + " ".join(map(str, orders)),
              "branch: " + " | ".join(combo() for _ in range(nslots))]
     chars = draw(st.lists(st.sampled_from(G.elements()[1:]), min_size=1, max_size=3, unique=True))
-    for exps in chars if not rarely(draw) else []:
+    for exps in chars if fault != "no-generators" else []:
         if rarely(draw):
             exps = draw(st.lists(st.integers(-1, 4), max_size=3))
         lines.append(f"L ({','.join(map(str, exps))}): {combo()}")
@@ -575,26 +694,47 @@ def lattice_and_cover_files(draw):
     return gram, "\n".join(draw(st.permutations(lines))) + "\n"
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
-@given(lattice_and_cover_files())
-def test_fuzzed_gram_and_cover_files_keep_the_exit_contract(tmp_path_factory, files):
-    gram_text, cover_text = files
-    tmp = tmp_path_factory.mktemp("fuzz")
-    gram, cov = tmp / "gram.txt", tmp / "cover.txt"
-    gram.write_text(gram_text)
-    cov.write_text(cover_text)
-    for argv in (
-        ["lattice", "--gram", str(gram), "rank"],
-        ["lattice", "--gram", str(gram), "search", "--bounds", "self=-1..1"],
-        ["cover", "--lattice", str(gram), "--cover", str(cov), "verify"],
-        ["cover", "--lattice", str(gram), "--cover", str(cov), "invariants"],
-    ):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 1, 3), (argv, code)
-        assert (code == 1) == ("\n  FAIL | " in out.getvalue()), argv
-        assert (code == 3) == err.getvalue().startswith("error: "), (argv, err.getvalue())
+COVER_DATA_ERRORS = {  # cover-file errors found only once the file is read
+    "slots need": "branch-count",
+    "no generator characters given": "no-generators",
+    "do not generate the dual group": "not-generating",
+    "disagrees with the stored class": "inconsistent",
+    "no cyclic order after group:": "empty-group",
+}
+
+
+def test_fuzzed_gram_and_cover_files_keep_the_exit_contract(tmp_path_factory):
+    """The errors of COVER_DATA_ERRORS name the cover file, and the fuzz
+    reaches each of them."""
+    seen = set()
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(lattice_and_cover_files())
+    def run(files):
+        gram_text, cover_text = files
+        tmp = tmp_path_factory.mktemp("fuzz")
+        gram, cov = tmp / "gram.txt", tmp / "cover.txt"
+        gram.write_text(gram_text)
+        cov.write_text(cover_text)
+        for argv in (
+            ["lattice", "--gram", str(gram), "rank"],
+            ["lattice", "--gram", str(gram), "search", "--bounds", "self=-1..1"],
+            ["cover", "--lattice", str(gram), "--cover", str(cov), "verify"],
+            ["cover", "--lattice", str(gram), "--cover", str(cov), "invariants"],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 3), (argv, code)
+            assert (code == 1) == ("\n  FAIL | " in out.getvalue()), argv
+            assert (code == 3) == err.getvalue().startswith("error: "), (argv, err.getvalue())
+            kinds = {kind for text, kind in COVER_DATA_ERRORS.items() if text in err.getvalue()}
+            if kinds:
+                assert argv[0] == "cover" and err.getvalue().startswith(f"error: {cov}: "), err.getvalue()
+                seen.update(kinds)
+
+    run()
+    assert seen == set(COVER_DATA_ERRORS.values())
 
 
 GRAM9_NAMES = ["N1", "N2", "N3", "N4", "N5", "N6", "N7", "N8", "K"]

@@ -1,11 +1,12 @@
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singhunt import godeaux
+from singhunt import cover, godeaux, lattice as lattice_mod
 from singhunt.cover import (
     AbelianGroup,
     BranchAssignment,
@@ -519,3 +520,207 @@ def test_cover_path_matches_fraction_reference():
 
     run()
     assert seen == {(kind, flag) for kind in ("derive", "verify", "chi") for flag in (True, False)}
+
+
+# ---------------------------------------------------------------------------
+# the DivisorClass path that the integer rows replaced: per-coefficient class
+# arithmetic, one radical test (a Python sum per column of the Gram matrix)
+# per factorization and per character
+# ---------------------------------------------------------------------------
+
+def sum_in_radical(lattice, v):
+    terms = [(c, lattice.gram[i]) for i, c in enumerate(v.coeffs) if c]
+    return all(sum(c * row[j] for c, row in terms) == 0 for j in range(lattice.size))
+
+
+def divisorclass_product_class(e1, e2, known, restrict, slots):
+    acc = known[e1] + known[e2]
+    for slot, r1, r2 in zip(slots, restrict[e1], restrict[e2]):
+        if r1 + r2 >= slot.subgroup.order:
+            acc = acc - slot.divisor
+    return acc
+
+
+def divisorclass_derive_all_L(lattice, branch, generators):
+    gens = list(generators.items())
+    if not gens:
+        raise InconsistentData("no generator characters given")
+    G = gens[0][0].group
+    if len(generate_subgroup([chi for chi, _ in gens])) != G.size:
+        raise InconsistentData("the given characters do not generate the dual group")
+    elements = G.elements()
+    for chi, _ in gens:
+        if chi.exps not in elements:
+            raise InconsistentData(f"character {chi.exps} is not reduced mod the orders {G.orders}")
+    slots = [s for s in branch.slots if s.divisor is not None]
+    restrict = {
+        e: [exponent_from_restriction(Character(G, e), s.subgroup, s.psi) for s in slots]
+        for e in elements
+    }
+    known = {G.identity(): DivisorClass((0,) * lattice.size)}
+    for chi, L in gens:
+        known[chi.exps] = L
+    changed = True
+    while changed:
+        changed = False
+        for e1 in sorted(known):
+            for chi2, _ in gens:
+                e = G.add(e1, chi2.exps)
+                if e in known:
+                    continue
+                known[e] = divisorclass_product_class(e1, chi2.exps, known, restrict, slots)
+                changed = True
+    order = sorted(known)
+    for i, e1 in enumerate(order):
+        for e2 in order[i:]:
+            candidate = divisorclass_product_class(e1, e2, known, restrict, slots)
+            if not sum_in_radical(lattice, candidate - known[G.add(e1, e2)]):
+                raise InconsistentData(f"factorization {e1} * {e2} disagrees with the stored class")
+    return known
+
+
+def divisorclass_verify_reduced_data(data):
+    out = []
+    for chi in character_group(data.group):
+        if chi.is_trivial():
+            continue
+        rel = reduced_building_data(chi, data.branch, data.L[chi.exps], data.lattice)
+        out.append((chi.exps, sum_in_radical(data.lattice, rel)))
+    return out
+
+
+DIFFERENTIAL_GROUPS = [(2,), (3,), (4,), (6,), (2, 2), (2, 4), (2, 2, 2)]
+SMALL = st.integers(-3, 3)
+HUGE = st.integers(2**62, 2**66) | st.integers(-2**66, -2**62) | st.integers(-3, 3)
+
+
+def _value(x):
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+@st.composite
+def consistent_covers(draw, entries=SMALL):
+    """(lattice, branch, generators, moved) on a group of DIFFERENTIAL_GROUPS.
+
+    The Gram matrix is U^T [[A, 0], [0, 0]] U for a random symmetric A, an
+    elementary U = I + t E_(a,last) and a scale 1, 1/2 or 1/3, so rho =
+    e_last - t e_a lies in its radical.  A generator's class is
+    sum_s (r_s / |H_s|) D_s plus a multiple of rho: every factorization then
+    agrees.  `moved` is the same generators with one class moved by a
+    nonzero integer vector."""
+    G = AbelianGroup(draw(st.sampled_from(DIFFERENTIAL_GROUPS)))
+    n = draw(st.integers(2, 4))
+    names = ["K"] + [f"E{i}" for i in range(1, n)]
+    block = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        for j in range(i, n - 1):
+            block[i][j] = block[j][i] = draw(entries)
+    a, t = draw(st.integers(0, n - 2)), draw(st.integers(-2, 2))
+    U = [[int(i == j) + (t if (i, j) == (a, n - 1) else 0) for j in range(n)] for i in range(n)]
+    scale = draw(st.sampled_from([1, Fraction(1, 2), Fraction(1, 3)]))
+    gram = [[scale * sum(U[k][i] * block[k][l] * U[l][j] for k in range(n) for l in range(n))
+             for j in range(n)] for i in range(n)]
+    rho = [int(i == n - 1) - (t if i == a else 0) for i in range(n)]
+    lattice = GramLattice(names, gram)
+    nslots = sum(len(char_generator_exponents(H)) for H in cyclic_subgroups(G))
+    vectors = st.lists(entries, min_size=n, max_size=n)
+    divisors = [None if v is None else DivisorClass(tuple(v))
+                for v in draw(st.lists(st.none() | vectors, min_size=nslots, max_size=nslots))]
+    branch = BranchAssignment.assign(G, divisors)
+    sets = [c for k in (1, 2, 3) for c in combinations(G.elements()[1:], k)]
+    chars = draw(st.sampled_from([c for c in sets
+                                  if len(generate_subgroup(Character(G, e) for e in c)) == G.size]))
+    generators = {}
+    for e in chars:
+        chi = Character(G, e)
+        k = draw(st.integers(-2, 2))
+        vec = [Fraction(k * x) for x in rho]
+        for slot in branch.slots:
+            if slot.divisor is not None:
+                share = Fraction(reference_exponent(chi, slot.subgroup, slot.psi), slot.subgroup.order)
+                vec = [v + share * d for v, d in zip(vec, slot.divisor.coeffs)]
+        generators[chi] = DivisorClass(tuple(_value(v) for v in vec))
+    moved = dict(generators)
+    chi = draw(st.sampled_from(sorted(moved, key=lambda c: c.exps)))
+    delta = draw(vectors.filter(any))
+    moved[chi] = DivisorClass(tuple(_value(x + y) for x, y in zip(moved[chi].coeffs, delta)))
+    return lattice, branch, generators, moved
+
+
+def check_cover_against_divisorclass_path(case, seen):
+    lattice, branch, generators, moved = case
+    G = next(iter(generators)).group
+    for gens, kind in ((generators, "consistent"), (moved, "moved")):
+        got = outcome(derive_all_L, lattice, branch, gens)
+        want = outcome(divisorclass_derive_all_L, lattice, branch, gens)
+        assert got == want, kind
+        with mock.patch.object(cover, "PAIR_ROWS", 3):  # factorizations checked 3 at a time
+            assert outcome(derive_all_L, lattice, branch, gens) == want
+        if isinstance(got, tuple):
+            assert kind == "moved" and got[0] is InconsistentData
+            seen.add(("derive", kind, False))
+            continue
+        seen.add(("derive", kind, True))
+        assert {e: [type(x) for x in c.coeffs] for e, c in got.items()} == \
+            {e: [type(x) for x in c.coeffs] for e, c in want.items()}
+        data = CoverData(G, branch, lattice, got)
+        verdicts = data.verify_reduced_data()
+        assert verdicts == divisorclass_verify_reduced_data(data)
+        assert kind == "moved" or all(ok for _, ok in verdicts)
+        # one stored class moved by K: its reduced data usually leaves the radical
+        e = max(got)
+        data.L = dict(got)
+        data.L[e] = got[e] + DivisorClass((1,) + (0,) * (lattice.size - 1))
+        verdicts = data.verify_reduced_data()
+        assert verdicts == divisorclass_verify_reduced_data(data)
+        seen.update(("verify", ok) for _, ok in verdicts)
+
+
+def test_integer_cover_path_matches_divisorclass_path():
+    """derive_all_L and verify_reduced_data against the DivisorClass path on
+    consistent data and with one generator moved: the same classes (values
+    and types), the same verdicts, or the same exception and message, which
+    names the first failing factorization in e1 <= e2 order."""
+    seen = set()
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(consistent_covers())
+    def run(case):
+        check_cover_against_divisorclass_path(case, seen)
+
+    run()
+    assert seen >= {("derive", "consistent", True), ("derive", "moved", True),
+                    ("derive", "moved", False), ("verify", True), ("verify", False)}
+
+
+def test_integer_cover_path_past_int64():
+    """Gram entries and classes past 2^62 and past 2^64 take the Python-int
+    path and match the DivisorClass path."""
+    seen = set()
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(consistent_covers(entries=HUGE))
+    def run(case):
+        lattice, branch, generators, _ = case
+        rows = [c for c in generators.values()] + [s.divisor for s in branch.slots if s.divisor]
+        top = max(abs(x) for c in rows for x in c.coeffs)
+        gram_top = max(abs(x) for row in lattice.gram for x in row)
+        if top >= 2**62 or gram_top >= 2**62:
+            assert (lattice.class_array(rows)[0].dtype == object
+                    or lattice_mod._int_array(lattice.matrix().num, lattice.size).dtype == object)
+            seen.add(64 if max(top, gram_top) >= 2**64 else 62)
+        check_cover_against_divisorclass_path(case, seen)
+
+    run()
+    assert {62, 64, ("derive", "moved", False), ("verify", False)} <= seen
+
+
+def test_restriction_table_matches_exponent_from_restriction():
+    for orders in SMALL_GROUPS:
+        G = AbelianGroup(orders)
+        slots = BranchAssignment.assign(G, [None] * sum(
+            len(char_generator_exponents(H)) for H in cyclic_subgroups(G))).slots
+        table = cover.restriction_table(G, slots)
+        assert table.tolist() == [[reference_exponent(Character(G, e), s.subgroup, s.psi) for s in slots]
+                                  for e in G.elements()]

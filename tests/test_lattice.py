@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from unittest import mock
 
+import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from singhunt import godeaux, lattice
 from singhunt.errors import DimensionMismatch, MultipleSolutions, NoSolution
-from singhunt.exactla import determinant, symmetric_signature
+from singhunt.exactla import QQ, ExactMatrix, determinant, solve, symmetric_signature
 from singhunt.lattice import (
     CurveTemplate,
     GramLattice,
@@ -22,7 +25,7 @@ from singhunt.lattice import (
     solve_curve_intersections,
     unique_curve_solution,
 )
-from singhunt.rng import split
+from singhunt.rng import below_rows, split
 
 L9 = godeaux_fixture()
 EXT = godeaux.extended_lattice()
@@ -507,3 +510,232 @@ def test_degenerate_search_on_a_lattice_with_a_class_named_like_the_curve():
     hits = search_relations(GramLattice(["C", "K"], [[0, 0], [0, 1]]), {"C": (0, 1)})
     assert hits == search_relations(GramLattice(["E", "K"], [[0, 0], [0, 1]]), {"E": (0, 1)})
     assert len(hits) == 11  # C.C' = 0, C'.K = 0, every C'^2 in -2..8
+
+
+# ---------------------------------------------------------------------------
+# the paths that one elimination per call and one product per block
+# replaced: a solve per pairing choice with the relation tested on an
+# extended GramLattice, and one canonical_relation per search hit
+# ---------------------------------------------------------------------------
+
+def sum_in_radical(L, coeffs):
+    terms = [(c, L.gram[i]) for i, c in enumerate(coeffs) if c]
+    return all(sum(c * row[j] for c, row in terms) == 0 for j in range(L.size))
+
+
+def sum_pairing(L, u, v):
+    acc = sum(a * b * L.gram[i][j] for i, a in enumerate(u) for j, b in enumerate(v))
+    return acc.numerator if Fraction(acc).denominator == 1 else acc
+
+
+def per_choice_solve_curve_intersections(L, template, constraints, contact=(), self_constraint=None,
+                                         require_positive=True, k_name="K"):
+    names = L.names
+    assigned = [nm for nm in names if nm in constraints]
+    derived = [nm for nm in names if nm not in constraints]
+    support = list(template.support)
+    lhs_vec = L.combo(dict(template.lhs))
+    c = template.curve_mult
+    parity = L.is_adjunction_even(k_name) if k_name in names else False
+    k_pos = L.index(k_name) if k_name in names else None
+    gram_row = {nm: L.gram[L.index(nm)] for nm in names}
+    lhs_pair = {nm: sum_pairing(L, lhs_vec.coeffs, L.basis_class(nm).coeffs) for nm in names}
+    choice_sets = [sorted(set(int(v) for v in constraints[nm])) for nm in assigned]
+    solutions = []
+    for choice in product(*choice_sets):
+        pair_val = dict(zip(assigned, choice))
+        if any(all(g in pair_val for g in group) and sum(pair_val[g] for g in group) != total
+               for group, total in contact):
+            continue
+        rows = [[gram_row[nm][L.index(s)] for s in support] for nm in assigned]
+        rhs = [lhs_pair[nm] - c * pair_val[nm] for nm in assigned]
+        sol, kernel = solve(ExactMatrix.make(QQ, rows, len(support)), rhs)
+        if sol is None or kernel:
+            continue
+        if any(v.denominator != 1 or v < (1 if require_positive else 0) for v in sol):
+            continue
+        mults = {s: int(v) for s, v in zip(support, sol)}
+        ok = True
+        for nm in derived:
+            val = Fraction(lhs_pair[nm] - sum(mults[s] * gram_row[nm][L.index(s)] for s in support), c)
+            if val.denominator != 1:
+                ok = False
+                break
+            pair_val[nm] = int(val)
+        if not ok or any(sum(pair_val[g] for g in group) != total for group, total in contact):
+            continue
+        num = sum(coef * pair_val[nm] for nm, coef in template.lhs) - sum(
+            mults[s] * pair_val[s] for s in support)
+        self_val = Fraction(num, c)
+        if self_val.denominator != 1:
+            continue
+        self_int = int(self_val)
+        if parity and k_pos is not None and (self_int + pair_val[k_name]) % 2 != 0:
+            continue
+        if self_constraint is not None and self_int not in set(self_constraint):
+            continue
+        pair_seq = [pair_val[nm] for nm in names]
+        ext = L.extend_with_curve(template.curve_name, pair_seq, self_int)
+        rel = [0] * ext.size
+        for nm, coef in template.lhs:
+            rel[ext.index(nm)] += coef
+        rel[ext.index(template.curve_name)] -= c
+        for s, m in mults.items():
+            rel[ext.index(s)] -= m
+        if not sum_in_radical(ext, rel):
+            continue
+        solutions.append(lattice.CurveSolution(tuple((s, mults[s]) for s in support), tuple(pair_seq),
+                                               self_int, canonical_relation(rel, k_pos)))
+    solutions.sort(key=lambda s: (s.pairings, s.self_int))
+    return solutions
+
+
+@st.composite
+def planted_solve_cases(draw):
+    """A lattice N1.. K (integral, or over 1/2 or 1/3) and a template
+    c*X = a*K - sum m_s N_s whose curve X has the pairings p that this
+    relation forces; the value sets of the constraints hold the integral
+    ones among other values."""
+    n = draw(st.integers(2, 5))
+    names = [f"N{i}" for i in range(1, n)] + ["K"]
+    scale = draw(st.sampled_from([1, 1, Fraction(1, 2), Fraction(1, 3)]))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = scale * draw(st.integers(-3, 3))
+    L = GramLattice(names, gram)
+    c = draw(st.sampled_from([1, 2, 3]))
+    support = draw(st.lists(st.sampled_from(names[:-1]), min_size=1, max_size=n - 1, unique=True))
+    mults = {s: c * draw(st.integers(1, 2)) for s in support}
+    a = c * draw(st.integers(1, 4))
+    template = CurveTemplate.make({"K": a}, c, "X", support)
+    p = [(a * L.gram[-1][j] - sum(m * L.gram[names.index(s)][j] for s, m in mults.items())) / c
+         for j in range(n)]
+    assigned = set(support) | set(draw(st.lists(st.sampled_from(names), max_size=2)))
+    constraints = {}
+    for nm in assigned:
+        planted = {int(p[names.index(nm)])} if draw(st.integers(0, 4)) else set()
+        constraints[nm] = tuple(planted | set(draw(st.lists(st.integers(-1, 2), max_size=2))))
+    contact = []
+    for _ in range(draw(st.integers(0, 2))):
+        group = tuple(draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True)))
+        contact.append((group, draw(st.integers(-1, 3))))
+    self_c = draw(st.none() | st.sets(st.integers(-6, 6), max_size=4))
+    return L, template, constraints, tuple(contact), self_c, draw(st.booleans())
+
+
+def test_solve_matches_the_per_choice_solve():
+    """One elimination per call against a solve per pairing choice: the same
+    solutions (repr, so types too), or the same exception and message."""
+    seen = set()
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(planted_solve_cases())
+    def run(case):
+        L, template, constraints, contact, self_c, positive = case
+        args = (L, template, constraints, contact, self_c, positive)
+        got = outcome(solve_curve_intersections, *args)
+        assert repr(got) == repr(outcome(per_choice_solve_curve_intersections, *args))
+        seen.add(bool(got) if isinstance(got, list) else got[0])
+
+    run()
+    assert seen == {True, False}
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, KeyError, ZeroDivisionError, DimensionMismatch) as exc:
+        return type(exc), str(exc)
+
+
+def per_hit_search_relations(L, bounds, self_bounds=(-2, 8), seed=0, trials=10_000,
+                             exhaustive_limit=100_000, k_name="K"):
+    """The nondegenerate block search with unravel_index boxes and one
+    canonical_relation per hit."""
+    ranges = [range(lo, hi + 1) for lo, hi in (bounds.get(nm, (0, 0)) for nm in L.names)]
+    ranges.append(range(self_bounds[0], self_bounds[1] + 1))
+    shape = [len(r) for r in ranges]
+    total = 1
+    for m in shape:
+        total *= m
+    draws = None if total <= exhaustive_limit else trials
+    k_index = L.index(k_name) if k_name in L.names else None
+    inverse = sympy.Matrix(L.gram).inv()
+    D = lcm(*(sympy.fraction(x)[1] for x in inverse))
+    A = np.array([[int(x * D) for x in inverse.row(i)] for i in range(L.size)], dtype=object)
+    A = A.reshape(L.size, L.size)
+    D = int(D)
+    starts = np.array([r.start for r in ranges], dtype=object)
+    found = {}
+    count = total if draws is None else draws
+    for lo in range(0, count, 1000):
+        index = np.arange(lo, min(lo + 1000, count))
+        if draws is None:
+            offsets = np.stack(np.unravel_index(index, shape), axis=1)
+        else:
+            offsets = below_rows(seed, index, shape)
+        block = offsets.astype(object) + starts
+        V = block[:, :-1]
+        VA = V @ A
+        for r in np.flatnonzero(np.einsum("ij,ij->i", VA, V) == D * block[:, -1]).tolist():
+            found[tuple(block[r].tolist())] = canonical_relation(VA[r].tolist() + [-D], k_index)
+    hits = [lattice.RelationHit(vec[:-1], vec[-1], (rel,)) for vec, rel in found.items()]
+    hits.sort(key=lambda h: (h.pairings, h.self_int))
+    return hits
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    st.one_of(gram_lattices(), gram_lattices(max_entry=2**66)).filter(
+        lambda L: determinant(L.matrix()) != 0),
+    st.sampled_from([1, 1, Fraction(1, 2), Fraction(1, 3)]),
+    st.lists(st.tuples(st.integers(-3, 2), st.integers(0, 3)), min_size=4, max_size=4),
+    st.tuples(st.integers(-6, 2), st.integers(0, 8)),
+    st.booleans(),
+    st.integers(0, 2**64),
+)
+def test_search_relations_matches_the_per_hit_loop(L, scale, spans, self_span, sampled, seed):
+    """Integral, rational (over 1/2 and 1/3) and huge nondegenerate lattices,
+    with M^-1 from sympy."""
+    L = GramLattice(L.names, [[scale * x for x in row] for row in L.gram])
+    bounds = {nm: (lo, lo + w) for nm, (lo, w) in zip(L.names, spans)}
+    self_bounds = (self_span[0], self_span[0] + self_span[1])
+    limit = 0 if sampled else 100_000
+    want = per_hit_search_relations(L, bounds, self_bounds, seed, 150, limit)
+    assert search_relations(L, bounds, self_bounds, seed, 150, limit) == want
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(1, 2)])
+@pytest.mark.parametrize("box, trials", [((0, 1), 0), ((0, 2), 2000)])
+def test_fixture_search_matches_the_per_hit_loop(scale, box, trials):
+    """On the fixture, whose relations have a negative first entry and a
+    positive K entry, exhaustive and sampled."""
+    L = GramLattice(L9.names, [[scale * x for x in row] for row in L9.gram])
+    bounds = {f"N{i}": box for i in range(1, 9)}
+    bounds["K"] = (0, 4)
+    limit = 0 if trials else 100_000
+    want = per_hit_search_relations(L, bounds, (-2, 4), 5, trials, limit)
+    assert search_relations(L, bounds, (-2, 4), 5, trials, limit) == want
+    assert any(h.relations[0][8] > 0 > h.relations[0][0] for h in want)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-2**66, 2**66) | st.integers(-3, 3), min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.sampled_from([1, Fraction(1, 2), Fraction(2, 3)]),
+    st.lists(st.fractions(-3, 3, max_denominator=4), min_size=n, max_size=n),
+    st.lists(st.integers(-3, 3) | st.integers(2**62, 2**66), min_size=n, max_size=n),
+)))
+def test_pairing_and_radical_test_match_the_gram_sums(case):
+    rows, scale, u, v = case
+    n = len(rows)
+    gram = [[scale * (rows[i][j] + rows[j][i]) for j in range(n)] for i in range(n)]
+    L = GramLattice([f"E{i}" for i in range(n)], gram)
+    U, V = L.combo(dict(zip(L.names, u))), L.combo(dict(zip(L.names, v)))
+    assert L.pairing(U, V) == sum_pairing(L, U.coeffs, V.coeffs)
+    assert type(L.pairing(U, V)) is type(sum_pairing(L, U.coeffs, V.coeffs))
+    for cls in (U, V, U.scale(0)):
+        assert L.in_radical(cls) == sum_in_radical(L, cls.coeffs)
