@@ -109,6 +109,10 @@ class HeldOutMismatch(SinghuntError):
 
 # -- lattices and covers -----------------------------------------------------------
 
+class BadGram(SinghuntError):
+    """A Gram matrix that is not symmetric, or repeats a class name."""
+
+
 class NoSolution(SinghuntError):
     pass
 

@@ -28,6 +28,7 @@ from .fields import (
     decode,
     monomial_values,
     plane_matmul,
+    plane_mul,
     to_elements,
     to_planes,
     to_scalars,
@@ -123,10 +124,14 @@ def _check_budget(q: int, nvars: int, budget: int) -> None:
 # -- the batched scan -----------------------------------------------------------
 #
 # Values are digit planes (see fields): members are rows of a coefficient
-# array C (k x members x monomials).  On a block of points, the values of f
-# or of a partial at every point for every member are one plane product:
-# monomial values (points x monomials) times the coefficients of that
-# polynomial (monomials x members).
+# array C (k x members x monomials).  A cell is a (point, member) pair, and
+# it is singular when every check (f where needed, then each partial)
+# vanishes there.  On a block of points the first check is one dense plane
+# product: monomial values (points x monomials) times that polynomial's
+# coefficients (monomials x members).  Its zeros are the surviving cells, and
+# each later check is evaluated only at the cells still surviving, as one
+# gathered elementwise product summed over the check's monomials, so a cell
+# costs nothing once one check is nonzero there.
 
 SCAN_CELLS = 1 << 15  # points x members (or x monomials) per transient block
 
@@ -194,33 +199,44 @@ def _scan(
             checks.append((cols, lowered, [xmons[j][i] % p for j in cols]))
     mons = sorted({m for _, ms, _ in checks for m in ms})
     where = {m: j for j, m in enumerate(mons)}
-    plan = [
-        ([where[m] for m in ms],
-         (C[:, :, list(cols)] * np.array(mult, dtype=C.dtype) % p).transpose(0, 2, 1))
+    plan = [  # (columns of the monomial values, coefficient planes members x columns)
+        ([where[m] for m in ms], C[:, :, list(cols)] * np.array(mult, dtype=C.dtype) % p)
         for cols, ms, mult in checks
     ]
     exps = _exponent_array(mons, n)
     T = C.shape[1]
     step = max(1, SCAN_CELLS // max(T, len(mons)))
-    hits: dict[int, list[int]] = {}
+    chunk = step * max(1, SCAN_CELLS // (step * max(1, len(mons))))  # points per monomial table
+    found_b, found_t = [], []  # the singular cells of each block, row-major
     for start in range(0, points.shape[1], step):
-        values = monomial_values(ctx, points[:, start:start + step], exps)
-        alive = np.ones((values.shape[1], T), dtype=bool)
-        rows = np.arange(values.shape[1])  # points some member is still singular at
-        for idx, coeffs in plan:
-            alive[rows] &= ~plane_matmul(ctx, values[:, rows[:, None], idx], coeffs).any(axis=0)
-            rows = rows[alive[rows].any(axis=1)]
-            if not len(rows):
-                break
-        for b, t in zip(*np.nonzero(alive)):
-            hits.setdefault(int(t), []).append(start + int(b))
-    used = sorted({b for found in hits.values() for b in found})
+        if not start % chunk:
+            values = monomial_values(ctx, points[:, start:start + chunk], exps)
+        block = values[:, start % chunk:start % chunk + step]
+        if not plan:  # f is zero mod p: every cell is singular
+            b, t = np.divmod(np.arange(block.shape[1] * T), T)
+        else:
+            (idx, coeffs), *rest = plan
+            first = plane_matmul(ctx, block[:, :, idx], coeffs.transpose(0, 2, 1))
+            b, t = np.divmod(np.flatnonzero(~first.any(axis=0)), T)
+            for idx, coeffs in rest:  # the later checks, at the surviving cells only
+                if not len(b):
+                    break
+                terms = plane_mul(ctx, block[:, b[:, None], idx], coeffs[:, t])
+                keep = ~(terms.sum(axis=2) % p).any(axis=0)
+                b, t = b[keep], t[keep]
+        found_b.append(start + b)
+        found_t.append(t)
+    t = np.concatenate(found_t)
+    order = np.argsort(t, kind="stable")  # by member; each member's points stay in order
+    b, t = np.concatenate(found_b)[order], t[order]
+    used = sorted(set(b.tolist()))
     coords = dict(zip(used, map(tuple, to_elements(ctx, points[:, used]))))  # converted once
-    for t in sorted(hits):
-        found = hits[t]
-        if ctx.k == 1 and n == 2 and len({sum(m) for m, c in zip(xmons, C[0, t].tolist()) if c}) == 1:
+    rows, firsts = np.unique(t, return_index=True)
+    for row, found in zip(rows.tolist(), np.split(b, firsts[1:])):
+        found = found.tolist()
+        if ctx.k == 1 and n == 2 and len({sum(m) for m, c in zip(xmons, C[0, row].tolist()) if c}) == 1:
             found = sorted(found, key=lambda b: [c.coeffs for c in coords[b]])
-        yield t, [coords[b] for b in found]
+        yield row, [coords[b] for b in found]
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +488,18 @@ def _param_candidates(nparams: int, ctx: FieldCtx, trials: int, seed: int) -> np
         return digits.reshape(space, nparams, k).astype(_dtype(p))
     limit = _attempt_limit(trials)
     rows = np.empty((0, width), dtype=np.uint64)
-    drawn = trials
+    drawn, rounds = trials, 0
     while True:
         more = below_rows(seed, np.arange(len(rows), drawn), [p] * width)
         rows = np.concatenate([rows, more])
-        first = first_occurrences(rows)
-        if len(first) >= trials or drawn == limit:
+        first = first_occurrences(rows, p)
+        short = trials - len(first)
+        if short <= 0 or drawn == limit:
             break
-        drawn = min(2 * drawn, limit)
+        # the draws the shortfall needs at the distinct rate seen so far, with
+        # a margin that doubles each round (so at most log2(limit) rounds)
+        rounds += 1
+        drawn = min(drawn + (-(-short * drawn // len(first)) << rounds), limit)
     first = first[:trials]
     return rows[first].astype(_dtype(p)).reshape(len(first), nparams, k)
 

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import exactla
-from .errors import DimensionMismatch, NonIntegral, NoSolution, data_lines
+from .errors import BadGram, DimensionMismatch, NonIntegral, NoSolution, data_lines
 from .rng import below_rows
 
 
@@ -97,7 +97,7 @@ class GramLattice:
         self.names = list(names)
         n = len(self.names)
         if len(set(self.names)) != n:
-            raise ValueError("duplicate class names")
+            raise BadGram("duplicate class names")
         if isinstance(gram, exactla.ExactMatrix):
             M = gram
         elif len(gram) != n or any(len(row) != n for row in gram):
@@ -108,7 +108,7 @@ class GramLattice:
             raise DimensionMismatch("Gram matrix shape does not match names")
         num = M.num
         if any(num[i][j] != num[j][i] for i in range(n) for j in range(i)):
-            raise ValueError("Gram matrix must be symmetric")
+            raise BadGram("Gram matrix must be symmetric")
         self._matrix = M
         self._echelon = None  # (R, pivots, rank) of the one elimination
         self._rows = None  # num as an integer array, see _int_array

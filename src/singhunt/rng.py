@@ -90,10 +90,21 @@ def below_rows(seed: int, index: np.ndarray, moduli: Sequence[int]) -> np.ndarra
     return out
 
 
-def first_occurrences(rows: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first occurrence of every distinct row."""
-    order = np.lexsort(rows.T)  # stable: equal rows end up adjacent, in index order
-    ranked = rows[order]
+def first_occurrences(rows: np.ndarray, base: int) -> np.ndarray:
+    """Ascending indices of the first occurrence of every distinct row of
+    digits below base.
+
+    Each row's digits are packed into as few uint64 words as hold them
+    (base^d <= 2^64 digits a word), and the rows are ranked on the words.
+    """
+    per = 1
+    while base ** (per + 1) <= 1 << 64:
+        per += 1
+    words = np.zeros((len(rows), -(-rows.shape[1] // per)), dtype=np.uint64)
+    for j in range(rows.shape[1]):
+        words[:, j // per] = words[:, j // per] * np.uint64(base) + rows[:, j]
+    order = np.lexsort(words.T)  # stable: equal rows end up adjacent, in index order
+    ranked = words[order]
     new = np.ones(len(rows), dtype=bool)
     new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     return np.sort(order[new])

@@ -327,6 +327,21 @@ def test_gram_division_by_zero_is_data_error(tmp_path, capsys):
     assert str(gram) in err and "line 2" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("names: K A\n1 1\n0 1\n", "Gram matrix must be symmetric"),
+    ("names: K K\n1 0\n0 1\n", "duplicate class names"),
+])
+def test_bad_gram_files_name_the_file(tmp_path, capsys, text, message):
+    gram = tmp_path / "gram.txt"
+    gram.write_text(text)
+    cov = tmp_path / "cover.txt"
+    cov.write_text("group: 2\nbranch: K\nL (1): K\n")
+    for argv in (["lattice", "--gram", str(gram), "rank"],
+                 ["cover", "--lattice", str(gram), "--cover", str(cov), "verify"]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {gram}: {message}\n"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["hunt"]) == 2  # missing required arguments
     capsys.readouterr()
@@ -542,9 +557,11 @@ def test_solve_with_non_integral_derived_pairing_finds_nothing(tmp_path, capsys)
 
 # ---------------------------------------------------------------------------
 # golden reports: the benchmark's lattice and cover commands (input texts
-# copied from perfbench/workloads.py) and a search on a degenerate and on a
-# rational lattice, compared byte for byte, up to timings:, with the reports
-# recorded in tests/golden/
+# copied from perfbench/workloads.py), a search on a degenerate and on a
+# rational lattice, and three hunts (a locus family as locus-gfp draws it,
+# the conic with --classify over GF(7^2), and a family that is zero mod p),
+# compared byte for byte, up to timings:, with the reports recorded in
+# tests/golden/
 # ---------------------------------------------------------------------------
 
 BENCH_NAMES9 = "N1 N2 N3 N4 N5 N6 N7 N8 K".split()
@@ -570,6 +587,10 @@ BENCH_EXHAUSTIVE_BOX = ",".join([f"N{i}=0..1" for i in range(1, 9)] + ["K=0..4",
 BENCH_SAMPLED_BOX = ",".join([f"N{i}=0..2" for i in range(1, 9)] + ["K=0..4", "self=-2..4"])
 DEGENERATE_GRAM = "names: a b K\n0 0 0\n0 -2 1\n0 1 1\n"
 RATIONAL_GRAM = "names: A B K\n2/3 1/3 1\n1/3 -4/3 0\n1 0 1\n"
+LOCUS_FAMILY = ("x1^2 + 2*x0^2*p1^2 - 3*x0^2*p1*p2 + x0^2*p2^2 + 4*x0^2*p1*p3 - 2*x0^2*p3^2"
+                " + x0^2*p1 - 6*x0^2*p2 + 3*x0^2*p3 - 5*x0^2\n")
+CONIC_FAMILY = "x0^2+x1^2+x2^2+p1*x0*x1+p2*x0*x2+p3*x1*x2\n"
+ZERO_MOD_7_FAMILY = "7*x0^2 + 7*p1*x1^2\n"
 
 
 def _bench_gram_text(names, gram) -> str:
@@ -591,6 +612,12 @@ GOLDEN_COMMANDS = {
                           "--bounds", "a=-1..1,b=-2..2,K=0..2,self=-3..3", "--limit", "500"],
     "search-rational": ["lattice", "--gram", "{rational}", "search",
                         "--bounds", "A=-3..3,B=-3..3,K=-2..2,self=-4..4", "--limit", "500"],
+    "hunt-locus": ["hunt", "--family", "{locus}", "--field", "101", "--trials", "5000",
+                   "--seed", "1931"],
+    "hunt-conic-gfq": ["hunt", "--family", "{conic}", "--field", "7,2", "--trials", "300",
+                       "--seed", "5", "--classify"],
+    "hunt-zero-mod-p": ["hunt", "--family", "{zero}", "--field", "7", "--trials", "3",
+                        "--seed", "2"],
 }
 
 
@@ -605,6 +632,9 @@ def golden_reports(tmp_path):
         "cover": BENCH_COVER,
         "degenerate": DEGENERATE_GRAM,
         "rational": RATIONAL_GRAM,
+        "locus": LOCUS_FAMILY,
+        "conic": CONIC_FAMILY,
+        "zero": ZERO_MOD_7_FAMILY,
     }
     paths = {}
     for key, text in files.items():

@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from singhunt import hunt
+from singhunt import fields, hunt
 from singhunt.errors import (
     BudgetExceeded,
     NotLinearInParams,
@@ -30,7 +30,7 @@ from singhunt.hunt import (
     singular_points,
 )
 from singhunt.poly import QQ, ZZ, MultiPoly, ParametricFamily, monomial_basis, parse, parse_poly
-from singhunt.rng import split
+from singhunt.rng import first_occurrences, split
 
 F7 = field_create(7)
 F11 = field_create(11)
@@ -185,16 +185,53 @@ def check_scan_against_brute_force(ctx, fam, trials, seed):
     assert [(m.params, [pt.coords for pt in m.points]) for m in members] == expected
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(field_families(), st.integers(1, 6), st.integers(0, 3))
-def test_prime_field_scan_matches_brute_force(case, trials, seed):
-    check_scan_against_brute_force(*case, trials, seed)
+# a block of 2 or 3 cells gives several point blocks per member batch
+SCAN_SIZES = st.sampled_from([hunt.SCAN_CELLS, 2, 3])
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
-@given(field_families(EXTENSION_FIELDS, max_params=2), st.integers(1, 4), st.integers(0, 3))
-def test_extension_field_scan_matches_brute_force(case, trials, seed):
-    check_scan_against_brute_force(*case, trials, seed)
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(field_families(), st.integers(1, 6), st.integers(0, 3), SCAN_SIZES)
+def test_prime_field_scan_matches_brute_force(case, trials, seed, cells):
+    with mock.patch.object(hunt, "SCAN_CELLS", cells):
+        check_scan_against_brute_force(*case, trials, seed)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(field_families(EXTENSION_FIELDS, max_params=2), st.integers(1, 4), st.integers(0, 3),
+       SCAN_SIZES)
+def test_extension_field_scan_matches_brute_force(case, trials, seed, cells):
+    with mock.patch.object(hunt, "SCAN_CELLS", cells):
+        check_scan_against_brute_force(*case, trials, seed)
+
+
+def test_family_zero_mod_p_is_singular_everywhere():
+    # no check is left once f is zero mod p: every point of every member is singular
+    fam = parse("7*x0^2 + 7*p1*x1^2", 2, 1)
+    members = hunt_members(fam, F7, trials=3, seed=2)
+    assert len(members) == 3
+    for m in members:
+        assert [pt.coords for pt in m.points] == list(projective_points(F7, 2))
+
+
+def test_scan_products_stay_within_the_block_bound(monkeypatch):
+    # a locus-sized hunt: 5000 binary members over GF(101), whose checks use
+    # two monomials (x0 and x1); products are cells x k planes
+    fam = parse("x1^2 + x0^2*p1^2 - 2*x0^2*p2*p3 + 3*x0^2*p1 - x0^2", 2, 3)
+    largest = []
+
+    def measured(product):
+        def wrapper(ctx, *args):
+            out = product(ctx, *args)
+            largest.append(out.size // ctx.k)
+            return out
+        return wrapper
+
+    for module in (hunt, fields):  # fields.monomial_values calls fields.plane_mul
+        for name in ("plane_matmul", "plane_mul"):
+            monkeypatch.setattr(module, name, measured(getattr(module, name)))
+    members = hunt_members(fam, F101, trials=5000, seed=1)
+    assert members and largest
+    assert max(largest) <= hunt.SCAN_CELLS * 2
 
 
 def test_binary_member_point_order():
@@ -290,6 +327,19 @@ def test_param_candidates_match_scalar_draw(case, trials, seed, full_scan):
     if got.dtype == object:
         assert all(type(v) is int for v in got.ravel())
     assert [tuple(map(tuple, row)) for row in got.tolist()] == want
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from([2, 7, 101, 2**32 + 15, P64]), st.integers(1, 70), st.data())
+def test_first_occurrences_match_a_set_of_seen_rows(base, width, data):
+    # digits 0, 1 and base - 1, so that rows repeat and words hold 1 to 64 digits
+    digit = st.sampled_from(sorted({0, 1, base - 1}))
+    rows = data.draw(st.lists(st.lists(digit, min_size=width, max_size=width), max_size=40))
+    seen = {}
+    for r, row in enumerate(rows):
+        seen.setdefault(tuple(row), r)
+    got = first_occurrences(np.array(rows, dtype=np.uint64).reshape(len(rows), width), base)
+    assert got.tolist() == sorted(seen.values())
 
 
 def test_param_candidates_refuse_primes_above_two_to_the_64():
