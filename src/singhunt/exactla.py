@@ -369,22 +369,6 @@ def row_span_rank(rows: Sequence[Sequence], domain) -> int:
     return rank(ExactMatrix.make(domain, rows))
 
 
-def span_intersection(B1: Sequence[Sequence], B2: Sequence[Sequence], ctx: FieldCtx) -> list[list]:
-    """Basis of rowspan(B1) ∩ rowspan(B2) over a finite field, RREF-normalized."""
-    if not isinstance(ctx, FieldCtx):
-        raise ContextMismatch("span intersection is defined over finite fields")
-    if not B1 or not B2:
-        return []
-    P1, P2 = to_planes(ctx, B1), to_planes(ctx, B2)
-    # columns: coefficients a (over B1 rows) and b (over B2 rows); solve B1^T a = B2^T b
-    stacked = np.concatenate([P1, -P2 % ctx.p], axis=1).transpose(0, 2, 1)
-    kernel = _kernel_planes(ExactMatrix.from_planes(ctx, stacked))
-    vectors = plane_matmul(ctx, kernel[:, :, : len(B1)], P1)
-    vectors = vectors[:, vectors.any(axis=(0, 2))]
-    R, pivots, _ = rref(ExactMatrix.from_planes(ctx, vectors))
-    return to_scalars(ctx, R.planes[:, : len(pivots)])
-
-
 def in_row_span(rows: Sequence[Sequence], v: Sequence, domain) -> bool:
     base = row_span_rank(rows, domain)
     return row_span_rank(list(rows) + [list(v)], domain) == base

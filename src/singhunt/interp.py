@@ -15,7 +15,7 @@ import numpy as np
 
 from . import exactla
 from .errors import BudgetExceeded, InsufficientPoints, NotOnVariety, SinghuntError, at_line, data_lines
-from .fields import FieldCtx, monomial_values, parse_element, to_planes
+from .fields import FieldCtx, monomial_values, parse_element, to_planes, to_scalars
 from .poly import MultiPoly, monomial_basis
 from .rng import split
 
@@ -108,34 +108,37 @@ def oversampled_system(
     seed: int = 0,
     column_cap: int = DEFAULT_COLUMN_CAP,
 ) -> VanishingSystem:
-    """Interpolate through several slightly-oversampled draws and intersect.
+    """Interpolate through several slightly-oversampled draws at once.
 
-    Each draw uses |monomials| + slack points sampled without replacement,
-    so a polynomial must vanish on every draw to survive; this suppresses
-    components that only exist because of repeated isolated solutions.
+    Each of the draws >= 1 uses |monomials| + slack points sampled without
+    replacement; the kept polynomials are the kernel of every draw's
+    evaluation rows stacked, so a polynomial must vanish on every draw to
+    survive.  This suppresses components that only exist because of
+    repeated isolated solutions.  With two or more draws the basis is in
+    RREF, the same for any spanning set of that kernel.
     """
     if slack < 1:
         raise ValueError("slack must be >= 1")
-    nvars = len(pts.points[0]) if pts.points else 0
-    monomials = monomial_basis(nvars, degree, "exactly" if homogeneous else "at-most")
-    need = len(monomials) + slack
+    if draws < 1:
+        raise ValueError("draws must be >= 1")
+    if not pts.points:
+        raise InsufficientPoints("empty point set")
+    nvars = len(pts.points[0])
+    need = len(monomial_basis(nvars, degree, "exactly" if homogeneous else "at-most")) + slack
     if len(pts.points) < need:
         raise InsufficientPoints(
             f"need {need} points (|monomials| + slack), have {len(pts.points)}"
         )
-    current: list[list] | None = None
+    stacked = []
     for d in range(draws):
-        sample = list(pts.points)
-        split(seed, d).shuffle(sample)
-        subset = PointSet(pts.ctx, sample[:need], dedup=False)
-        system = vanishing_system(subset, degree, homogeneous, column_cap)
-        if current is None:
-            current = system.basis
-        else:
-            current = exactla.span_intersection(current, system.basis, pts.ctx)
-        if not current:
-            break
-    return VanishingSystem(pts.ctx, nvars, degree, homogeneous, monomials, current or [])
+        order = list(range(len(pts.points)))
+        split(seed, d).shuffle(order)
+        stacked += [pts.points[i] for i in order[:need]]
+    system = vanishing_system(PointSet(pts.ctx, stacked, dedup=False), degree, homogeneous, column_cap)
+    if draws > 1 and system.basis:
+        R, pivots, _ = exactla.rref(exactla.ExactMatrix.make(pts.ctx, system.basis))
+        system.basis = to_scalars(pts.ctx, R.planes[:, : len(pivots)])
+    return system
 
 
 def tangent_dim(gens: Sequence[MultiPoly], pt: Sequence) -> int:

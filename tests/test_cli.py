@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import pathlib
+import random
 import re
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from singhunt import godeaux, hunt, poly
 from singhunt.cli import main
 from singhunt.cover import MAX_GROUP_ORDER, AbelianGroup, char_generator_exponents, cyclic_subgroups
-from singhunt.fields import field_create
+from singhunt.fields import field_create, format_element
 from singhunt.lattice import format_lattice
 
 HESSE = "# plane cubics\nx0^3+x1^3+x2^3+p1*x0*x1*x2\n"
@@ -143,6 +144,20 @@ def test_interpolate_command(tmp_path, capsys):
     assert code == 0
     assert "dimension: 1" in out
     assert "x0^2 + x1*x2" in out
+
+
+@pytest.mark.parametrize("points,flags,reason", [
+    (CONIC_POINTS, ["--slack", "-1"], "slack must be >= 1"),
+    (CONIC_POINTS, ["--slack", "2", "--draws", "0"], "draws must be >= 1"),
+    (CONIC_POINTS, ["--slack", "2", "--draws", "-2"], "draws must be >= 1"),
+    ("", ["--slack", "1"], "empty point set"),
+    ("", [], "empty point set"),
+])
+def test_interpolate_bad_arguments_are_data_errors(tmp_path, capsys, points, flags, reason):
+    pts = tmp_path / "pts.txt"
+    pts.write_text(points)
+    assert main(["interpolate", "--points", str(pts), "--field", "7", "--degree", "1"] + flags) == 3
+    assert capsys.readouterr() == ("", f"error: {reason}\n")
 
 
 def test_lift_command_pass_and_fail(tmp_path, capsys):
@@ -559,9 +574,10 @@ def test_solve_with_non_integral_derived_pairing_finds_nothing(tmp_path, capsys)
 # golden reports: the benchmark's lattice and cover commands (input texts
 # copied from perfbench/workloads.py), a search on a degenerate and on a
 # rational lattice, and three hunts (a locus family as locus-gfp draws it,
-# the conic with --classify over GF(7^2), and a family that is zero mod p),
-# compared byte for byte, up to timings:, with the reports recorded in
-# tests/golden/
+# the conic with --classify over GF(7^2), and a family that is zero mod p)
+# and four interpolations (the locus-gfp shape with three draws and with one,
+# a conic over GF(7^2), and random points that lie on no quadric), compared
+# byte for byte, up to timings:, with the reports recorded in tests/golden/
 # ---------------------------------------------------------------------------
 
 BENCH_NAMES9 = "N1 N2 N3 N4 N5 N6 N7 N8 K".split()
@@ -597,6 +613,28 @@ def _bench_gram_text(names, gram) -> str:
     return "names: " + " ".join(names) + "\n" + "".join(" ".join(map(str, r)) + "\n" for r in gram)
 
 
+def _locus_points_text() -> str:
+    """Zeros over GF(101) with p1, p2 < 6 of the x0^2 coefficient of
+    LOCUS_FAMILY: the parameters of its singular members."""
+    def h(p1, p2, p3):
+        return (2*p1*p1 - 3*p1*p2 + p2*p2 + 4*p1*p3 - 2*p3*p3 + p1 - 6*p2 + 3*p3 - 5) % 101
+    return "".join(f"{a} {b} {c}\n" for a in range(6) for b in range(6) for c in range(101)
+                   if not h(a, b, c))
+
+
+def _conic_gfq_points_text() -> str:
+    """The 50 points of x0^2 + x1*x2 = 0 in P^2 over GF(7^2)."""
+    F = field_create(7, 2)
+    conic = poly.parse_poly("x0^2 + x1*x2", 3).map_domain(F)
+    return "".join(" ".join(format_element(v) for v in pt) + "\n"
+                   for pt in hunt.projective_points(F, 3) if not conic.eval(list(pt)))
+
+
+def _random_points_text() -> str:
+    rnd = random.Random(10)
+    return "".join(f"{rnd.randrange(101)} {rnd.randrange(101)}\n" for _ in range(40))
+
+
 GOLDEN_COMMANDS = {
     "fixture": ["fixture"],
     "rank11": ["lattice", "--gram", "{gram11}", "rank"],
@@ -618,6 +656,15 @@ GOLDEN_COMMANDS = {
                        "--seed", "5", "--classify"],
     "hunt-zero-mod-p": ["hunt", "--family", "{zero}", "--field", "7", "--trials", "3",
                         "--seed", "2"],
+    "interpolate-locus": ["interpolate", "--points", "{locus_points}", "--field", "101",
+                          "--degree", "2", "--slack", "4", "--draws", "3", "--seed", "11"],
+    "interpolate-locus-one-draw": ["interpolate", "--points", "{locus_points}", "--field", "101",
+                                   "--degree", "2", "--slack", "4", "--draws", "1", "--seed", "11"],
+    "interpolate-conic-gfq": ["interpolate", "--points", "{conic_points}", "--field", "7,2",
+                              "--degree", "2", "--homogeneous", "--slack", "1", "--draws", "2",
+                              "--seed", "5"],
+    "interpolate-random": ["interpolate", "--points", "{random_points}", "--field", "101",
+                           "--degree", "2", "--slack", "3", "--seed", "2"],
 }
 
 
@@ -635,6 +682,9 @@ def golden_reports(tmp_path):
         "locus": LOCUS_FAMILY,
         "conic": CONIC_FAMILY,
         "zero": ZERO_MOD_7_FAMILY,
+        "locus_points": _locus_points_text(),
+        "conic_points": _conic_gfq_points_text(),
+        "random_points": _random_points_text(),
     }
     paths = {}
     for key, text in files.items():

@@ -21,7 +21,6 @@ from singhunt.exactla import (
     rank,
     rref,
     solve,
-    span_intersection,
     symmetric_signature,
 )
 from singhunt.fields import field_create
@@ -300,9 +299,8 @@ def test_every_field_elimination_goes_through_rref(monkeypatch):
     rank(A)
     nullspace(A)
     solve(A, [1, 2])
-    span_intersection([[1, 0, 0], [0, 1, 0]], [[1, 1, 0]], ctx)
-    # rank 1, nullspace 1, solve 2 (augmented, then its kernel), span_intersection 2
-    assert calls == [ctx] * 6
+    # rank 1, nullspace 1, solve 2 (augmented, then its kernel)
+    assert calls == [ctx] * 4
 
 
 @pytest.mark.parametrize("domain", [QQ, field_create(7), field_create(3, 2)])
@@ -346,15 +344,6 @@ def test_signature_of_gram():
     assert symmetric_signature(ExactMatrix.identity(3, QQ)) == (3, 0, 0)
     assert symmetric_signature(ExactMatrix.make(QQ, [[0, 1], [1, 0]])) == (1, 1, 0)
     assert symmetric_signature(ExactMatrix.make(QQ, [[1, 2], [2, 4]])) == (1, 0, 1)
-
-
-def test_span_intersection():
-    F7 = field_create(7)
-    B1 = [[1, 0, 0], [0, 1, 0]]
-    B2 = [[0, 1, 0], [0, 0, 1]]
-    inter = span_intersection(B1, B2, F7)
-    assert len(inter) == 1
-    assert inter[0][0] == 0 and inter[0][2] == 0 and inter[0][1] != 0
 
 
 def test_parse_matrix_bracket_blocks():

@@ -1,10 +1,13 @@
 import random
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from singhunt.errors import InsufficientPoints, NotOnVariety
-from singhunt.exactla import ExactMatrix, in_row_span, nullspace
-from singhunt.fields import field_create
+from singhunt.exactla import ExactMatrix, in_row_span, nullspace, rref
+from singhunt.fields import field_create, plane_matmul, to_planes, to_scalars
 from singhunt.hunt import projective_points
 from singhunt.interp import (
     PointSet,
@@ -14,6 +17,7 @@ from singhunt.interp import (
     vanishing_system,
 )
 from singhunt.poly import MultiPoly, monomial_basis, parse_poly
+from singhunt.rng import split
 
 F7 = field_create(7)
 F11 = field_create(11)
@@ -132,6 +136,98 @@ def test_oversampled_single_point_degree_one():
     repeated = PointSet(F7, [(F7.element(2), F7.element(3))] * 8, dedup=False)
     system = oversampled_system(repeated, 1, slack=1, seed=0)
     assert system.dimension == 2  # nvars linear forms through one point
+
+
+def test_oversampled_rejects_no_draws_and_no_points():
+    ps = PointSet(F7, conic_points())
+    for draws in (0, -2):
+        with pytest.raises(ValueError, match="draws must be >= 1"):
+            oversampled_system(ps, 1, slack=2, draws=draws)
+    with pytest.raises(InsufficientPoints, match="empty point set"):
+        oversampled_system(PointSet(F7, []), 1, slack=1)
+
+
+def span_intersection(B1, B2, ctx):
+    """Basis of rowspan(B1) ∩ rowspan(B2) over a finite field, RREF-normalized."""
+    if not B1 or not B2:
+        return []
+    P1, P2 = to_planes(ctx, B1), to_planes(ctx, B2)
+    # columns: coefficients a (over B1 rows) and b (over B2 rows); solve B1^T a = B2^T b
+    stacked = np.concatenate([P1, -P2 % ctx.p], axis=1).transpose(0, 2, 1)
+    kernel = nullspace(ExactMatrix.from_planes(ctx, stacked))
+    if not kernel:
+        return []
+    vectors = plane_matmul(ctx, to_planes(ctx, kernel)[:, :, : len(B1)], P1)
+    vectors = vectors[:, vectors.any(axis=(0, 2))]
+    R, pivots, _ = rref(ExactMatrix.from_planes(ctx, vectors))
+    return to_scalars(ctx, R.planes[:, : len(pivots)])
+
+
+def test_span_intersection():
+    B1 = [[1, 0, 0], [0, 1, 0]]
+    B2 = [[0, 1, 0], [0, 0, 1]]
+    inter = span_intersection(B1, B2, F7)
+    assert len(inter) == 1
+    assert inter[0][0] == 0 and inter[0][2] == 0 and inter[0][1] != 0
+
+
+def per_draw_basis(pts, degree, slack, homogeneous, draws, seed):
+    """The reference for oversampled_system: one vanishing system per draw,
+    intersected with the draws before it."""
+    monomials = monomial_basis(len(pts.points[0]), degree, "exactly" if homogeneous else "at-most")
+    need = len(monomials) + slack
+    if len(pts.points) < need:
+        raise InsufficientPoints(f"need {need} points (|monomials| + slack), have {len(pts.points)}")
+    current = None
+    for d in range(draws):
+        sample = list(pts.points)
+        split(seed, d).shuffle(sample)
+        basis = vanishing_system(PointSet(pts.ctx, sample[:need], dedup=False), degree, homogeneous).basis
+        current = basis if current is None else span_intersection(current, basis, pts.ctx)
+        if not current:
+            break
+    return current
+
+
+REFERENCE_FIELDS = [F7, F11, F101, field_create(3, 2), field_create(5, 2)]
+
+
+@st.composite
+def oversampled_cases(draw):
+    """(points, degree, slack, homogeneous, draws, seed) over a random field,
+    with about |monomials| + slack to 2(|monomials| + slack) distinct points:
+    uniform, or on a random hyperplane x0 = a.x (so that every degree has a
+    nonempty vanishing system) with at most two uniform points mixed in."""
+    ctx = draw(st.sampled_from(REFERENCE_FIELDS))
+    nvars, degree, homogeneous = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.booleans())
+    slack, draws = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    need = len(monomial_basis(nvars, degree, "exactly" if homogeneous else "at-most")) + slack
+    element = st.sampled_from(list(ctx.elements()))
+    planted = nvars > 1 and draw(st.booleans())
+    free = nvars - planted
+    tails = draw(st.lists(st.tuples(*[element] * free), unique=True,
+                          min_size=min(need, ctx.q**free), max_size=min(2 * need, ctx.q**free)))
+    if planted:
+        a = draw(st.tuples(*[element] * free))
+        tails = [(sum((c * x for c, x in zip(a, t)), ctx.zero()),) + t for t in tails]
+        tails += draw(st.lists(st.tuples(*[element] * nvars), max_size=2))
+    return PointSet(ctx, tails), degree, slack, homogeneous, draws, draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=150, deadline=None)
+@given(oversampled_cases())
+def test_stacked_draws_match_the_per_draw_intersection(case):
+    try:
+        want = per_draw_basis(*case)
+    except InsufficientPoints as exc:
+        with pytest.raises(InsufficientPoints, match=re.escape(str(exc))):
+            oversampled_system(*case)
+        return
+    system = oversampled_system(*case)
+    assert system.basis == want
+    ps, degree, _, homogeneous = case[:4]
+    assert system.monomials == monomial_basis(len(ps.points[0]), degree,
+                                              "exactly" if homogeneous else "at-most")
 
 
 def test_oversampled_contained_in_full_system():
