@@ -558,28 +558,19 @@ def fixture_godeaux() -> Report:
     report.verdict(val == 9, "b2-base", f"12*chi - K^2 + 4q - 2 = {val}")
 
     # (c) divisibility relations recovered uniquely
-    solsC = lattice_mod.solve_curve_intersections(
-        base, godeaux.C_TEMPLATE, godeaux.C_CONSTRAINTS, contact=godeaux.C_CONTACTS
-    )
-    okC = (
-        len(solsC) == 1
-        and dict(solsC[0].multiplicities) == godeaux.C_MULTIPLICITIES
-        and solsC[0].pairings == godeaux.C_PAIRINGS
-        and solsC[0].self_int == godeaux.C_SELF
-    )
-    report.verdict(okC, "relation-C", f"{len(solsC)} solution(s), multiplicities "
-                   f"{dict(solsC[0].multiplicities) if solsC else '-'}")
-    solsD = lattice_mod.solve_curve_intersections(
-        base, godeaux.D_TEMPLATE, godeaux.D_CONSTRAINTS, contact=godeaux.D_CONTACTS
-    )
-    okD = (
-        len(solsD) == 1
-        and dict(solsD[0].multiplicities) == godeaux.D_MULTIPLICITIES
-        and solsD[0].pairings == godeaux.D_PAIRINGS
-        and solsD[0].self_int == godeaux.D_SELF
-    )
-    report.verdict(okD, "relation-D", f"{len(solsD)} solution(s), multiplicities "
-                   f"{dict(solsD[0].multiplicities) if solsD else '-'}")
+    relations = [  # name, template, constraints, contacts, the expected solution
+        ("C", godeaux.C_TEMPLATE, godeaux.C_CONSTRAINTS, godeaux.C_CONTACTS,
+         (godeaux.C_MULTIPLICITIES, godeaux.C_PAIRINGS, godeaux.C_SELF)),
+        ("D", godeaux.D_TEMPLATE, godeaux.D_CONSTRAINTS, godeaux.D_CONTACTS,
+         (godeaux.D_MULTIPLICITIES, godeaux.D_PAIRINGS, godeaux.D_SELF)),
+    ]
+    for name, template, constraints, contacts, expected in relations:
+        sols = lattice_mod.solve_curve_intersections(base, template, constraints, contact=contacts)
+        ok = len(sols) == 1 and (
+            dict(sols[0].multiplicities), sols[0].pairings, sols[0].self_int
+        ) == expected
+        report.verdict(ok, f"relation-{name}", f"{len(sols)} solution(s), multiplicities "
+                       f"{dict(sols[0].multiplicities) if sols else '-'}")
 
     ext = godeaux.extended_lattice(base)
     radical = [tuple(v) for v in ext.radical()]
@@ -749,13 +740,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except SinghuntError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (FileNotFoundError, SinghuntError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -47,10 +47,7 @@ class AbelianGroup:
 
     @property
     def size(self) -> int:
-        n = 1
-        for m in self.orders:
-            n *= m
-        return n
+        return prod(self.orders)
 
     def identity(self) -> tuple[int, ...]:
         return (0,) * len(self.orders)
@@ -89,9 +86,7 @@ class Character:
         return acc % 1
 
     def order(self) -> int:
-        return lcm(
-            *(m // gcd(c, m) for c, m in zip(self.exps, self.group.orders))
-        ) if any(self.exps) else 1
+        return self.group.element_order(self.exps)
 
     def is_trivial(self) -> bool:
         return not any(self.exps)

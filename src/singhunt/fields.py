@@ -170,14 +170,8 @@ class FieldCtx:
 
     def elements(self) -> Iterator["FieldElement"]:
         """All q elements, in lexicographic order of basis tuples."""
-        def rec(prefix: tuple[int, ...]) -> Iterator[FieldElement]:
-            if len(prefix) == self.k:
-                yield FieldElement(self, prefix)
-                return
-            for c in range(self.p):
-                yield from rec(prefix + (c,))
-
-        yield from rec(())
+        for coeffs in _digit_tuples(self.p, self.k):
+            yield FieldElement(self, coeffs)
 
 
 class FieldElement:
@@ -310,23 +304,19 @@ def field_create(p: int, k: int = 1) -> FieldCtx:
     return ctx
 
 
-def _first_irreducible(p: int, k: int) -> tuple[int, ...]:
-    def candidates() -> Iterator[list[int]]:
-        # counter[i] is the coefficient of t^(k-1-i): most significant first
-        counter = [0] * k
-        while True:
-            yield [counter[k - 1 - i] for i in range(k)] + [1]
-            i = k - 1
-            while i >= 0:
-                counter[i] += 1
-                if counter[i] < p:
-                    break
-                counter[i] = 0
-                i -= 1
-            if i < 0:
-                return
+def _digit_tuples(p: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The k-digit tuples base p in counting order, most significant digit
+    first: the order of itertools.product(range(p), repeat=k), which would
+    first build range(p) as a tuple (p may be near 2^64)."""
+    weights = [p**i for i in range(k - 1, -1, -1)]
+    for n in range(p**k):
+        yield tuple(n // w % p for w in weights)
 
-    for f in candidates():
+
+def _first_irreducible(p: int, k: int) -> tuple[int, ...]:
+    # the monic candidates, low degree first, counting up from the top coefficient
+    for digits in _digit_tuples(p, k):
+        f = list(reversed(digits)) + [1]
         if _is_irreducible(f, p):
             return tuple(f)
     raise AssertionError("no irreducible polynomial found (unreachable)")

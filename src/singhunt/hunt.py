@@ -4,6 +4,8 @@ A member is singular at a projective point when the defining polynomial and
 all its geometric partials vanish there.  Classification is numeric: corank
 of the Hessian plus the Tjurina number computed by truncated local-algebra
 linear algebra, which separates the A_k types without any Groebner machinery.
+Each classified point takes one elimination: the corank and the Tjurina
+numbers at both caps are read from the pivots of a single RREF.
 """
 
 from __future__ import annotations
@@ -268,9 +270,7 @@ def classify_local(
         if e in g.terms:
             raise NotSingular("Jacobian does not vanish at the origin")
 
-    corank = n - _hessian_rank(g)
-    tau_lo = _tjurina_truncated(g, cap - 1)
-    tau_hi = _tjurina_truncated(g, cap)
+    corank, tau_lo, tau_hi = _corank_and_tjurina(g, cap)
     coords = point if point is not None else zero_exps
     if tau_lo != tau_hi:
         return SingularPoint(
@@ -284,26 +284,19 @@ def classify_local(
     return SingularPoint(coords, f"A{tau_hi}", corank, tau_hi, "")
 
 
-def _hessian_rank(g: MultiPoly) -> int:
-    n = g.nvars
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = [0] * n
-            e[i] += 1
-            e[j] += 1
-            c = g.terms.get(tuple(e), 0)
-            if i == j:
-                c = 2 * c
-            row.append(c)
-        entries.append(row)
-    return exactla.rank(exactla.ExactMatrix.make(g.domain, entries))
+def _corank_and_tjurina(g: MultiPoly, cap: int) -> tuple[int, int, int]:
+    """(Hessian corank, tau at cap - 1, tau at cap) of g from one elimination.
 
-
-def _tjurina_truncated(g: MultiPoly, cap: int) -> int:
-    """dim of O/(g, dg) modulo degree >= cap terms."""
+    tau at a cap is dim O/(g, dg) modulo terms of degree >= cap.  The rows
+    are the multiples h*m of each generator h in (g, dg), truncated at cap,
+    over the monomials of degree < cap in graded order, so the rank of a
+    prefix of columns is the number of pivots in it.  Truncating at cap - 1
+    keeps the columns of degree < cap - 1, where the rows only the cap
+    matrix has vanish.  g has no terms of degree < 2, so on the columns of
+    degree <= 1 the rows dg_i * 1 are the Hessian's and all others vanish.
+    """
     n = g.nvars
+    lo = len(monomial_basis(n, cap - 2, "at-most"))
     basis = monomial_basis(n, cap - 1, "at-most")
     index = {m: i for i, m in enumerate(basis)}
     gens = [g] + [g.partial(i) for i in range(n)]
@@ -324,10 +317,11 @@ def _tjurina_truncated(g: MultiPoly, cap: int) -> int:
             if row:
                 entries.update(row)
                 rows += 1
-    if not rows:
-        return len(basis)
-    rk = exactla.rank(exactla.ExactMatrix.sparse(g.domain, rows, len(basis), entries))
-    return len(basis) - rk
+    pivots = []
+    if rows:
+        pivots = exactla.rref(exactla.ExactMatrix.sparse(g.domain, rows, len(basis), entries))[1]
+    hessian_rank = sum(c <= n for c in pivots)  # columns 1..n are the degree-1 monomials
+    return n - hessian_rank, lo - sum(c < lo for c in pivots), len(basis) - len(pivots)
 
 
 def classify(

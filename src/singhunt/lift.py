@@ -138,22 +138,19 @@ def lift_rational(rs: ResidueSystem) -> LiftedRational:
         value = _lift_once(crt_primes, crt_residues)
         if _verifies(value, primes, residues):
             return LiftedRational(value, prod(crt_primes), len(primes))
-        failed = True
     except NoReconstruction:
         if len(primes) < 3:
             raise
-        failed = True
-    if failed:
-        suspects = _suspect_sets(primes, residues)
-        if suspects:
-            named = ", ".join(str(s) for s in suspects)
-            raise HeldOutMismatch(
-                f"lift inconsistent; candidate bad prime set(s): {named}",
-                suspects=suspects[0],
-            )
-        raise NoReconstruction(
-            "no consistent reconstruction found; collect more primes"
+    suspects = _suspect_sets(primes, residues)
+    if suspects:
+        named = ", ".join(str(s) for s in suspects)
+        raise HeldOutMismatch(
+            f"lift inconsistent; candidate bad prime set(s): {named}",
+            suspects=suspects[0],
         )
+    raise NoReconstruction(
+        "no consistent reconstruction found; collect more primes"
+    )
 
 
 def _suspect_sets(primes: list[int], residues: list[int]) -> list[tuple[int, ...]]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -39,6 +40,23 @@ def test_field_create_examples():
 def test_modulus_matches_bruteforce_oracle():
     for p in (3, 5, 7, 11, 13):
         assert field_create(p, 2).modulus == brute_first_irreducible_quadratic(p)
+
+
+@pytest.mark.parametrize("p, k, modulus", [
+    (2, 3, (1, 1, 0, 1)), (2, 5, (1, 0, 1, 0, 0, 1)), (3, 3, (1, 2, 0, 1)),
+    (3, 4, (2, 1, 0, 0, 1)), (5, 3, (1, 1, 0, 1)), (11, 3, (4, 1, 0, 1)),
+])
+def test_modulus_of_higher_degree_is_pinned(p, k, modulus):
+    """The candidates are tried counting up from the top coefficient, so the
+    modulus (and every basis tuple) of a field stays fixed across versions."""
+    assert field_create(p, k).modulus == modulus
+
+
+def test_elements_enumerate_basis_tuples_in_lexicographic_order():
+    ctx = field_create(3, 2)
+    assert [e.coeffs for e in ctx.elements()] == list(itertools.product(range(3), repeat=2))
+    # lazily: a prime near 2^61 yields its first element without listing the others
+    assert next(field_create(2**61 - 1).elements()).coeffs == (0,)
 
 
 def test_field_create_deterministic():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from singhunt import fields, hunt
+from singhunt import exactla, fields, hunt
 from singhunt.errors import (
     BudgetExceeded,
     NotLinearInParams,
@@ -458,6 +459,103 @@ def groebner_tjurina(text: str, nvars: int, p: int | None = None) -> int:
 def test_tjurina_matches_a_groebner_basis_oracle(text, nvars, domain):
     res = classify_local(parse_poly(text, nvars, domain=domain))
     assert res.tjurina == groebner_tjurina(text, nvars, None if domain == QQ else domain.p)
+
+
+# -- the three-elimination classification, kept as the reference ---------------
+
+def reference_hessian_rank(g):
+    n = g.nvars
+    entries = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            e = [0] * n
+            e[i] += 1
+            e[j] += 1
+            c = g.terms.get(tuple(e), 0)
+            if i == j:
+                c = 2 * c
+            row.append(c)
+        entries.append(row)
+    return exactla.rank(exactla.ExactMatrix.make(g.domain, entries))
+
+
+def reference_tjurina_truncated(g, cap):
+    """dim of O/(g, dg) modulo degree >= cap terms, from its own matrix."""
+    n = g.nvars
+    basis = monomial_basis(n, cap - 1, "at-most")
+    index = {m: i for i, m in enumerate(basis)}
+    gens = [g] + [g.partial(i) for i in range(n)]
+    entries = {}  # (row, column) -> coefficient
+    rows = 0
+    for h in gens:
+        if h.is_zero():
+            continue
+        order = min(sum(e) for e in h.terms)
+        if order > cap - 1:
+            continue  # every multiple is truncated away
+        for m in monomial_basis(n, cap - 1 - order, "at-most"):
+            row = {}
+            for exps, c in h.terms.items():
+                pos = index.get(tuple(a + b for a, b in zip(exps, m)))
+                if pos is not None:
+                    row[rows, pos] = c
+            if row:
+                entries.update(row)
+                rows += 1
+    if not rows:
+        return len(basis)
+    rk = exactla.rank(exactla.ExactMatrix.sparse(g.domain, rows, len(basis), entries))
+    return len(basis) - rk
+
+
+F49 = field_create(7, 2)
+
+
+@st.composite
+def local_singularities(draw, domain):
+    """(g, cap): g over domain with no terms of degree < 2.  The lowest
+    degree is drawn up to 10, so for small caps every row of the Tjurina
+    matrix can be truncated away, and g may be zero."""
+    n = draw(st.integers(1, 3))
+    cap = draw(st.integers(2, 9))
+    low = draw(st.one_of(st.just(2), st.integers(2, 10)))
+    exps = st.lists(st.integers(0, low + 3), min_size=n, max_size=n).filter(
+        lambda e: low <= sum(e) <= low + 3)
+    if domain == QQ:
+        coeffs = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    else:
+        coeffs = st.lists(st.integers(0, domain.p - 1), min_size=domain.k, max_size=domain.k).map(
+            domain.element)
+    if draw(st.integers(0, 9)) == 9:
+        return MultiPoly.zero(n, domain), cap
+    terms = {}
+    if draw(st.booleans()):  # a sum of pure powers, isolated in characteristic 0 and 101
+        terms = {tuple(d if j == i else 0 for j in range(n)): 1
+                 for i, d in enumerate(draw(st.lists(st.integers(2, 9), min_size=n, max_size=n)))}
+    terms.update(draw(st.dictionaries(exps.map(tuple), coeffs, min_size=not terms, max_size=6)))
+    return MultiPoly(n, domain, terms), cap
+
+
+@pytest.mark.parametrize("domain", [F101, F49, QQ], ids=["GF101", "GF49", "QQ"])
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_one_elimination_matches_three(domain, data):
+    g, cap = data.draw(local_singularities(domain))
+    reference = (
+        g.nvars - reference_hessian_rank(g),
+        reference_tjurina_truncated(g, cap - 1),
+        reference_tjurina_truncated(g, cap),
+    )
+    assert hunt._corank_and_tjurina(g, cap) == reference
+
+
+@pytest.mark.parametrize("text, rrefs", [("x0^2+x1^2+x2^4", 1), ("x0^9", 0)])
+def test_classify_local_eliminates_once(text, rrefs):
+    """One rref per classified point, and none when every row is truncated away."""
+    with mock.patch.object(exactla, "rref", wraps=exactla.rref) as rref:
+        classify_local(parse_poly(text, 3, domain=QQ), cap=8)
+    assert rref.call_count == rrefs
 
 
 def test_classify_coordinate_invariance():
