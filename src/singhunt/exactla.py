@@ -7,8 +7,10 @@ no Fraction arithmetic.  Over every finite field a matrix holds the digit
 planes of ``fields``, eliminated with numpy (int64 where a product of
 residues fits, Python ints otherwise).  Either way the entries (over QQ ints,
 or Fractions where not integral; ints over GF(p), FieldElements over GF(p^k))
-are derived only when first read.  Every rank, kernel, solve and span intersection goes through ``rref``;
-``determinant`` runs its elimination directly, for the row swaps.
+are derived only when first read.  Every rank, kernel and solve goes
+through ``rref``, once: a solve reads its particular solution and its kernel
+from the one RREF of [A | b].  ``determinant`` runs its elimination
+directly, for the row swaps.
 """
 
 from __future__ import annotations
@@ -255,10 +257,10 @@ def nullspace(A: ExactMatrix) -> list[list]:
     published relations; over a finite field they come from the RREF with a
     unit at the free coordinate.
     """
-    if A.domain != QQ:
-        return to_scalars(A.domain, _kernel_planes(A))
     R, pivots, _ = rref(A)
-    return _kernel_rows(R, pivots, A.cols)
+    if A.domain == QQ:
+        return _kernel_rows(R, pivots, A.cols)
+    return to_scalars(A.domain, _kernel_planes(R, pivots, A.cols))
 
 
 def _kernel_rows(R: ExactMatrix, pivots: list[int], cols: int) -> list[list[int]]:
@@ -277,12 +279,13 @@ def _kernel_rows(R: ExactMatrix, pivots: list[int], cols: int) -> list[list[int]
     return basis
 
 
-def _kernel_planes(A: ExactMatrix) -> np.ndarray:
-    """Planes (k x nullity x cols) of the RREF kernel basis of a finite-field A."""
-    R, pivots, _ = rref(A)
-    ctx = A.domain
-    free = [c for c in range(A.cols) if c not in pivots]
-    K = np.zeros((ctx.k, len(free), A.cols), dtype=R.planes.dtype)
+def _kernel_planes(R: ExactMatrix, pivots: list[int], cols: int) -> np.ndarray:
+    """Planes (k x nullity x cols) of the kernel basis of the first cols
+    columns of a finite-field RREF R whose pivots all lie among them: 1 at
+    the free column f, minus column f of R at the pivots."""
+    ctx = R.domain
+    free = [c for c in range(cols) if c not in pivots]
+    K = np.zeros((ctx.k, len(free), cols), dtype=R.planes.dtype)
     K[0, range(len(free)), free] = 1
     K[:, :, pivots] = (-R.planes[:, :len(pivots)][:, :, free] % ctx.p).transpose(0, 2, 1)
     return K
@@ -336,31 +339,32 @@ def matvec(A: ExactMatrix, v: Sequence) -> list:
 
 
 def solve(A: ExactMatrix, b: Sequence) -> tuple[list | None, list[list]]:
-    """All solutions of A x = b as (particular, kernel basis); None if none."""
-    b = list(b)[: A.rows]
+    """All solutions of A x = b as (particular, kernel basis); None if none.
+
+    One elimination of [A | b]: the first A.cols columns of its RREF are
+    A's RREF, so the kernel is read from the same pivots."""
+    if len(b) != A.rows:
+        raise DimensionMismatch(f"right-hand side has {len(b)} entries for {A.rows} rows")
     if A.domain == QQ:
-        (ints,), bden = _integer_rows([b])
+        (ints,), bden = _integer_rows([list(b)])
         den = lcm(A.den, bden)
         s, t = den // A.den, den // bden
         aug = [[x * s for x in row] + [y * t] for row, y in zip(A.num, ints)]
-        R, pivots, _ = rref(ExactMatrix(len(aug), A.cols + 1, QQ, num=aug, den=den))
+        R, pivots, _ = rref(ExactMatrix(A.rows, A.cols + 1, QQ, num=aug, den=den))
         if A.cols in pivots:
             return None, []
         x = [Fraction(0)] * A.cols
         for row, pc in zip(R.num, pivots):
             x[pc] = Fraction(row[A.cols], R.den)
-        if len(b) < A.rows:
-            return x, nullspace(A)
-        return x, _kernel_rows(R, pivots, A.cols)  # the first A.cols columns of R are A's RREF
+        return x, _kernel_rows(R, pivots, A.cols)
     ctx = A.domain
-    column = to_planes(ctx, b).reshape(ctx.k, len(b), 1)
-    aug = ExactMatrix.from_planes(ctx, np.concatenate([A.planes[:, :len(b)], column], axis=2))
-    R, pivots, _ = rref(aug)
+    column = to_planes(ctx, list(b)).reshape(ctx.k, A.rows, 1)
+    R, pivots, _ = rref(ExactMatrix.from_planes(ctx, np.concatenate([A.planes, column], axis=2)))
     if A.cols in pivots:
         return None, []
     X = np.zeros((ctx.k, A.cols), dtype=R.planes.dtype)
     X[:, pivots] = R.planes[:, :len(pivots), A.cols]
-    return to_scalars(ctx, X), nullspace(A)
+    return to_scalars(ctx, X), to_scalars(ctx, _kernel_planes(R, pivots, A.cols))
 
 
 def row_span_rank(rows: Sequence[Sequence], domain) -> int:
@@ -378,19 +382,9 @@ def in_row_span(rows: Sequence[Sequence], v: Sequence, domain) -> bool:
 # symmetric forms: definiteness and signature, all exact
 # ---------------------------------------------------------------------------
 
-def leading_minors(A: ExactMatrix) -> list[Fraction]:
-    if A.domain != QQ:
-        raise ContextMismatch("leading minors are defined for rational matrices")
-    if A.rows != A.cols:
-        raise NotSquare("leading minors need a square matrix")
-    return [determinant(ExactMatrix(k, k, QQ, num=[row[:k] for row in A.num[:k]], den=A.den))
-            for k in range(1, A.rows + 1)]
-
-
 def is_negative_definite(A: ExactMatrix) -> bool:
-    """Sylvester: -A has all leading principal minors positive, that is the
-    k-th leading minor of A has the sign of (-1)^k."""
-    return all((-1) ** k * m > 0 for k, m in enumerate(leading_minors(A), 1))
+    """A symmetric rational A is negative definite when its signature is (0, n, 0)."""
+    return symmetric_signature(A) == (0, A.rows, 0)
 
 
 def symmetric_signature(A: ExactMatrix) -> tuple[int, int, int]:
@@ -404,6 +398,8 @@ def symmetric_signature(A: ExactMatrix) -> tuple[int, int, int]:
     """
     if A.domain != QQ:
         raise ContextMismatch("signature is defined for rational matrices")
+    if A.rows != A.cols:
+        raise NotSquare(f"{A.rows}x{A.cols} matrix has no signature")
     m = [list(row) for row in A.num]  # A.num / A.den, and A.den > 0
     plus = minus = 0
     while m:

@@ -352,19 +352,6 @@ def inv(a: FieldElement) -> FieldElement:
     return a ** (ctx.q - 2)
 
 
-def to_basis_tuple(a: FieldElement) -> tuple[int, ...]:
-    """Coordinates of a in the fixed basis {1, t, ..., t^(k-1)}."""
-    return a.coeffs
-
-
-def from_basis_tuple(ctx: FieldCtx, coeffs: Sequence[int]) -> FieldElement:
-    if len(coeffs) != ctx.k:
-        raise ContextMismatch(
-            f"tuple of length {len(coeffs)} does not match extension degree {ctx.k}"
-        )
-    return FieldElement(ctx, tuple(int(c) % ctx.p for c in coeffs))
-
-
 # ---------------------------------------------------------------------------
 # digit planes: inside a numpy kernel a GF(p^k) value is k integer arrays,
 # its basis digits low degree first (the order of FieldElement.coeffs), so an

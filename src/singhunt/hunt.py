@@ -33,7 +33,6 @@ from .fields import (
     plane_mul,
     to_elements,
     to_planes,
-    to_scalars,
 )
 from .poly import QQ, ZZ, MultiPoly, ParametricFamily, coerce, monomial_basis
 from .rng import below_rows, first_occurrences, split
@@ -254,6 +253,8 @@ def classify_local(
     Hessian corank is <= 1 and tau stabilized between caps; otherwise the
     point is reported unclassified with a diagnostic.
     """
+    if cap < 2:
+        raise ValueError(f"cap must be >= 2, got {cap}")
     domain = g.domain
     if isinstance(domain, FieldCtx):
         deg = g.total_degree()
@@ -391,6 +392,8 @@ def hunt_members(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if classify_points and cap < 2:
+        raise ValueError(f"cap must be >= 2, got {cap}")
     if strategy == "random-params":
         digits = _param_candidates(fam.nparams, ctx, trials, seed)
     elif strategy == "solve-at-point":
@@ -510,6 +513,9 @@ def _shortfall(nparams: int, ctx: FieldCtx, trials: int, tested: int) -> str:
 def _solve_at_point_candidates(
     fam: ParametricFamily, ctx: FieldCtx, trials: int, seed: int, member_cap: int, budget: int
 ) -> np.ndarray:
+    """Basis digits (candidates x nparams x k) of the parameter points whose
+    member is singular at trial t's point, drawn from stream split(seed, t);
+    each is kept at its first occurrence in trial order."""
     if not fam.is_linear_in_params():
         raise NotLinearInParams(
             "solve-at-point needs a family that is linear in the parameters"
@@ -518,7 +524,7 @@ def _solve_at_point_candidates(
     poly = fam.poly.map_domain(ctx)
     size = projective_size(ctx.q, n)
     _check_budget(ctx.q, n, budget)
-    drawn = [split(seed, t).below(size) for t in range(trials)]
+    drawn = below_rows(seed, np.arange(trials), [size])[:, 0].astype(np.intp)
     points = _projective_array(ctx, n)[:, drawn]
     # each condition (f or a partial) at each trial's point, as an affine form
     # in the parameters: columns p1..p{npar}, then minus the constant term
@@ -531,25 +537,24 @@ def _solve_at_point_candidates(
                 system[:, :, row, m.index(1)] = C[:, :, col]
             else:
                 system[:, :, row, npar] = -C[:, :, col] % p
-    candidates: list[tuple] = []
-    seen: set[tuple] = set()
+    # each trial's solutions, read from one RREF of its [A | b]: the particular
+    # solution from the last column, the kernel from the pivots of the rest
+    found = [np.zeros((ctx.k, 0, npar), dtype=system.dtype)]
     for t in range(trials):
-        A = exactla.ExactMatrix.from_planes(ctx, system[:, t, :, :npar])
-        sol, kernel = exactla.solve(A, to_scalars(ctx, system[:, t, :, npar]))
-        if sol is None:
-            continue
-        count = ctx.q ** len(kernel)
+        R, pivots, _ = exactla.rref(exactla.ExactMatrix.from_planes(ctx, system[:, t]))
+        if npar in pivots:
+            continue  # inconsistent
+        kernel = exactla._kernel_planes(R, pivots, npar)
+        dim = kernel.shape[1]
+        count = ctx.q ** dim
         if count > member_cap:
             raise BudgetExceeded(
                 f"solution space has {count} parameter points (cap {member_cap})"
             )
-        basis = to_planes(ctx, kernel).reshape(ctx.k, len(kernel), npar)
-        combos = decode(ctx, np.indices((ctx.q,) * len(kernel)).reshape(len(kernel), count).T)
-        members = (plane_matmul(ctx, combos, basis) + to_planes(ctx, sol)[:, None, :]) % p
-        for key in np.moveaxis(members, 0, -1).tolist():
-            key = tuple(map(tuple, key))
-            if key not in seen:
-                seen.add(key)
-                candidates.append(key)
-    return np.array(candidates, dtype=_dtype(p)).reshape(len(candidates), npar, ctx.k)
-
+        sol = np.zeros((ctx.k, 1, npar), dtype=system.dtype)
+        sol[:, 0, pivots] = R.planes[:, :len(pivots), npar]
+        combos = decode(ctx, np.indices((ctx.q,) * dim).reshape(dim, count).T)
+        found.append((plane_matmul(ctx, combos, kernel) + sol) % p)
+    digits = np.moveaxis(np.concatenate(found, axis=1), 0, -1)  # solutions x npar x k
+    flat = digits.reshape(len(digits), npar * ctx.k).astype(np.uint64)
+    return digits[first_occurrences(flat, p)]

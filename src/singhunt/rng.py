@@ -95,12 +95,13 @@ def first_occurrences(rows: np.ndarray, base: int) -> np.ndarray:
     digits below base.
 
     Each row's digits are packed into as few uint64 words as hold them
-    (base^d <= 2^64 digits a word), and the rows are ranked on the words.
+    (base^d <= 2^64 digits a word), and the rows are ranked on the words;
+    rows of no digits are all equal.
     """
     per = 1
     while base ** (per + 1) <= 1 << 64:
         per += 1
-    words = np.zeros((len(rows), -(-rows.shape[1] // per)), dtype=np.uint64)
+    words = np.zeros((len(rows), max(1, -(-rows.shape[1] // per))), dtype=np.uint64)
     for j in range(rows.shape[1]):
         words[:, j // per] = words[:, j // per] * np.uint64(base) + rows[:, j]
     order = np.lexsort(words.T)  # stable: equal rows end up adjacent, in index order

@@ -110,6 +110,25 @@ def test_hunt_solve_at_point_command(tmp_path, capsys):
     assert "members: 0" not in out and "member 1: (" in out
 
 
+@pytest.mark.parametrize("cap", ["0", "1"])
+def test_classify_cap_below_two_is_a_data_error(capsys, cap):
+    assert main(["classify", "--poly", "x0^2+x1^3", "--cap", cap]) == 3
+    assert capsys.readouterr().err == f"error: cap must be >= 2, got {cap}\n"
+
+
+# the Hesse pencil has singular members over GF(7); 1 + p1^2 never vanishes mod 7
+@pytest.mark.parametrize("family, singular", [("x0^3+x1^3+x2^3+p1*x0*x1*x2", True),
+                                              ("x0^2+p1^2*x0^2+x1^2+x2^2", False)])
+def test_hunt_classify_cap_below_two_is_a_data_error(tmp_path, capsys, family, singular):
+    fam = tmp_path / "family.txt"
+    fam.write_text(family + "\n")
+    argv = ["hunt", "--family", str(fam), "--field", "7", "--trials", "7", "--classify"]
+    assert main(argv) == 0
+    assert ("members: 0" not in capsys.readouterr().out) == singular
+    assert main(argv + ["--cap", "1"]) == 3
+    assert capsys.readouterr().err == "error: cap must be >= 2, got 1\n"
+
+
 def test_hunt_classify_reports_non_homogeneous_members_unclassified(tmp_path, capsys):
     fam = tmp_path / "affine.txt"
     fam.write_text("x1 + x1 + x0^2 + x0^2 + p2*x1*x2\n")
@@ -573,9 +592,11 @@ def test_solve_with_non_integral_derived_pairing_finds_nothing(tmp_path, capsys)
 # ---------------------------------------------------------------------------
 # golden reports: the benchmark's lattice and cover commands (input texts
 # copied from perfbench/workloads.py), a search on a degenerate and on a
-# rational lattice, and three hunts (a locus family as locus-gfp draws it,
-# the conic with --classify over GF(7^2), and a family that is zero mod p)
-# and four interpolations (the locus-gfp shape with three draws and with one,
+# rational lattice, three random-params hunts (a locus family as locus-gfp
+# draws it, the conic with --classify over GF(7^2), and a family that is zero
+# mod p), two solve-at-point hunts (a binary family over GF(3^2) whose every
+# trial has a one-dimensional kernel, and the plane quartic Q3 over GF(31)
+# with inconsistent trials and repeated members) and four interpolations (the locus-gfp shape with three draws and with one,
 # a conic over GF(7^2), and random points that lie on no quadric), compared
 # byte for byte, up to timings:, with the reports recorded in tests/golden/
 # ---------------------------------------------------------------------------
@@ -607,6 +628,9 @@ LOCUS_FAMILY = ("x1^2 + 2*x0^2*p1^2 - 3*x0^2*p1*p2 + x0^2*p2^2 + 4*x0^2*p1*p3 - 
                 " + x0^2*p1 - 6*x0^2*p2 + 3*x0^2*p3 - 5*x0^2\n")
 CONIC_FAMILY = "x0^2+x1^2+x2^2+p1*x0*x1+p2*x0*x2+p3*x1*x2\n"
 ZERO_MOD_7_FAMILY = "7*x0^2 + 7*p1*x1^2\n"
+BINARY_FAMILY = "p1*x0^2+p2*x1^2+p3*x0*x1\n"
+Q3_FAMILY = ("x0^4+x1^4+x2^4+p1*x0^2*x1^2+p2*x0^2*x2^2+p3*x1^2*x2^2+x0^3*x1+2*x1^3*x2"
+             "+3*x2^3*x0+5*x0^2*x1*x2\n")
 
 
 def _bench_gram_text(names, gram) -> str:
@@ -656,6 +680,10 @@ GOLDEN_COMMANDS = {
                        "--seed", "5", "--classify"],
     "hunt-zero-mod-p": ["hunt", "--family", "{zero}", "--field", "7", "--trials", "3",
                         "--seed", "2"],
+    "hunt-solve-binary-gfq": ["hunt", "--family", "{binary}", "--field", "3,2", "--trials", "30",
+                              "--seed", "7", "--strategy", "solve-at-point"],
+    "hunt-solve-q3": ["hunt", "--family", "{q3}", "--field", "31", "--trials", "100",
+                      "--seed", "5", "--strategy", "solve-at-point", "--classify"],
     "interpolate-locus": ["interpolate", "--points", "{locus_points}", "--field", "101",
                           "--degree", "2", "--slack", "4", "--draws", "3", "--seed", "11"],
     "interpolate-locus-one-draw": ["interpolate", "--points", "{locus_points}", "--field", "101",
@@ -682,6 +710,8 @@ def golden_reports(tmp_path):
         "locus": LOCUS_FAMILY,
         "conic": CONIC_FAMILY,
         "zero": ZERO_MOD_7_FAMILY,
+        "binary": BINARY_FAMILY,
+        "q3": Q3_FAMILY,
         "locus_points": _locus_points_text(),
         "conic_points": _conic_gfq_points_text(),
         "random_points": _random_points_text(),

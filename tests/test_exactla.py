@@ -7,14 +7,13 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from singhunt.errors import ContextMismatch, NotSquare
+from singhunt.errors import ContextMismatch, DimensionMismatch, NotSquare
 from singhunt.exactla import (
     QQ,
     ZZ,
     ExactMatrix,
     determinant,
     is_negative_definite,
-    leading_minors,
     matvec,
     nullspace,
     parse_matrix,
@@ -288,19 +287,43 @@ def test_sparse_and_mixed_entries_match_dense_elements(domain):
             assert rank(A) == len(reference_rref(domain, dense)[1])
 
 
-def test_every_field_elimination_goes_through_rref(monkeypatch):
+def count_rref(monkeypatch) -> list:
+    """The domains of the exactla.rref calls made from now on."""
     import singhunt.exactla as exactla
 
     calls = []
     original = exactla.rref
     monkeypatch.setattr(exactla, "rref", lambda A: calls.append(A.domain) or original(A))
+    return calls
+
+
+def test_every_field_elimination_goes_through_rref(monkeypatch):
+    calls = count_rref(monkeypatch)
     ctx = field_create(3, 2)
     A = ExactMatrix.make(ctx, [[1, 2, 0], [2, 1, 0]])
     rank(A)
     nullspace(A)
     solve(A, [1, 2])
-    # rank 1, nullspace 1, solve 2 (augmented, then its kernel)
-    assert calls == [ctx] * 4
+    # rank 1, nullspace 1, solve 1: the kernel is read from the RREF of [A | b]
+    assert calls == [ctx] * 3
+
+
+@pytest.mark.parametrize("domain", [QQ, field_create(7), field_create(3, 2)])
+def test_solve_eliminates_once(monkeypatch, domain):
+    A = ExactMatrix.make(domain, [[1, 2, 0], [2, 4, 0]])
+    kernel = nullspace(A)
+    calls = count_rref(monkeypatch)
+    assert solve(A, [1, 2]) == ([1, 0, 0], kernel)
+    assert solve(A, [1, 3]) == (None, [])
+    assert calls == [A.domain] * 2
+
+
+@pytest.mark.parametrize("domain", [QQ, field_create(7), field_create(3, 2)])
+def test_solve_needs_one_right_hand_side_entry_per_row(domain):
+    A = ExactMatrix.make(domain, [[1, 2, 0], [2, 1, 0]])
+    for b in ([1], [1, 2, 3], []):
+        with pytest.raises(DimensionMismatch):
+            solve(A, b)
 
 
 @pytest.mark.parametrize("domain", [QQ, field_create(7), field_create(3, 2)])
@@ -331,12 +354,46 @@ def test_rref_preserves_row_space():
         assert rank(stacked) == rk == rank(A)
 
 
+def leading_minors(A: ExactMatrix) -> list[Fraction]:
+    """Reference: the leading principal minors of A, one determinant each."""
+    return [determinant(ExactMatrix.make(QQ, [row[:k] for row in A.data[:k]]))
+            for k in range(1, A.rows + 1)]
+
+
+def sylvester_negative_definite(A: ExactMatrix) -> bool:
+    """Reference: the k-th leading minor of A has the sign of (-1)^k."""
+    return all((-1) ** k * m > 0 for k, m in enumerate(leading_minors(A), 1))
+
+
 def test_n_block_negative_definite():
     nblock = ExactMatrix.make(QQ, [row[:8] for row in GRAM.data[:8]])
     assert is_negative_definite(nblock)
     minors = leading_minors(ExactMatrix.make(QQ, [[-v for v in row] for row in nblock.data]))
     assert all(m > 0 for m in minors)
     assert not is_negative_definite(GRAM)  # K^2 = 1 breaks definiteness
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.fractions(-6, 6, max_denominator=3), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2)))
+def test_negative_definite_matches_sylvester(upper):
+    n = next(n for n in range(1, 6) if n * (n + 1) // 2 == len(upper))
+    cells = iter(upper)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = next(cells)
+    for i in range(n):  # mostly strongly negative diagonals, so both verdicts occur
+        m[i][i] -= 4 * (i % 3)
+    A = ExactMatrix.make(QQ, m)
+    assert is_negative_definite(A) == sylvester_negative_definite(A)
+
+
+def test_signature_needs_a_square_matrix():
+    A = ExactMatrix.make(QQ, [[-1, 2, 3], [2, -1, 0]])
+    for form in (symmetric_signature, is_negative_definite):
+        with pytest.raises(NotSquare):
+            form(A)
 
 
 def test_signature_of_gram():

@@ -331,9 +331,10 @@ def test_param_candidates_match_scalar_draw(case, trials, seed, full_scan):
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(st.sampled_from([2, 7, 101, 2**32 + 15, P64]), st.integers(1, 70), st.data())
+@given(st.sampled_from([2, 7, 101, 2**32 + 15, P64]), st.integers(0, 70), st.data())
 def test_first_occurrences_match_a_set_of_seen_rows(base, width, data):
-    # digits 0, 1 and base - 1, so that rows repeat and words hold 1 to 64 digits
+    # digits 0, 1 and base - 1, so that rows repeat and words hold 1 to 64
+    # digits; rows of width 0 (a family without parameters) are all equal
     digit = st.sampled_from(sorted({0, 1, base - 1}))
     rows = data.draw(st.lists(st.lists(digit, min_size=width, max_size=width), max_size=40))
     seen = {}
@@ -409,6 +410,100 @@ def test_solve_at_point_rejects_nonlinear():
     fam = parse("x0^2+x1^2+p1^2*x0*x1", 2, 1)
     with pytest.raises(NotLinearInParams):
         hunt_members(fam, F7, "solve-at-point", trials=1, seed=0)
+
+
+def reference_solve_at_point(fam, ctx, trials, seed, member_cap):
+    """The per-trial loop that _solve_at_point_candidates replaced, as basis
+    tuples: the conditions at the point of stream split(seed, t), read off
+    the family at the unit parameter points, one exactla.solve each, and a
+    set of the members already seen."""
+    n, npar = fam.nvars, fam.nparams
+    points = list(projective_points(ctx, n))
+    elements = list(ctx.elements())
+    units = [[ctx.one() if i == j else ctx.zero() for i in range(npar)] for j in range(npar)]
+    candidates, seen = [], set()
+    for t in range(trials):
+        pt = list(points[split(seed, t).below(len(points))])
+
+        def conditions(params):
+            f = fam.specialize(params).map_domain(ctx)
+            return [g.eval(pt) for g in [f] + [f.partial(i) for i in range(n)]]
+
+        const = conditions([ctx.zero()] * npar)
+        cols = [[v - c for v, c in zip(conditions(u), const)] for u in units]
+        A = exactla.ExactMatrix.make(ctx, [[col[r] for col in cols] for r in range(n + 1)], npar)
+        sol, kernel = exactla.solve(A, [-c for c in const])
+        if sol is None:
+            continue
+        if ctx.q ** len(kernel) > member_cap:
+            raise BudgetExceeded(
+                f"solution space has {ctx.q ** len(kernel)} parameter points (cap {member_cap})")
+        for combo in itertools.product(elements, repeat=len(kernel)):
+            member = [sum((c * ctx.element(v[j]) for c, v in zip(combo, kernel)), ctx.element(s))
+                      for j, s in enumerate(sol)]
+            key = tuple(v.coeffs for v in member)
+            if key not in seen:
+                seen.add(key)
+                candidates.append(key)
+    return candidates
+
+
+def solve_at_point_or_error(solver, *args):
+    try:
+        return solver(*args)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+@st.composite
+def linear_families(draw):
+    """A family over ZZ that is linear in its 0..3 parameters, over a small
+    prime or extension field."""
+    p, k = draw(st.sampled_from(PRIME_FIELDS + EXTENSION_FIELDS))
+    n = draw(st.integers(2, 3 if p**k < 10 else 2))
+    npar = draw(st.integers(0, 3))
+    xmons = monomial_basis(n, draw(st.integers(1, 4)), "exactly" if draw(st.booleans()) else "at-most")
+    pmons = monomial_basis(npar, 1, "at-most") if npar else [()]
+    exps = st.tuples(st.sampled_from(xmons), st.sampled_from(pmons)).map(lambda t: t[0] + t[1])
+    terms = draw(st.dictionaries(exps, st.integers(-3, 3), min_size=1, max_size=7))
+    return field_create(p, k), ParametricFamily(MultiPoly(n + npar, ZZ, terms), n, npar)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(linear_families(), st.integers(1, 8), st.integers(0, 3), st.sampled_from([1, 10, 10_000]))
+def test_solve_at_point_candidates_match_per_trial_solves(case, trials, seed, member_cap):
+    ctx, fam = case
+    got = solve_at_point_or_error(_solve_at_point_candidates, fam, ctx, trials, seed, member_cap,
+                                  hunt.DEFAULT_POINT_BUDGET)
+    want = solve_at_point_or_error(reference_solve_at_point, fam, ctx, trials, seed, member_cap)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.shape == (len(want), fam.nparams, ctx.k)
+        assert [tuple(map(tuple, row)) for row in got.tolist()] == want
+
+
+Q3 = ("x0^4+x1^4+x2^4+p1*x0^2*x1^2+p2*x0^2*x2^2+p3*x1^2*x2^2+x0^3*x1+2*x1^3*x2+3*x2^3*x0"
+      "+5*x0^2*x1*x2")
+
+
+@pytest.mark.parametrize("text, nvars, nparams, field, trials, seed, count", [
+    (Q3, 3, 3, (31, 1), 100, 5, 85),  # 11 inconsistent trials, kernels of dimension 0
+    ("p1*x0^2+p2*x1^2+p3*x0*x1", 2, 3, (3, 2), 30, 7, 65),  # every kernel of dimension 1
+    ("x0^2+x1^2", 2, 0, (7, 1), 20, 1, 0),  # no parameters, every trial inconsistent
+    ("x0*x1^2", 2, 0, (7, 1), 20, 1, 1),  # no parameters, (1:0) drawn
+    (CONIC, 3, 3, (2, 3), 6, 2, None),
+])
+def test_solve_at_point_eliminates_once_per_trial(text, nvars, nparams, field, trials, seed, count):
+    fam, ctx = parse(text, nvars, nparams), field_create(*field)
+    want = reference_solve_at_point(fam, ctx, trials, seed, 10_000)
+    with mock.patch.object(exactla, "rref", wraps=exactla.rref) as rref, \
+            mock.patch.object(exactla, "solve", side_effect=AssertionError("exactla.solve")), \
+            mock.patch.object(hunt, "split", side_effect=AssertionError("split")):
+        got = _solve_at_point_candidates(fam, ctx, trials, seed, 10_000, hunt.DEFAULT_POINT_BUDGET)
+    assert rref.call_count == trials
+    assert [tuple(map(tuple, row)) for row in got.tolist()] == want
+    assert count is None or len(want) == count
 
 
 def test_classify_normal_forms():
