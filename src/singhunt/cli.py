@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import cover as cover_mod
 from . import exactla, godeaux, hunt, interp, lattice as lattice_mod, lift, poly
-from .errors import HeldOutMismatch, SinghuntError, at_line, data_lines
+from .errors import HeldOutMismatch, SinghuntError, at_line, data_lines, signed_terms
 from .fields import field_create, parse_element
 
 EXIT_PASS = 0
@@ -337,22 +337,7 @@ def _parse_bounds(spec: str, L) -> tuple[dict, tuple[int, int]]:
 def _parse_combo_text(text: str) -> dict[str, int]:
     """Parse '8*K - 4*C' style linear combinations of class names."""
     out: dict[str, int] = {}
-    token = ""
-    chunks = []
-    for ch in text.replace(" ", ""):
-        if ch in "+-" and token:
-            chunks.append(token)
-            token = ch if ch == "-" else ""
-        else:
-            token += ch
-    if token:
-        chunks.append(token)
-    for chunk in chunks:
-        sign = 1
-        if chunk.startswith("-"):
-            sign, chunk = -1, chunk[1:]
-        elif chunk.startswith("+"):
-            chunk = chunk[1:]
+    for sign, chunk in signed_terms(text):
         coeff, _, name = chunk.rpartition("*")
         c = int(coeff) if coeff else 1
         if not name:

@@ -162,37 +162,19 @@ def char_generator_exponents(H: CyclicSubgroup) -> list[int]:
 
 
 def exponent_from_restriction(chi: Character, H: CyclicSubgroup, j: int) -> int:
-    """The unique r in [0, |H|) with chi restricted to H equal to psi_j^r.
-
-    In integers: with N = lcm of the cyclic orders, chi(g) = t/N for
-    t = sum c_i x_i N/m_i mod N, and r = (t |H| / N) j^-1 mod |H|."""
-    m = H.order
-    if gcd(j, m) != 1:
-        raise NotAGenerator(f"psi_{j} does not generate the characters of H")
-    orders = chi.group.orders
-    N = lcm(*orders)
-    t = sum(c * x * (N // mi) for c, x, mi in zip(chi.exps, H.generator, orders)) % N
-    if t * m % N:
-        raise NonIntegral("character value does not restrict to the subgroup")
-    return t * m // N * pow(j, -1, m) % m
+    """The unique r in [0, |H|) with chi restricted to H equal to psi_j^r."""
+    return int(restriction_table(chi.group, [BranchSlot(H, j, None)], [chi])[0, 0])
 
 
 def reduced_coeff(chi: Character, H: CyclicSubgroup, j: int) -> int:
     """order(chi) * r / |H|, the slot coefficient in the reduced data."""
-    r = exponent_from_restriction(chi, H, j)
-    num = chi.order() * r
-    if num % H.order != 0:
-        raise NonIntegral(
-            f"{chi.order()} * {r} is not divisible by |H| = {H.order}"
-        )
-    return num // H.order
+    return int(reduced_coefficients(chi.group, [BranchSlot(H, j, None)], [chi])[0, 0])
 
 
 def epsilon(chi1: Character, chi2: Character, H: CyclicSubgroup, j: int) -> int:
     """The 0/1 carry in L_chi1 + L_chi2 = L_chi1chi2 + sum eps * D."""
-    r1 = exponent_from_restriction(chi1, H, j)
-    r2 = exponent_from_restriction(chi2, H, j)
-    return 1 if r1 + r2 >= H.order else 0
+    r1, r2 = restriction_table(chi1.group, [BranchSlot(H, j, None)], [chi1, chi2])[:, 0]
+    return int(r1 + r2 >= H.order)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +225,8 @@ class BranchAssignment:
 
 def coefficient_table(chi: Character, branch: BranchAssignment) -> list[list[int]]:
     """Reduced coefficients of chi over the slots, grouped per subgroup."""
-    return [
-        [reduced_coeff(chi, slot.subgroup, slot.psi) for slot in group]
-        for group in branch.grouped()
-    ]
+    coeffs = iter(reduced_coefficients(chi.group, branch.slots, [chi])[0].tolist())
+    return [[next(coeffs) for _ in group] for group in branch.grouped()]
 
 
 def reduced_building_data(
@@ -259,26 +239,31 @@ def reduced_building_data(
 
     The cover data is numerically consistent when this vector lies in the
     lattice radical."""
+    slots = [slot for slot in branch.slots if slot.divisor is not None]
     acc = L_chi.scale(chi.order())
-    for slot in branch.slots:
-        if slot.divisor is None:
-            continue
-        coeff = reduced_coeff(chi, slot.subgroup, slot.psi)
+    for slot, coeff in zip(slots, reduced_coefficients(chi.group, slots, [chi])[0].tolist()):
         if coeff:
             acc = acc - slot.divisor.scale(coeff)
     return acc
 
 
-def restriction_table(G: AbelianGroup, slots: Sequence[BranchSlot]) -> np.ndarray:
-    """r[e, s] = exponent_from_restriction(chi_e, H_s, psi_s) for the
-    characters e in G.elements() order and the slots s, from one integer
-    product: t = E X mod N for the exponent rows E and the generator columns
-    X scaled by N / m_i, then r = (t |H| / N) j^-1 mod |H|."""
+def restriction_table(
+    G: AbelianGroup, slots: Sequence[BranchSlot], chars: Sequence[Character] | None = None
+) -> np.ndarray:
+    """r[e, s], the unique r in [0, |H_s|) with chi_e restricted to H_s equal
+    to psi_s^r, for the characters chars (every character of G, in
+    G.elements() order, by default) and the slots s.
+
+    In integers: with N = lcm of the cyclic orders, chi(g) = t/N for
+    t = sum c_i x_i N/m_i mod N, so t = E X mod N is one product of the
+    exponent rows E and the generator columns X scaled by N / m_i, and
+    r = (t |H| / N) j^-1 mod |H|."""
     for slot in slots:
         if gcd(slot.psi, slot.subgroup.order) != 1:
             raise NotAGenerator(f"psi_{slot.psi} does not generate the characters of H")
     N = lcm(*G.orders)
-    E = np.array(G.elements(), dtype=np.int64).reshape(G.size, len(G.orders))
+    exps = G.elements() if chars is None else [chi.exps for chi in chars]
+    E = np.array(exps, dtype=np.int64).reshape(len(exps), len(G.orders))
     X = np.array([[x * (N // mi) for x, mi in zip(slot.subgroup.generator, G.orders)] for slot in slots],
                  dtype=np.int64).reshape(len(slots), len(G.orders))
     m = np.array([slot.subgroup.order for slot in slots], dtype=np.int64)
@@ -287,6 +272,22 @@ def restriction_table(G: AbelianGroup, slots: Sequence[BranchSlot]) -> np.ndarra
         raise NonIntegral("character value does not restrict to the subgroup")
     inverse = np.array([pow(slot.psi, -1, slot.subgroup.order) for slot in slots], dtype=np.int64)
     return t * m // N * inverse % m
+
+
+def reduced_coefficients(
+    G: AbelianGroup, slots: Sequence[BranchSlot], chars: Sequence[Character]
+) -> np.ndarray:
+    """c[e, s] = order(chi_e) * r[e, s] / |H_s| (restriction_table's r), the
+    slot coefficients of the reduced building data."""
+    r = restriction_table(G, slots, chars)
+    order = np.array([chi.order() for chi in chars], dtype=np.int64)
+    m = np.array([slot.subgroup.order for slot in slots], dtype=np.int64)
+    scaled = order[:, None] * r  # below 256^2
+    bad = np.argwhere(scaled % m)
+    if len(bad):
+        i, s = bad[0]
+        raise NonIntegral(f"{order[i]} * {r[i, s]} is not divisible by |H| = {m[s]}")
+    return scaled // m
 
 
 @dataclass
@@ -303,15 +304,8 @@ class CoverData:
         G = self.group
         chars = [chi for chi in character_group(G) if not chi.is_trivial()]
         slots = [s for s in self.branch.slots if s.divisor is not None]
-        r = restriction_table(G, slots)[1:]  # the trivial character comes first
+        coeffs = reduced_coefficients(G, slots, chars)
         order = np.array([chi.order() for chi in chars], dtype=np.int64)
-        m = np.array([s.subgroup.order for s in slots], dtype=np.int64)
-        scaled = order[:, None] * r  # below 256^2
-        bad = np.argwhere(scaled % m)
-        if len(bad):
-            i, s = bad[0]
-            raise NonIntegral(f"{chars[i].order()} * {r[i, s]} is not divisible by |H| = {m[s]}")
-        coeffs = scaled // m
         # |rel| <= (order + sum of the coefficients) * largest class entry
         bound = int(order.max(initial=0)) + int(coeffs.sum(axis=1).max(initial=0))
         rows, _ = self.lattice.class_array([self.L[chi.exps] for chi in chars]

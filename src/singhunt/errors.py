@@ -149,6 +149,25 @@ def data_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def signed_terms(text: str) -> list[tuple[int, str]]:
+    """(sign, body) of each term of a sum such as '3*t - t^2' or '8*K+-C',
+    spaces dropped.  A sign right after '+' belongs to the next term; a sign
+    with no term after it, as in '8*K+', gives an empty body, which callers
+    reject.  An empty text has no terms."""
+    text = text.replace(" ", "")
+    if not text:
+        return []
+    chunks, cur = [], ""
+    for ch in text:
+        if ch in "+-" and cur:
+            chunks.append(cur)
+            cur = ch if ch == "-" else ""
+        else:
+            cur += ch
+    chunks.append(cur)
+    return [(-1, c[1:]) if c.startswith("-") else (1, c.removeprefix("+")) for c in chunks]
+
+
 class at_line:
     """Report bad data, an unknown name (KeyError) included, with its line.
     A class rather than a generator: it wraps every line of a points file."""

@@ -17,6 +17,7 @@ from .errors import (
     InvalidDegree,
     NonPrime,
     PolySyntaxError,
+    signed_terms,
 )
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -425,13 +426,6 @@ def monomial_values(ctx: FieldCtx, X: np.ndarray, exps: np.ndarray) -> np.ndarra
     return out
 
 
-def decode(ctx: FieldCtx, index) -> np.ndarray:
-    """Planes of the index-th elements of ctx.elements() (an array of indices)."""
-    index = np.asarray(index)
-    p, k = ctx.p, ctx.k
-    return np.stack([index // p ** (k - 1 - i) % p for i in range(k)]).astype(_dtype(p))
-
-
 def to_planes(ctx: FieldCtx, values) -> np.ndarray:
     """Planes (k, *shape) of a nested list of FieldElements of ctx and ints
     (read as residues mod p)."""
@@ -506,49 +500,16 @@ def parse_element(ctx: FieldCtx, text: str) -> FieldElement:
         except ValueError:
             raise PolySyntaxError(f"bad prime-field element {text!r}") from None
     coeffs = [0] * ctx.k
-    # split into signed monomial chunks: c, c*t, c*t^e, t, t^e
-    chunks = []
-    cur = ""
-    for ch in s:
-        if ch in "+-" and cur:
-            chunks.append(cur)
-            cur = ch if ch == "-" else ""
-        else:
-            cur += ch
-    chunks.append(cur)
-    for chunk in chunks:
-        if not chunk or chunk in "+-":
-            raise PolySyntaxError(f"bad field element {text!r}")
-        sign = 1
-        body = chunk
-        if body[0] == "-":
-            sign, body = -1, body[1:]
-        elif body[0] == "+":
-            body = body[1:]
-        if "t" not in body:
-            try:
-                c, e = int(body), 0
-            except ValueError:
-                raise PolySyntaxError(f"bad field element {text!r}") from None
-        else:
-            head, _, tail = body.partition("t")
-            c = 1
-            if head:
-                if not head.endswith("*"):
-                    raise PolySyntaxError(f"bad field element {text!r}")
-                try:
-                    c = int(head[:-1])
-                except ValueError:
-                    raise PolySyntaxError(f"bad field element {text!r}") from None
-            if tail:
-                if not tail.startswith("^"):
-                    raise PolySyntaxError(f"bad field element {text!r}")
-                try:
-                    e = int(tail[1:])
-                except ValueError:
-                    raise PolySyntaxError(f"bad field element {text!r}") from None
-            else:
-                e = 1
+    # signed monomials: c, c*t, c*t^e, t, t^e
+    for sign, body in signed_terms(s):
+        head, t, tail = body.partition("t")
+        try:
+            if not body or (t and head and not head.endswith("*")) or (tail and not tail.startswith("^")):
+                raise ValueError
+            c = int(head[:-1] if t else head) if head else 1
+            e = int(tail[1:]) if tail else (1 if t else 0)
+        except ValueError:
+            raise PolySyntaxError(f"bad field element {text!r}") from None
         if e >= ctx.k or e < 0:
             raise PolySyntaxError(f"exponent t^{e} outside basis of {ctx}")
         coeffs[e] = (coeffs[e] + sign * c) % ctx.p

@@ -10,7 +10,6 @@ numbers at both caps are read from the pivots of a single RREF.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -27,7 +26,6 @@ from .fields import (
     FieldCtx,
     FieldElement,
     _dtype,
-    decode,
     monomial_values,
     plane_matmul,
     plane_mul,
@@ -35,7 +33,7 @@ from .fields import (
     to_planes,
 )
 from .poly import QQ, ZZ, MultiPoly, ParametricFamily, coerce, monomial_basis
-from .rng import below_rows, first_occurrences, split
+from .rng import below_rows, digit_rows, first_occurrences, split
 
 DEFAULT_POINT_BUDGET = 2_000_000
 DEFAULT_CAP = 8
@@ -92,12 +90,37 @@ def projective_size(q: int, nvars: int) -> int:
 
 
 def projective_points(ctx: FieldCtx, nvars: int) -> Iterator[tuple[FieldElement, ...]]:
-    """Canonical representatives: first nonzero coordinate equals 1."""
-    elems = list(ctx.elements())
-    for lead in range(nvars):
-        prefix = (ctx.zero(),) * lead + (ctx.one(),)
-        for tail in itertools.product(elems, repeat=nvars - lead - 1):
-            yield prefix + tail
+    """Canonical representatives: first nonzero coordinate equals 1.  The
+    points are decoded by index, SCAN_CELLS at a time."""
+    total = projective_size(ctx.q, nvars)
+    for lo in range(0, total, SCAN_CELLS):
+        block = _projective_planes(ctx, nvars, np.arange(lo, min(lo + SCAN_CELLS, total)))
+        yield from map(tuple, to_elements(ctx, block))
+
+
+def _projective_planes(ctx: FieldCtx, n: int, index) -> np.ndarray:
+    """Planes (k x len(index) x n) of the points of projective_points(ctx, n)
+    with the given indices.
+
+    The points whose lead (first nonzero coordinate) is l are the block of
+    q^(n-1-l) indices after those of the leads before it, in counting order
+    of their last n-1-l coordinates.  Adding p^(k-1) q^(n-1-l) (the value 1
+    in the lead) minus the block's start to an index gives the number whose
+    n*k base-p digits, most significant first, are the point's planes.
+    """
+    p, q, k = ctx.p, ctx.q, ctx.k
+    index = np.asarray(index, dtype=np.int64 if q**n <= 2**63 else object)
+    one = p ** (k - 1)
+    start = 0
+    shift = one * q ** (n - 1)
+    value = index + shift
+    for lead in range(1, n):
+        start += q ** (n - lead)
+        delta = one * q ** (n - 1 - lead) - start - shift
+        shift += delta
+        np.add(value, delta, out=value, where=index >= start)
+    digits = digit_rows(value, [p] * (n * k)).reshape(len(index), n, k)
+    return digits.transpose(2, 0, 1).astype(_dtype(p), copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -141,21 +164,6 @@ def _exponent_array(mons: Sequence[tuple[int, ...]], width: int) -> np.ndarray:
     return np.array(mons, dtype=np.int64).reshape(len(mons), width)
 
 
-def _projective_array(ctx: FieldCtx, n: int) -> np.ndarray:
-    """Planes (k x points x n) of the points of projective_points(ctx, n), in order."""
-    p, k = ctx.p, ctx.k
-    out = np.zeros((k, projective_size(ctx.q, n), n), dtype=_dtype(p))
-    start = 0
-    for lead in range(n):
-        width, size = n - lead - 1, ctx.q ** (n - lead - 1)
-        out[0, start:start + size, lead] = 1
-        # the digits of the tail coordinates, most significant first
-        digits = np.indices((p,) * (k * width)).reshape(width, k, size)
-        out[:, start:start + size, lead + 1:] = digits.transpose(1, 2, 0)
-        start += size
-    return out
-
-
 def _member_coefficients(
     poly: MultiPoly, nvars: int, params: np.ndarray, ctx: FieldCtx
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -178,10 +186,11 @@ def _member_coefficients(
 
 
 def _scan(
-    xmons: list[tuple[int, ...]], C: np.ndarray, ctx: FieldCtx, points: np.ndarray, check_f: bool
+    xmons: list[tuple[int, ...]], C: np.ndarray, ctx: FieldCtx, n: int, check_f: bool
 ) -> Iterator[tuple[int, list[tuple[FieldElement, ...]]]]:
     """(row, singular points) of every singular member (row of the planes C,
-    coefficients of xmons), scanning the points (planes k x points x n).
+    coefficients of xmons), scanning P^(n-1): each monomial table's points
+    are decoded from their index range, so no array of every point is made.
 
     A point is singular when every partial vanishes there, and f too when
     check_f (by the Euler relation, a form of degree prime to p vanishes
@@ -189,7 +198,7 @@ def _scan(
     Each member's points come in enumeration order; over GF(p) a nonzero
     binary form's come sorted by coordinates.
     """
-    p, n = ctx.p, points.shape[2]
+    p = ctx.p
     checks = []  # (coefficient columns of C, their monomials, multipliers)
     if check_f:
         checks.append((range(len(xmons)), xmons, [1] * len(xmons)))
@@ -209,9 +218,11 @@ def _scan(
     step = max(1, SCAN_CELLS // max(T, len(mons)))
     chunk = step * max(1, SCAN_CELLS // (step * max(1, len(mons))))  # points per monomial table
     found_b, found_t = [], []  # the singular cells of each block, row-major
-    for start in range(0, points.shape[1], step):
+    total = projective_size(ctx.q, n)
+    for start in range(0, total, step):
         if not start % chunk:
-            values = monomial_values(ctx, points[:, start:start + chunk], exps)
+            points = _projective_planes(ctx, n, np.arange(start, min(start + chunk, total)))
+            values = monomial_values(ctx, points, exps)
         block = values[:, start % chunk:start % chunk + step]
         if not plan:  # f is zero mod p: every cell is singular
             b, t = np.divmod(np.arange(block.shape[1] * T), T)
@@ -231,7 +242,7 @@ def _scan(
     order = np.argsort(t, kind="stable")  # by member; each member's points stay in order
     b, t = np.concatenate(found_b)[order], t[order]
     used = sorted(set(b.tolist()))
-    coords = dict(zip(used, map(tuple, to_elements(ctx, points[:, used]))))  # converted once
+    coords = dict(zip(used, map(tuple, to_elements(ctx, _projective_planes(ctx, n, used)))))
     rows, firsts = np.unique(t, return_index=True)
     for row, found in zip(rows.tolist(), np.split(b, firsts[1:])):
         found = found.tolist()
@@ -446,10 +457,16 @@ def _family_scan(
     _check_budget(ctx.q, n, budget)
     poly = fam.poly.map_domain(ctx)
     check_f = not (fam.is_homogeneous_in_x() and fam.x_degree % ctx.p)
-    points = _projective_array(ctx, n)
+    # glibc's malloc maps each block above its mmap threshold (128 KiB at
+    # start) afresh and unmaps it when freed, so the scan's temporaries of
+    # about SCAN_CELLS cells would be new zeroed pages at every block: 40,825
+    # page faults in a P^3 hunt over GF(101) instead of 449, and 10-15% of its
+    # time.  Freeing one 2 MiB mapped block raises the threshold to 2 MiB (the
+    # dynamic threshold of mallopt(3)), so they are reused from the heap.
+    np.empty(1 << 18)
     for start in range(0, params.shape[1], SCAN_CELLS):
         xmons, C = _member_coefficients(poly, n, params[:, start:start + SCAN_CELLS], ctx)
-        for t, found in _scan(xmons, C, ctx, points, check_f):
+        for t, found in _scan(xmons, C, ctx, n, check_f):
             yield start + t, found
 
 
@@ -480,9 +497,7 @@ def _param_candidates(nparams: int, ctx: FieldCtx, trials: int, seed: int) -> np
     if space <= trials and space <= FULL_SCAN_POINTS:
         order = list(range(space))
         split(seed, 0).shuffle(order)
-        weights = p ** np.arange(width - 1, -1, -1, dtype=np.int64)
-        digits = np.array(order, dtype=np.int64)[:, None] // weights % p
-        return digits.reshape(space, nparams, k).astype(_dtype(p))
+        return digit_rows(order, [p] * width).reshape(space, nparams, k).astype(_dtype(p))
     limit = _attempt_limit(trials)
     rows = np.empty((0, width), dtype=np.uint64)
     drawn, rounds = trials, 0
@@ -524,8 +539,8 @@ def _solve_at_point_candidates(
     poly = fam.poly.map_domain(ctx)
     size = projective_size(ctx.q, n)
     _check_budget(ctx.q, n, budget)
-    drawn = below_rows(seed, np.arange(trials), [size])[:, 0].astype(np.intp)
-    points = _projective_array(ctx, n)[:, drawn]
+    drawn = below_rows(seed, np.arange(trials), [size])[:, 0].astype(np.int64)
+    points = _projective_planes(ctx, n, drawn)
     # each condition (f or a partial) at each trial's point, as an affine form
     # in the parameters: columns p1..p{npar}, then minus the constant term
     system = np.zeros((ctx.k, trials, n + 1, npar + 1), dtype=_dtype(p))
@@ -553,7 +568,8 @@ def _solve_at_point_candidates(
             )
         sol = np.zeros((ctx.k, 1, npar), dtype=system.dtype)
         sol[:, 0, pivots] = R.planes[:, :len(pivots), npar]
-        combos = decode(ctx, np.indices((ctx.q,) * dim).reshape(dim, count).T)
+        combos = digit_rows(np.arange(count), [p] * (dim * ctx.k)).reshape(count, dim, ctx.k)
+        combos = np.moveaxis(combos, 2, 0).astype(system.dtype)
         found.append((plane_matmul(ctx, combos, kernel) + sol) % p)
     digits = np.moveaxis(np.concatenate(found, axis=1), 0, -1)  # solutions x npar x k
     flat = digits.reshape(len(digits), npar * ctx.k).astype(np.uint64)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import exactla
 from .errors import BadGram, DimensionMismatch, NonIntegral, NoSolution, data_lines
-from .rng import below_rows
+from .rng import below_rows, digit_rows
 
 
 def _exact(v) -> int | Fraction:
@@ -391,24 +391,18 @@ def search_relations(
 def _box_blocks(ranges: Sequence[range], seed: int, draws: int | None, dtype):
     """Candidate boxes as integer arrays of at most SEARCH_ROWS rows.
 
-    draws=None: every box, in itertools.product order, cut from one grid of
-    all boxes.  Otherwise trial t < draws picks one offset per range from
-    stream split(seed, t), in trial order, repeats included: callers drop
-    them, so that no set of the draws is kept here.
+    draws=None: every box, in itertools.product order, decoded by index.
+    Otherwise trial t < draws picks one offset per range from stream
+    split(seed, t), in trial order, repeats included: callers drop them, so
+    that no set of the draws is kept here.
     """
     shape = [len(r) for r in ranges]
-    if draws is None:
-        grid = np.empty(shape + [len(shape)], dtype=dtype)
-        for k, r in enumerate(ranges):
-            grid[..., k] = np.arange(r.start, r.stop).reshape([-1] + [1] * (len(shape) - 1 - k))
-        grid = grid.reshape(prod(shape), len(shape))
-        for lo in range(0, len(grid), SEARCH_ROWS):
-            yield grid[lo:lo + SEARCH_ROWS]
-        return
     starts = np.array([r.start for r in ranges], dtype=dtype)
-    for lo in range(0, draws, SEARCH_ROWS):
-        index = np.arange(lo, min(lo + SEARCH_ROWS, draws))
-        yield below_rows(seed, index, shape).astype(dtype) + starts
+    total = prod(shape) if draws is None else draws
+    for lo in range(0, total, SEARCH_ROWS):
+        index = np.arange(lo, min(lo + SEARCH_ROWS, total))
+        rows = digit_rows(index, shape) if draws is None else below_rows(seed, index, shape)
+        yield rows.astype(dtype) + starts
 
 
 def _inverse_rows(L: GramLattice) -> tuple[list[list[int]], int] | None:
@@ -478,6 +472,8 @@ def solve_curve_intersections(
     """
     names = L.names
     pos = {nm: i for i, nm in enumerate(names)}
+    if template.curve_name in pos:  # the extension would repeat a class name
+        raise ValueError("duplicate class names")
     assigned = [nm for nm in names if nm in constraints]
     derived = [nm for nm in names if nm not in constraints]
     support = list(template.support)
@@ -549,8 +545,6 @@ def solve_curve_intersections(
             continue
         if self_values is not None and self_int not in self_values:
             continue
-        if template.curve_name in pos:  # the extension would repeat a class name
-            raise ValueError("duplicate class names")
         pair_seq = [pair_val[nm] for nm in names]
         rel = [0] * len(names)
         for nm, coef in template.lhs:

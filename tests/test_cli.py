@@ -518,7 +518,12 @@ COVER_GENERATORS = "L (1,0): 2*K - D' - N7\nL (1,1): 2*K - C'\n"
     ("group: 2 4\n" + COVER_BRANCH + "L (1,0): K\nL (1,1): 2*K - C'\n",
      "factorization (0, 1) * (0, 1) disagrees with the stored class"),
     ("group:\n" + COVER_BRANCH + "L (1): K\n", "line 1: no cyclic order after group:"),
-], ids=["branch-count", "no-branch-line", "no-generators", "not-generating", "inconsistent", "empty-group"])
+    ("group: 2 4\nbranch: N4+N7+ | N1 | N2 | N3 | N5 | N6 | N8\n" + COVER_GENERATORS,
+     "line 2: bad class combination 'N4+N7+'"),
+    ("group: 2 4\n" + COVER_BRANCH + "L (1,0): 2*K - D' - N7 +\nL (1,1): 2*K - C'\n",
+     "line 3: bad class combination \"2*K - D' - N7 +\""),
+], ids=["branch-count", "no-branch-line", "no-generators", "not-generating", "inconsistent", "empty-group",
+        "dangling-plus-branch", "dangling-plus-generator"])
 def test_cover_data_errors_name_the_file_and_line(tmp_path, capsys, text, reason):
     gram = tmp_path / "gram11.txt"
     gram.write_text(format_lattice(godeaux.extended_lattice()) + "\n")
@@ -542,8 +547,11 @@ def test_cover_data_errors_name_the_file_and_line(tmp_path, capsys, text, reason
     (TEMPLATE_C, "pair\n" + CONSTRAINTS_C, "constraints", "line 1: no class named ''"),
     (TEMPLATE_C, CONSTRAINTS_C + "contact N1\n", "constraints",
      "line 11: expected contact A+B+... = total"),
+    (TEMPLATE_C.replace("8*K", "8*K+"), CONSTRAINTS_C, "template", "line 1: bad class combination '8*K+'"),
+    (TEMPLATE_C.replace("8*K", "8*K -"), CONSTRAINTS_C, "template",
+     "line 1: bad class combination '8*K -'"),
 ], ids=["unknown-support", "unknown-lhs", "zero-curve", "curve-is-a-class", "unknown-contact",
-        "support-without-pair", "bare-pair", "contact-without-total"])
+        "support-without-pair", "bare-pair", "contact-without-total", "dangling-plus", "dangling-minus"])
 def test_lattice_solve_bad_files_are_data_errors(tmp_path, capsys, template, constraints, where, reason):
     gram = tmp_path / "gram.txt"
     gram.write_text(GRAM9)
@@ -592,10 +600,11 @@ def test_solve_with_non_integral_derived_pairing_finds_nothing(tmp_path, capsys)
 # ---------------------------------------------------------------------------
 # golden reports: the benchmark's lattice and cover commands (input texts
 # copied from perfbench/workloads.py), a search on a degenerate and on a
-# rational lattice, three random-params hunts (a locus family as locus-gfp
-# draws it, the conic with --classify over GF(7^2), and a family that is zero
-# mod p), two solve-at-point hunts (a binary family over GF(3^2) whose every
-# trial has a one-dimensional kernel, and the plane quartic Q3 over GF(31)
+# rational lattice, six random-params hunts (a locus family as locus-gfp
+# draws it, the conic with --classify over GF(7^2) and, as hunt-gfp runs it,
+# over GF(101), a family that is zero mod p, and a cubic surface family in P^3
+# with --classify over GF(7) and GF(3^2)), two solve-at-point hunts (a binary
+# family over GF(3^2) whose every trial has a one-dimensional kernel, and the plane quartic Q3 over GF(31)
 # with inconsistent trials and repeated members) and four interpolations (the locus-gfp shape with three draws and with one,
 # a conic over GF(7^2), and random points that lie on no quadric), compared
 # byte for byte, up to timings:, with the reports recorded in tests/golden/
@@ -629,6 +638,7 @@ LOCUS_FAMILY = ("x1^2 + 2*x0^2*p1^2 - 3*x0^2*p1*p2 + x0^2*p2^2 + 4*x0^2*p1*p3 - 
 CONIC_FAMILY = "x0^2+x1^2+x2^2+p1*x0*x1+p2*x0*x2+p3*x1*x2\n"
 ZERO_MOD_7_FAMILY = "7*x0^2 + 7*p1*x1^2\n"
 BINARY_FAMILY = "p1*x0^2+p2*x1^2+p3*x0*x1\n"
+CUBIC_FAMILY = "x0^3+x1^3+x2^3+x3^3+p1*x0*x1*x2+p2*x1*x2*x3+p3*x0*x2*x3\n"
 Q3_FAMILY = ("x0^4+x1^4+x2^4+p1*x0^2*x1^2+p2*x0^2*x2^2+p3*x1^2*x2^2+x0^3*x1+2*x1^3*x2"
              "+3*x2^3*x0+5*x0^2*x1*x2\n")
 
@@ -678,6 +688,12 @@ GOLDEN_COMMANDS = {
                    "--seed", "1931"],
     "hunt-conic-gfq": ["hunt", "--family", "{conic}", "--field", "7,2", "--trials", "300",
                        "--seed", "5", "--classify"],
+    "hunt-conic-gfp": ["hunt", "--family", "{conic}", "--field", "101", "--trials", "20",
+                       "--seed", "6", "--classify"],
+    "hunt-cubic-gfp": ["hunt", "--family", "{cubic}", "--field", "7", "--trials", "40",
+                       "--seed", "1", "--classify"],
+    "hunt-cubic-gfq": ["hunt", "--family", "{cubic}", "--field", "3,2", "--trials", "100",
+                       "--seed", "2", "--classify"],
     "hunt-zero-mod-p": ["hunt", "--family", "{zero}", "--field", "7", "--trials", "3",
                         "--seed", "2"],
     "hunt-solve-binary-gfq": ["hunt", "--family", "{binary}", "--field", "3,2", "--trials", "30",
@@ -711,6 +727,7 @@ def golden_reports(tmp_path):
         "conic": CONIC_FAMILY,
         "zero": ZERO_MOD_7_FAMILY,
         "binary": BINARY_FAMILY,
+        "cubic": CUBIC_FAMILY,
         "q3": Q3_FAMILY,
         "locus_points": _locus_points_text(),
         "conic_points": _conic_gfq_points_text(),

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from singhunt.errors import ContextMismatch, DivisionByZero, InvalidDegree, NonPrime
+from singhunt.errors import ContextMismatch, DivisionByZero, InvalidDegree, NonPrime, PolySyntaxError
 from singhunt.fields import (
     FieldElement,
     field_create,
@@ -189,6 +189,21 @@ def test_parse_element_forms():
     assert parse_element(F25, " t ^ 1 ") == F25.gen()
     assert parse_element(F25, "-t") == -F25.gen()
     assert parse_element(field_create(7), "-3") == field_create(7).element(4)
+
+
+@pytest.mark.parametrize("text, coeffs", [
+    ("3+-t", (3, 4)), ("3++t", (3, 1)), ("-t", (0, 4)), (" t ^ 1 ", (0, 1)),
+    ("+", None), ("3*t+", None), ("3*t-", None), ("3-+t", None), ("--t", None),
+])
+def test_parse_element_signed_terms(text, coeffs):
+    """A sign right after '+' belongs to the next term; a sign with no term
+    after it is bad data."""
+    F25 = field_create(5, 2)
+    if coeffs is None:
+        with pytest.raises(PolySyntaxError, match="bad field element"):
+            parse_element(F25, text)
+    else:
+        assert parse_element(F25, text) == F25.element(coeffs)
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2), (7, 2)])

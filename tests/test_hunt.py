@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -20,7 +21,7 @@ from singhunt.hunt import (
     _dtype,
     _member_coefficients,
     _param_candidates,
-    _projective_array,
+    _projective_planes,
     _solve_at_point_candidates,
     classify,
     classify_local,
@@ -31,7 +32,7 @@ from singhunt.hunt import (
     singular_points,
 )
 from singhunt.poly import QQ, ZZ, MultiPoly, ParametricFamily, monomial_basis, parse, parse_poly
-from singhunt.rng import first_occurrences, split
+from singhunt.rng import digit_rows, first_occurrences, split
 
 F7 = field_create(7)
 F11 = field_create(11)
@@ -373,12 +374,73 @@ def test_dot_mod_reduces_term_by_term_near_two_to_the_31():
         assert not (X @ Y % p == exact).all()  # the unguarded product overflows
 
 
+def enumerated_points(ctx, n):
+    """P^(n-1) in counting order: for each lead, in order, every tail after
+    the coordinate 1 in itertools.product order."""
+    elems = list(ctx.elements())
+    for lead in range(n):
+        prefix = (ctx.zero(),) * lead + (ctx.one(),)
+        for tail in itertools.product(elems, repeat=n - lead - 1):
+            yield prefix + tail
+
+
+@functools.lru_cache(maxsize=None)
+def _projective_array(ctx, n):
+    """Planes (k x points x n) of every point, in order: the whole space as
+    the scan built it before points were decoded by index."""
+    p, k = ctx.p, ctx.k
+    out = np.zeros((k, projective_size(ctx.q, n), n), dtype=_dtype(p))
+    start = 0
+    for lead in range(n):
+        width, size = n - lead - 1, ctx.q ** (n - lead - 1)
+        out[0, start:start + size, lead] = 1
+        # the digits of the tail coordinates, most significant first
+        digits = np.indices((p,) * (k * width)).reshape(width, k, size)
+        out[:, start:start + size, lead + 1:] = digits.transpose(1, 2, 0)
+        start += size
+    return out
+
+
 @pytest.mark.parametrize("p,k,n", [(2, 1, 3), (3, 1, 4), (5, 1, 2), (7, 2, 2), (2, 2, 3), (7, 1, 1)])
 def test_nth_projective_point_decodes_enumeration(p, k, n):
     ctx = field_create(p, k)
     points = _projective_array(ctx, n)
     assert points.shape == (k, projective_size(ctx.q, n), n)
-    assert [tuple(pt) for pt in to_elements(ctx, points)] == list(projective_points(ctx, n))
+    want = list(enumerated_points(ctx, n))
+    assert [tuple(pt) for pt in to_elements(ctx, points)] == want
+    assert list(projective_points(ctx, n)) == want
+    decoded = _projective_planes(ctx, n, np.arange(len(want)))
+    assert decoded.dtype == points.dtype and (decoded == points).all()
+
+
+DECODE_FIELDS = [field_create(2), field_create(3), field_create(2, 2), field_create(7, 2), F101]
+
+
+@st.composite
+def point_indices(draw):
+    """A field, n and an index array into P^(n-1): unsorted, with repeats,
+    and across lead blocks (the first and last index of each block, and
+    its neighbours, are likely draws)."""
+    ctx = draw(st.sampled_from(DECODE_FIELDS))
+    n = draw(st.integers(1, 4))
+    total = projective_size(ctx.q, n)
+    edges = sorted({b + d for b in itertools.accumulate(ctx.q ** (n - 1 - l) for l in range(n))
+                    for d in (-1, 0) if 0 <= b + d < total} | {0})
+    index = st.one_of(st.sampled_from(edges), st.integers(0, total - 1))
+    return ctx, n, draw(st.lists(index, max_size=40))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(point_indices(), st.lists(st.integers(1, 5), max_size=5), st.lists(st.integers(0, 10**6), max_size=20))
+def test_decoders_match_the_enumerations(case, radices, raw):
+    ctx, n, index = case
+    decoded = _projective_planes(ctx, n, index)
+    want = _projective_array(ctx, n)[:, index]
+    assert decoded.shape == want.shape and (decoded == want).all()
+    # mixed radices, radices of 1 and no radices at all
+    tuples = list(itertools.product(*map(range, radices)))
+    index = [i % len(tuples) for i in raw]
+    assert digit_rows(np.array(index, dtype=np.int64), radices).tolist() == [list(tuples[i]) for i in index]
 
 
 def test_solve_at_point_conic_members_are_singular():

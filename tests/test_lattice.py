@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -426,6 +427,16 @@ def test_solve_inconsistent_template():
 def test_solve_without_constraints_pins_nothing():
     # no pairing is fixed, so no multiplicity is forced
     assert solve_curve_intersections(L9, godeaux.C_TEMPLATE, {}) == []
+
+
+@pytest.mark.parametrize("constraints", [
+    godeaux.C_CONSTRAINTS,
+    {**godeaux.C_CONSTRAINTS, "N2": (5,)},  # no choice survives the filters
+], ids=["solutions", "no-solution"])
+def test_curve_named_like_a_class_is_rejected(constraints):
+    template = dataclasses.replace(godeaux.C_TEMPLATE, curve_name="N2")
+    with pytest.raises(ValueError, match="duplicate class names"):
+        solve_curve_intersections(L9, template, constraints, contact=godeaux.C_CONTACTS)
 
 
 def test_solutions_lie_in_extended_radical():
