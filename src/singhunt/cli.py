@@ -130,15 +130,21 @@ def _load(path: str, parse):
 
 def cmd_hunt(args) -> int:
     report = Report("hunt")
+    for flag, value, least in (("--nvars", args.nvars, 1), ("--nparams", args.nparams, 0)):
+        if value is not None and value < least:
+            raise SinghuntError(f"{flag} must be >= {least}, got {value}")
 
     def parse_family(text):
         nvars, nparams = _infer_counts(text)
-        families = poly.parse_poly_file(text, args.nvars or nvars,
+        families = poly.parse_poly_file(text, nvars if args.nvars is None else args.nvars,
                                         nparams if args.nparams is None else args.nparams)
         if len(families) != 1:
             raise SinghuntError(f"family file must contain one polynomial, got {len(families)}")
         if families[0].nvars == 0:
             raise SinghuntError("family has no variable x0, x1, ...")
+        top = max((e for exps in families[0].poly.terms for e in exps), default=0)
+        if top >= 2**63:
+            raise SinghuntError(f"exponent {top} does not fit in 64 bits")
         return families[0]
 
     fam = _load(args.family, parse_family)
@@ -184,7 +190,7 @@ def cmd_classify(args) -> int:
     report.add_input("cap", args.cap)
     if args.point:
         pt = [
-            parse_element(domain, tok) if args.field else Fraction(tok)
+            parse_element(domain, tok) if args.field else _rational(tok)
             for tok in args.point.replace(",", " ").split()
         ]
         result = hunt.classify(f, pt, cap=args.cap)
@@ -196,6 +202,13 @@ def cmd_classify(args) -> int:
     if result.diagnostic:
         report.add_result("diagnostic", result.diagnostic)
     return _emit(report, args)
+
+
+def _rational(tok: str) -> Fraction:
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise SinghuntError(f"bad rational coordinate {tok!r}") from None
 
 
 def cmd_interpolate(args) -> int:

@@ -37,6 +37,7 @@ from .rng import below_rows, digit_rows, first_occurrences, split
 
 DEFAULT_POINT_BUDGET = 2_000_000
 DEFAULT_CAP = 8
+MEMBER_CAP = 10_000  # parameter points of one solve-at-point solution space
 UNCLASSIFIED = "?"
 
 
@@ -387,7 +388,6 @@ def hunt_members(
     budget: int = DEFAULT_POINT_BUDGET,
     classify_points: bool = False,
     cap: int = DEFAULT_CAP,
-    member_cap: int = 10_000,
     stats: dict | None = None,
 ) -> list[SingularMember]:
     """Search parameter space for members with nonempty singular locus.
@@ -408,7 +408,7 @@ def hunt_members(
     if strategy == "random-params":
         digits = _param_candidates(fam.nparams, ctx, trials, seed)
     elif strategy == "solve-at-point":
-        digits = _solve_at_point_candidates(fam, ctx, trials, seed, member_cap, budget)
+        digits = _solve_at_point_candidates(fam, ctx, trials, seed, MEMBER_CAP, budget)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     if stats is not None:

@@ -9,17 +9,19 @@ transversally-cut isolated points out of the sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 import numpy as np
 
 from . import exactla
-from .errors import BudgetExceeded, InsufficientPoints, NotOnVariety, SinghuntError, at_line, data_lines
+from .errors import (BudgetExceeded, IndexOutOfRange, InsufficientPoints, NotOnVariety, SinghuntError,
+                     at_line, data_lines)
 from .fields import FieldCtx, monomial_values, parse_element, to_planes, to_scalars
 from .poly import MultiPoly, monomial_basis
 from .rng import split
 
-DEFAULT_COLUMN_CAP = 20_000
+COLUMN_CAP = 20_000  # monomial columns of one vanishing system
 
 
 @dataclass
@@ -45,7 +47,7 @@ class PointSet:
         return len(self.points)
 
     @classmethod
-    def from_text(cls, ctx: FieldCtx, text: str, dedup: bool = True) -> "PointSet":
+    def from_text(cls, ctx: FieldCtx, text: str) -> "PointSet":
         """One point per line; every point has as many coordinates as the first."""
         pts = []
         for lineno, line in data_lines(text):
@@ -54,7 +56,7 @@ class PointSet:
                 if pts and len(point) != len(pts[0]):
                     raise SinghuntError(f"{len(point)} coordinates, the first point has {len(pts[0])}")
             pts.append(point)
-        return cls(ctx, pts, dedup)
+        return cls(ctx, pts)
 
 
 @dataclass
@@ -78,21 +80,23 @@ class VanishingSystem:
         return out
 
 
-def vanishing_system(
-    pts: PointSet,
-    degree: int,
-    homogeneous: bool = False,
-    column_cap: int = DEFAULT_COLUMN_CAP,
-) -> VanishingSystem:
+def _column_count(nvars: int, degree: int, homogeneous: bool) -> int:
+    """len(monomial_basis(...)) without building it: C(n+d-1, d) monomials
+    of degree exactly d in n variables, C(n+d, d) of degree at most d."""
+    if nvars < 1 or degree < 0:
+        raise IndexOutOfRange("need nvars >= 1 and degree >= 0")
+    return comb(nvars - 1 + degree, degree) if homogeneous else comb(nvars + degree, degree)
+
+
+def vanishing_system(pts: PointSet, degree: int, homogeneous: bool = False) -> VanishingSystem:
     """Basis of degree-`degree` polynomials vanishing on every point."""
     if not pts.points:
         raise InsufficientPoints("empty point set")
     nvars = len(pts.points[0])
+    count = _column_count(nvars, degree, homogeneous)
+    if count > COLUMN_CAP:
+        raise BudgetExceeded(f"{count} monomial columns exceed the cap {COLUMN_CAP}")
     monomials = monomial_basis(nvars, degree, "exactly" if homogeneous else "at-most")
-    if len(monomials) > column_cap:
-        raise BudgetExceeded(
-            f"{len(monomials)} monomial columns exceed the cap {column_cap}"
-        )
     ctx = pts.ctx
     rows = monomial_values(ctx, to_planes(ctx, pts.points), np.array(monomials, dtype=np.int64))
     kernel = exactla.nullspace(exactla.ExactMatrix.from_planes(ctx, rows))
@@ -106,7 +110,6 @@ def oversampled_system(
     homogeneous: bool = False,
     draws: int = 3,
     seed: int = 0,
-    column_cap: int = DEFAULT_COLUMN_CAP,
 ) -> VanishingSystem:
     """Interpolate through several slightly-oversampled draws at once.
 
@@ -124,7 +127,7 @@ def oversampled_system(
     if not pts.points:
         raise InsufficientPoints("empty point set")
     nvars = len(pts.points[0])
-    need = len(monomial_basis(nvars, degree, "exactly" if homogeneous else "at-most")) + slack
+    need = _column_count(nvars, degree, homogeneous) + slack
     if len(pts.points) < need:
         raise InsufficientPoints(
             f"need {need} points (|monomials| + slack), have {len(pts.points)}"
@@ -134,7 +137,7 @@ def oversampled_system(
         order = list(range(len(pts.points)))
         split(seed, d).shuffle(order)
         stacked += [pts.points[i] for i in order[:need]]
-    system = vanishing_system(PointSet(pts.ctx, stacked, dedup=False), degree, homogeneous, column_cap)
+    system = vanishing_system(PointSet(pts.ctx, stacked, dedup=False), degree, homogeneous)
     if draws > 1 and system.basis:
         R, pivots, _ = exactla.rref(exactla.ExactMatrix.make(pts.ctx, system.basis))
         system.basis = to_scalars(pts.ctx, R.planes[:, : len(pivots)])

@@ -3,7 +3,7 @@
 A GramLattice is an ordered list of named classes with their pairwise
 intersection numbers, held once as integer rows over one positive
 denominator.  Numerical equivalences show up as the radical (kernel) of the
-Gram matrix; rank and radical share one elimination of the rows, and a
+Gram matrix; one cached kernel gives both the radical and the rank, and a
 pairing, a radical test or a batch of radical tests is an integer product
 against them (int64 under a proven bound, Python ints otherwise).
 Hypothetical curves are appended as extra rows/columns and divisibility
@@ -87,9 +87,10 @@ class GramLattice:
     """Named classes and their Gram matrix, held once as an exactla
     ExactMatrix: integer rows `num` over one positive denominator `den`.
 
-    `rank` and `radical` share one elimination of those rows; a pairing, a
-    radical test and a batch of radical tests are integer products against
-    them.  `gram` gives the entries (ints, Fractions where not integral).
+    `radical` is their kernel, computed once and cached, and `rank` is read
+    from it; a pairing, a radical test and a batch of radical tests are
+    integer products against the rows.  `gram` gives the entries (ints,
+    Fractions where not integral).
     """
 
     def __init__(self, names: Sequence[str], gram):
@@ -110,7 +111,7 @@ class GramLattice:
         if any(num[i][j] != num[j][i] for i in range(n) for j in range(i)):
             raise BadGram("Gram matrix must be symmetric")
         self._matrix = M
-        self._echelon = None  # (R, pivots, rank) of the one elimination
+        self._radical = None  # the kernel, from the one elimination
         self._rows = None  # num as an integer array, see _int_array
 
     @property
@@ -165,18 +166,15 @@ class GramLattice:
 
     # -- structure ----------------------------------------------------------------
 
-    def _rref(self):
-        if self._echelon is None:
-            self._echelon = exactla.rref(self._matrix)
-        return self._echelon
-
     def rank(self) -> int:
-        return self._rref()[2]
+        return self.size - len(self.radical())
 
     def radical(self) -> list[list[int]]:
-        """Primitive integer basis of the kernel of the Gram matrix."""
-        R, pivots, _ = self._rref()
-        return exactla._kernel_rows(R, pivots, self.size)
+        """Primitive integer basis of the kernel of the Gram matrix (fresh
+        lists: the cached basis is never handed out)."""
+        if self._radical is None:
+            self._radical = exactla.nullspace(self._matrix)
+        return [list(v) for v in self._radical]
 
     def annihilated(self, W: np.ndarray) -> np.ndarray:
         """Whether each row of the integer array W (classes times any common
@@ -315,8 +313,6 @@ def search_relations(
     seed: int = 0,
     trials: int = 10_000,
     exhaustive_limit: int = 100_000,
-    curve_name: str = "C",
-    k_name: str = "K",
 ) -> list[RelationHit]:
     """Sample (or exhaust) intersection vectors for a hypothetical curve and
     report every extension with a nonzero radical.
@@ -333,13 +329,14 @@ def search_relations(
         ranges.append(range(lo, hi + 1))
     ranges.append(range(self_bounds[0], self_bounds[1] + 1))
     draws = None if prod(len(r) for r in ranges) <= exhaustive_limit else trials
-    k_index = L.index(k_name) if k_name in L.names else None
+    k_index = L.index("K") if "K" in L.names else None
     inverse = _inverse_rows(L)
     if inverse is None:
         # the kernel of an extension can have any dimension: RREF every box,
         # each once (every one costs far more than remembering it)
         hits = []
         seen = set()
+        curve_name = "C"
         while curve_name in L.names:  # the name only labels the extension
             curve_name += "'"
         for block in _box_blocks(ranges, seed, draws, object):
@@ -453,17 +450,17 @@ def solve_curve_intersections(
     contact: Sequence[tuple[Sequence[str], int]] = (),
     self_constraint: Iterable[int] | None = None,
     require_positive: bool = True,
-    k_name: str = "K",
 ) -> list[CurveSolution]:
     """Enumerate intersection assignments consistent with the template.
 
     For each assignment of the constrained pairings the multiplicities are
     forced by pairing the relation with every constrained class; solutions
-    must be integral (and positive on the declared support), the derived
-    self-intersection must be integral and satisfy adjunction parity when
-    the base lattice does, and the relation vector must land in the radical
-    of the extended lattice.  `contact` entries fix the total pairing over a
-    group of classes (e.g. one transverse branch through a chain).
+    must be integral (and positive on the declared support), and the derived
+    pairings and self-intersection integral, the latter with adjunction
+    parity when the base lattice has it; the relation vector then lies in
+    the radical of the extended lattice.  `contact` entries fix the total
+    pairing over a group of classes (e.g. one transverse branch through a
+    chain).
 
     Only the right-hand side of the linear system for the multiplicities
     depends on the assignment, so its matrix A is eliminated once, as
@@ -479,8 +476,8 @@ def solve_curve_intersections(
     support = list(template.support)
     lhs = L.combo(dict(template.lhs)).coeffs
     c = template.curve_mult
-    parity = L.is_adjunction_even(k_name) if k_name in names else False
-    k_pos = L.index(k_name) if k_name in names else None
+    k_pos = L.index("K") if "K" in pos else None
+    parity = k_pos is not None and L.is_adjunction_even("K")
     M = L.matrix()
     gram = L.gram
     lhs_pair = {nm: _exact(Fraction(sum(a * row[j] for a, row in zip(lhs, M.num) if a), M.den))
@@ -541,7 +538,7 @@ def solve_curve_intersections(
         if self_val.denominator != 1:
             continue
         self_int = int(self_val)
-        if parity and k_pos is not None and (self_int + pair_val[k_name]) % 2 != 0:
+        if parity and (self_int + pair_val["K"]) % 2 != 0:
             continue
         if self_values is not None and self_int not in self_values:
             continue
@@ -551,13 +548,8 @@ def solve_curve_intersections(
             rel[pos[nm]] += coef
         for s, v in mults.items():
             rel[pos[s]] -= v
-        # rel - c*curve lies in the radical of the extension: it pairs to zero
-        # with every row of [[M, p], [p^T, self]] (M = num / den)
-        if any(sum(r * row[j] for r, row in zip(rel, M.num) if r) != c * M.den * p
-               for j, p in enumerate(pair_seq)):
-            continue
-        if sum(r * p for r, p in zip(rel, pair_seq)) != c * self_int:
-            continue
+        # rel - c*curve pairs to zero with every class and with the curve by
+        # construction (exact solve, integral derived pairings and self_int)
         solutions.append(
             CurveSolution(
                 tuple((s, mults[s]) for s in support),

@@ -8,7 +8,7 @@ itself is domain-generic and immutable.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     ContextMismatch,
@@ -219,10 +219,9 @@ class MultiPoly:
             acc = acc + term
         return acc
 
-    def map_domain(self, domain, convert: Callable | None = None) -> "MultiPoly":
+    def map_domain(self, domain) -> "MultiPoly":
         """Explicit change of coefficient domain (e.g. reduce mod p)."""
-        conv = convert if convert is not None else (lambda c: _convert(c, domain))
-        return MultiPoly(self.nvars, domain, {e: conv(c) for e, c in self.terms.items()})
+        return MultiPoly(self.nvars, domain, {e: _convert(c, domain) for e, c in self.terms.items()})
 
     def __repr__(self) -> str:
         return format_poly(self)

@@ -110,6 +110,12 @@ def test_hunt_solve_at_point_command(tmp_path, capsys):
     assert "members: 0" not in out and "member 1: (" in out
 
 
+@pytest.mark.parametrize("point, field", [("0,0,1", []), ("0, 0, 5", ["--field", "7"]), ("0,0,1/2", [])])
+def test_classify_at_a_projective_point(capsys, point, field):
+    assert main(["classify", "--poly", "x0^2*x2+x1^3", "--point", point] + field) == 0
+    assert "  label: A2\n  corank: 1\n  tjurina: 2\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("cap", ["0", "1"])
 def test_classify_cap_below_two_is_a_data_error(capsys, cap):
     assert main(["classify", "--poly", "x0^2+x1^3", "--cap", cap]) == 3
@@ -300,6 +306,76 @@ def test_cover_commands(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "chi_cover: 1" in out and "K2_cover: 8" in out
+
+
+def test_cover_invariants_reads_the_base_invariants(tmp_path, capsys):
+    """chi_cover is 8*chi plus seven terms of -1 and K2_cover is 8*K^2; q
+    enters only p_g, which the report does not print."""
+    gram = tmp_path / "gram11.txt"
+    gram.write_text(format_lattice(godeaux.extended_lattice()) + "\n")
+    cov = tmp_path / "cover.txt"
+    cov.write_text(COVER_FILE)
+    argv = ["cover", "--lattice", str(gram), "--cover", str(cov), "invariants"]
+    assert main(argv + ["--chi", "2", "--k2", "3"]) == 0
+    assert "  chi_cover: 9\n  K2_cover: 24\n" in capsys.readouterr().out
+    assert main(argv) == 0
+    default = strip_timings(capsys.readouterr().out)
+    assert main(argv + ["--q", "1"]) == 0
+    assert strip_timings(capsys.readouterr().out) == default
+
+
+def test_hunt_budget_bounds_the_points_of_projective_space(tmp_path, capsys):
+    fam = tmp_path / "conic.txt"
+    fam.write_text("x0^2+x1^2+x2^2+p1*x0*x1\n")
+    argv = ["hunt", "--family", str(fam), "--field", "2", "--trials", "2"]
+    assert main(argv + ["--budget", "6"]) == 3  # P^2 over GF(2) has 7 points
+    assert capsys.readouterr() == ("", "error: projective space has 7 points, budget is 6\n")
+    assert main(argv + ["--budget", "7"]) == 0
+    assert "  member 1: (0) | 3? | (1:0:1) (1:1:0) (0:1:1)\n" in capsys.readouterr().out
+
+
+def test_hunt_honours_explicit_nvars_and_nparams(tmp_path, capsys):
+    fam = tmp_path / "binary.txt"
+    fam.write_text("x0^2+x1^2+p1*x0*x1\n")
+    argv = ["hunt", "--family", str(fam), "--field", "7", "--trials", "5"]
+    assert main(argv + ["--nvars", "3"]) == 0  # a cone in P^2, singular at its vertex
+    out = capsys.readouterr().out
+    members = [line for line in out.splitlines() if line.startswith("  member ")]
+    assert "  nvars/nparams: 3/1\n" in out and "  members: 5\n" in out
+    assert len(members) == 5 and all(line.endswith(" (0:0:1)") for line in members)
+    assert main(argv + ["--nparams", "2"]) == 0  # p2 appears in no term
+    assert "  nvars/nparams: 2/2\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hunt", "--family", "{binary}", "--field", "7", "--nparams", "-1"], "--nparams must be >= 0, got -1"),
+    (["hunt", "--family", "{binary}", "--field", "7", "--nvars", "0"], "--nvars must be >= 1, got 0"),
+    (["hunt", "--family", "{binary}", "--field", "7", "--nvars", "-1"], "--nvars must be >= 1, got -1"),
+    (["classify", "--poly", "x0^2+x1^2", "--point", "1/0,1"], "bad rational coordinate '1/0'"),
+    (["hunt", "--family", "{huge}", "--field", "7"],
+     "{huge}: exponent 9223372036854775808 does not fit in 64 bits"),
+])
+def test_bad_counts_points_and_exponents_are_data_errors(tmp_path, capsys, argv, message):
+    files = {"binary": tmp_path / "binary.txt", "huge": tmp_path / "huge.txt"}
+    files["binary"].write_text("x0^2+x1^2+p1*x0*x1\n")
+    files["huge"].write_text(f"x0^{2**63}+x1^2\n")
+    assert main([arg.format(**files) for arg in argv]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message.format(**files)}\n") and "Traceback" not in err
+
+
+def test_every_option_is_documented_in_the_readme():
+    """Each option string of every subcommand appears in README.md."""
+    import argparse
+
+    from singhunt.cli import build_parser
+
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    missing = sorted({opt for name, sub in subparsers.choices.items() for action in sub._actions
+                      if not isinstance(action, argparse._HelpAction) for opt in action.option_strings
+                      if not re.search(re.escape(opt) + r"(?![\w-])", readme)})
+    assert missing == []
 
 
 def test_fixture_command(capsys):

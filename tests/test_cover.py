@@ -54,6 +54,24 @@ def test_cyclic_subgroups_z2_z4():
     ]
 
 
+@pytest.mark.parametrize("orders", [(2,), (6,), (2, 4), (3, 3), (2, 2, 2), (4, 6), (2, 3, 4)])
+def test_cyclic_subgroups_and_elements_match_the_scans(orders):
+    """elements() counts in lexicographic order, and each cyclic subgroup's
+    generator is its least element of maximal order (the scan over every
+    member of every subgroup that cyclic_subgroups replaced)."""
+    G = AbelianGroup(orders)
+    want = [()]
+    for m in orders:
+        want = [g + (c,) for g in want for c in range(m)]
+    assert G.elements() == want
+    best = {}
+    for g in want[1:]:
+        members = G.generated_by(g)
+        best[members] = min(h for h in members if G.element_order(h) == len(members))
+    assert [(H.members, H.generator) for H in cyclic_subgroups(G)] == sorted(
+        best.items(), key=lambda mg: (len(mg[0]), mg[1]))
+
+
 def test_cyclic_subgroups_z2():
     subs = cyclic_subgroups(AbelianGroup((2,)))
     assert len(subs) == 1 and subs[0].order == 2
@@ -217,8 +235,21 @@ def test_path_independence_over_all_factorizations():
 def test_derive_all_L_rejects_non_generating_set():
     branch = fixture_branch()
     chi3 = Character(G24, (0, 2))  # order 2, generates only half the dual
-    with pytest.raises(InconsistentData):
+    with pytest.raises(InconsistentData, match="do not generate the dual group"):
         derive_all_L(EXT, branch, {chi3: EXT.combo({})})
+
+
+def test_derive_all_L_closure_is_the_generation_check():
+    """No separate pass generates the subgroup: the extension of the classes
+    itself finds that the characters fall short of the group.  Reducedness
+    is checked first."""
+    branch = fixture_branch()
+    with mock.patch.object(cover, "generate_subgroup", side_effect=AssertionError("called")):
+        assert derive_all_L(EXT, branch, godeaux.generator_classes(EXT)) == godeaux.cover_data().L
+        with pytest.raises(InconsistentData, match="do not generate"):
+            derive_all_L(EXT, branch, {Character(G24, (1, 2)): EXT.combo({})})
+        with pytest.raises(InconsistentData, match=r"\(0, 6\) is not reduced"):
+            derive_all_L(EXT, branch, {Character(G24, (0, 6)): EXT.combo({})})
 
 
 def test_derive_all_L_detects_inconsistent_generator_data():

@@ -1,16 +1,19 @@
 import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singhunt.errors import InsufficientPoints, NotOnVariety
+from singhunt.errors import BudgetExceeded, IndexOutOfRange, InsufficientPoints, NotOnVariety
 from singhunt.exactla import ExactMatrix, in_row_span, nullspace, rref
 from singhunt.fields import field_create, plane_matmul, to_planes, to_scalars
 from singhunt.hunt import projective_points
 from singhunt.interp import (
+    COLUMN_CAP,
     PointSet,
+    _column_count,
     filter_isolated,
     oversampled_system,
     tangent_dim,
@@ -136,6 +139,30 @@ def test_oversampled_single_point_degree_one():
     repeated = PointSet(F7, [(F7.element(2), F7.element(3))] * 8, dedup=False)
     system = oversampled_system(repeated, 1, slack=1, seed=0)
     assert system.dimension == 2  # nvars linear forms through one point
+
+
+def test_column_cap_is_checked_before_any_monomial_is_listed():
+    """The monomials of degree <= 150 in 3 variables (585,276 of them) are
+    counted against the cap, never listed."""
+    ps = PointSet(F7, conic_points())
+    with mock.patch("singhunt.interp.monomial_basis", side_effect=AssertionError("listed")):
+        with pytest.raises(BudgetExceeded, match=f"^585276 monomial columns exceed the cap {COLUMN_CAP}$"):
+            vanishing_system(ps, 150)
+        with pytest.raises(BudgetExceeded, match="^45451 monomial columns"):
+            vanishing_system(ps, 300, homogeneous=True)
+        with pytest.raises(InsufficientPoints, match=r"^need 585278 points \(\|monomials\| \+ slack\), have 8$"):
+            oversampled_system(ps, 150, slack=2)
+        for degree in (-1, -5):
+            with pytest.raises(IndexOutOfRange, match="^need nvars >= 1 and degree >= 0$"):
+                vanishing_system(ps, degree)
+
+
+@pytest.mark.parametrize("homogeneous", [False, True])
+def test_column_count_is_the_length_of_the_monomial_basis(homogeneous):
+    for nvars in range(1, 5):
+        for degree in range(7):
+            mode = "exactly" if homogeneous else "at-most"
+            assert _column_count(nvars, degree, homogeneous) == len(monomial_basis(nvars, degree, mode))
 
 
 def test_oversampled_rejects_no_draws_and_no_points():

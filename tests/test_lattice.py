@@ -12,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from singhunt import godeaux, lattice
 from singhunt.errors import DimensionMismatch, MultipleSolutions, NoSolution
-from singhunt.exactla import QQ, ExactMatrix, determinant, solve, symmetric_signature
+from singhunt.exactla import QQ, ExactMatrix, determinant, rref, solve, symmetric_signature
 from singhunt.lattice import (
     CurveTemplate,
+    DivisorClass,
     GramLattice,
     SurfaceInvariants,
     b2,
@@ -43,6 +44,28 @@ def test_fixture_entries():
 def test_fixture_rank_and_radical():
     assert L9.rank() == 9
     assert L9.radical() == []
+
+
+@pytest.mark.parametrize("names, gram", [
+    (EXT.names, EXT.gram),
+    (["a", "b", "K"], [[0, 0, 0], [0, -2, 1], [0, 1, 1]]),
+    (["a", "b"], [[Fraction(1, 2), 1], [1, 2]]),
+])
+def test_rank_and_radical_share_one_elimination(names, gram):
+    """rank() is read from the cached radical: one rref per lattice, however
+    often and in whatever order the two are asked for."""
+    from singhunt import exactla
+
+    L = GramLattice(names, gram)
+    calls = []
+    with mock.patch.object(exactla, "rref", lambda A: calls.append(A) or rref(A)):
+        rank, rad, again = L.rank(), L.radical(), L.rank()
+    assert len(calls) == 1
+    assert rank == again == sympy.Matrix(gram).rank()
+    assert len(rad) == len(names) - rank
+    assert all(L.in_radical(DivisorClass(tuple(v))) for v in rad)
+    rad.append([0] * len(names))  # the cache is not the caller's list
+    assert L.rank() == rank and len(L.radical()) == len(names) - rank
 
 
 def test_fixture_signature():
