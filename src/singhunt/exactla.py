@@ -4,9 +4,11 @@ Everything here is exact.  A rational ExactMatrix holds integer rows (Python
 ints) over one common positive denominator; one fraction-free Gauss-Jordan
 elimination over Z serves its rref, rank, kernel, solve and determinant, with
 no Fraction arithmetic.  Over every finite field a matrix holds the digit
-planes of ``fields``, eliminated with numpy (int64 where a product of
-residues fits, Python ints otherwise).  Either way the entries (over QQ ints,
-or Fractions where not integral; ints over GF(p), FieldElements over GF(p^k))
+planes of ``fields``, eliminated with numpy by elementwise row updates
+(int64 where a product of residues fits, Python ints otherwise); no
+elimination here makes a matrix product, so the float64 tier of
+``fields._dot_mod`` is not used.  Either way the entries (over QQ ints, or
+Fractions where not integral; ints over GF(p), FieldElements over GF(p^k))
 are derived only when first read.  Every rank, kernel and solve goes
 through ``rref``, once: a solve reads its particular solution and its kernel
 from the one RREF of [A | b].  ``determinant`` runs its elimination
@@ -27,7 +29,6 @@ from .fields import (
     FieldElement,
     _dtype,
     inv_digits,
-    plane_matmul,
     plane_mul,
     to_planes,
     to_scalars,
@@ -323,20 +324,8 @@ def determinant(A: ExactMatrix) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# solving, products, span operations
+# solving
 # ---------------------------------------------------------------------------
-
-def matvec(A: ExactMatrix, v: Sequence) -> list:
-    if len(v) != A.cols:
-        raise DimensionMismatch("vector length does not match column count")
-    if A.domain == QQ:
-        (ints,), den = _integer_rows([v])
-        den *= A.den
-        return [Fraction(sum(a * x for a, x in zip(row, ints)), den) for row in A.num]
-    ctx = A.domain
-    column = to_planes(ctx, list(v)).reshape(ctx.k, A.cols, 1)
-    return to_scalars(ctx, plane_matmul(ctx, A.planes, column)[:, :, 0])
-
 
 def solve(A: ExactMatrix, b: Sequence) -> tuple[list | None, list[list]]:
     """All solutions of A x = b as (particular, kernel basis); None if none.
@@ -365,17 +354,6 @@ def solve(A: ExactMatrix, b: Sequence) -> tuple[list | None, list[list]]:
     X = np.zeros((ctx.k, A.cols), dtype=R.planes.dtype)
     X[:, pivots] = R.planes[:, :len(pivots), A.cols]
     return to_scalars(ctx, X), to_scalars(ctx, _kernel_planes(R, pivots, A.cols))
-
-
-def row_span_rank(rows: Sequence[Sequence], domain) -> int:
-    if not rows:
-        return 0
-    return rank(ExactMatrix.make(domain, rows))
-
-
-def in_row_span(rows: Sequence[Sequence], v: Sequence, domain) -> bool:
-    base = row_span_rank(rows, domain)
-    return row_span_rank(list(rows) + [list(v)], domain) == base
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,12 @@
 The extension modulus is chosen deterministically (see ``field_create``),
 so two runs -- or two machines -- agree on the basis {1, t, ..., t^(k-1)}
 and coefficient tuples can be compared across runs when lifting.
+
+The numpy kernels work on digit planes.  A matrix product of residues
+(``_dot_mod``, reached once per plane product through ``_fold``) runs in the
+cheapest exact tier its bound allows: float64 while inner * (p-1)^2 < 2^53,
+int64 while the sums fit, term by term past that.  ``monomial_values``
+builds its table in graded order, one plane product per monomial.
 """
 
 from __future__ import annotations
@@ -366,8 +372,26 @@ def _dtype(p: int):
 
 
 def _dot_mod(X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
-    """(X @ Y) % p for residues, reducing term by term where int64 could overflow."""
-    if X.dtype == object or X.shape[1] * (p - 1) ** 2 < 2**63:
+    """(X @ Y) % p for residues, in the cheapest of three exact tiers.
+
+    While every sum of products stays below 2^53 (inner * (p-1)^2 < 2^53), the
+    product runs in float64, which holds those integers exactly (BLAS; an
+    inner dimension of 1 is a broadcast outer product, which BLAS is slow
+    on), and is reduced by the floor of a correctly rounded quotient: for an
+    integer below 2^53 that quotient never rounds up to the next integer, so
+    the remainder is exact and in [0, p).  Past that bound the product runs
+    in int64 while it fits, and otherwise is reduced term by term (or in
+    Python ints for object planes)."""
+    inner = X.shape[1]
+    if X.dtype != object and inner * (p - 1) ** 2 < 2**53:
+        Xf, Yf = X.astype(np.float64), Y.astype(np.float64)
+        out = Xf * Yf if inner == 1 else Xf @ Yf
+        quot = out / p
+        np.floor(quot, out=quot)
+        quot *= p
+        out -= quot  # in place: the float temporaries stay two blocks
+        return out.astype(np.int64)
+    if X.dtype == object or inner * (p - 1) ** 2 < 2**63:
         out = X @ Y
         out %= p  # in place: one large temporary instead of two
         return out
@@ -413,17 +437,33 @@ def plane_ones(ctx: FieldCtx, shape: tuple[int, ...]) -> np.ndarray:
 
 def monomial_values(ctx: FieldCtx, X: np.ndarray, exps: np.ndarray) -> np.ndarray:
     """Planes (k, points, monomials) of the monomials (rows of exps) at the
-    points (planes X of shape (k, points, variables))."""
-    out = plane_ones(ctx, (X.shape[1], exps.shape[0]))
-    for i in range(exps.shape[1]):
-        top = int(exps[:, i].max(initial=0))
-        if top == 0:
-            continue
-        powers = [plane_ones(ctx, (X.shape[1],))]
-        for _ in range(top):
-            powers.append(plane_mul(ctx, powers[-1], X[:, :, i]))
-        out = plane_mul(ctx, out, np.stack(powers, axis=2)[:, :, exps[:, i]])
-    return out
+    points (planes X of shape (k, points, variables)).
+
+    The table is built in graded order: degree 0 is ones, degree 1 the
+    coordinate planes, and each higher monomial one already built times one
+    variable, so a table of m monomials (counting any lower one that a chain
+    down to a built monomial adds) costs at most m plane products.  An
+    exponent e >= 1 is first reduced to (e-1) % (q-1) + 1, which is exact on
+    GF(q) since x^q = x there."""
+    if exps.size and int(exps.max()) > ctx.q - 1:
+        exps = np.where(exps > 0, (exps - 1) % (ctx.q - 1) + 1, 0)
+    rows = list(map(tuple, exps.tolist()))
+    n = exps.shape[1]
+    table = {(0,) * n: plane_ones(ctx, (X.shape[1],))}
+    for i in range(n):
+        table[(0,) * i + (1,) + (0,) * (n - i - 1)] = X[:, :, i]
+    for e in sorted(set(rows), key=sum):
+        chain = []  # (monomial, lower monomial, variable) down to one already built
+        while e not in table:
+            lowers = [(e[:i] + (e[i] - 1,) + e[i + 1:], i) for i in range(n) if e[i]]
+            lower, i = next((li for li in lowers if li[0] in table), lowers[0])
+            chain.append((e, lower, i))
+            e = lower
+        for e, lower, i in reversed(chain):
+            table[e] = plane_mul(ctx, table[lower], X[:, :, i])
+    if not rows:
+        return plane_ones(ctx, (X.shape[1], 0))
+    return np.stack([table[e] for e in rows], axis=2)
 
 
 def to_planes(ctx: FieldCtx, values) -> np.ndarray:

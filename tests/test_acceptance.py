@@ -37,7 +37,7 @@ from singhunt.lift import (
     reduce_rational,
 )
 from singhunt.poly import QQ, MultiPoly, ParametricFamily, monomial_basis, parse, parse_poly
-from singhunt.exactla import in_row_span
+from linalg_reference import in_row_span
 
 
 class Timer:

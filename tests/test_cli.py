@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import pathlib
 import random
@@ -362,6 +363,36 @@ def test_bad_counts_points_and_exponents_are_data_errors(tmp_path, capsys, argv,
     assert main([arg.format(**files) for arg in argv]) == 3
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: {message.format(**files)}\n") and "Traceback" not in err
+
+
+def test_hunt_reduces_huge_exponents_on_the_field(tmp_path, capsys):
+    # x0^e stands for x0^((e-1) % 6 + 1) on GF(7), so no power table of e
+    # entries is built; the x0 partial e * x0^(e-1) is zero, as 7 divides e
+    e = 2**63 - 1
+    fam = tmp_path / "huge.txt"
+    fam.write_text(f"x0^{e}+x1^2+p1*x1*x2+p2*x2^2\n")
+    argv = ["hunt", "--family", str(fam), "--field", "7"]
+    assert main(argv + ["--trials", "1"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--trials", "49"]) == 0  # every parameter point
+    found = {}
+    for line in capsys.readouterr().out.splitlines():
+        if m := re.fullmatch(r"  member \d+: \((\d+),(\d+)\) \| \S+ \| (.*)", line):
+            found[(int(m[1]), int(m[2]))] = set(m[3].split())
+
+    def checks(x, p1, p2):  # f and its partials, in Python ints
+        x0, x1, x2 = x
+        return (pow(x0, e, 7) + x1**2 + p1 * x1 * x2 + p2 * x2**2,
+                e * pow(x0, e - 1, 7), 2 * x1 + p1 * x2, p1 * x1 + 2 * p2 * x2)
+
+    points = [x for x in itertools.product(range(7), repeat=3) if any(x) and next(c for c in x if c) == 1]
+    want = {}
+    for p1, p2 in itertools.product(range(7), repeat=2):
+        singular = {"(" + ":".join(map(str, x)) + ")" for x in points
+                    if not any(v % 7 for v in checks(x, p1, p2))}
+        if singular:
+            want[(p1, p2)] = singular
+    assert len(points) == 57 and len(want) == 7 and found == want
 
 
 def test_every_option_is_documented_in_the_readme():

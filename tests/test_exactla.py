@@ -7,6 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from linalg_reference import matvec
 from singhunt.errors import ContextMismatch, DimensionMismatch, NotSquare
 from singhunt.exactla import (
     QQ,
@@ -14,7 +15,6 @@ from singhunt.exactla import (
     ExactMatrix,
     determinant,
     is_negative_definite,
-    matvec,
     nullspace,
     parse_matrix,
     rank,

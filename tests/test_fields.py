@@ -1,19 +1,26 @@
 import itertools
 import random
+from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from singhunt import fields
 from singhunt.errors import ContextMismatch, DivisionByZero, InvalidDegree, NonPrime, PolySyntaxError
 from singhunt.fields import (
     FieldElement,
+    _dot_mod,
+    _dtype,
     field_create,
     format_element,
     inv,
     is_prime,
+    monomial_values,
     parse_element,
     plane_matmul,
     plane_mul,
+    plane_ones,
     to_elements,
     to_planes,
 )
@@ -234,3 +241,130 @@ def test_plane_products_at_large_primes(p, k, dtype):
     column = to_planes(ctx, [[v] for v in values[12:]])
     want = [sum((a * b for a, b in zip(row, values[12:])), ctx.zero()) for row in (values[:12], values[12:])]
     assert to_elements(ctx, plane_matmul(ctx, X, column)) == [[w] for w in want]
+
+
+# ---------------------------------------------------------------------------
+# the matrix kernel and the monomial table against Python-int references
+# ---------------------------------------------------------------------------
+
+def float_edge_primes(inner):
+    """The largest prime p with inner * (p-1)^2 < 2^53, where _dot_mod still
+    multiplies in float64, and the smallest prime past it."""
+    top = isqrt((2**53 - 1) // inner) + 1  # the largest p with inner * (p-1)^2 < 2^53
+    below = next(p for p in range(top, 1, -1) if is_prime(p))
+    above = next(p for p in itertools.count(top + 1) if is_prime(p))
+    assert inner * (below - 1) ** 2 < 2**53 <= inner * (above - 1) ** 2
+    return below, above
+
+
+DOT_INNER = (0, 1, 3, 10)
+# p = 2; int64 primes on both sides of the int64 bound; object-dtype primes
+DOT_PRIMES = (2, 101, 1_000_000_007, 2147483629, 2**32 + 15, 2**64 - 59)
+DOT_CASES = [(inner, p) for inner in DOT_INNER for p in DOT_PRIMES] + [
+    (inner, p) for inner in DOT_INNER[1:] for p in float_edge_primes(inner)
+]
+
+
+def dot_reference(X, Y, p):
+    """(X @ Y) % p as nested lists, summed in Python ints."""
+    m, inner = X.shape
+    return [[sum(int(X[i, t]) * int(Y[t, j]) for t in range(inner)) % p
+             for j in range(Y.shape[1])] for i in range(m)]
+
+
+@pytest.mark.parametrize("inner, p", DOT_CASES)
+@settings(max_examples=15)
+@given(data=st.data())
+def test_dot_mod_matches_the_python_int_reference(inner, p, data):
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    residue = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    X = np.array(data.draw(st.lists(st.lists(residue, min_size=inner, max_size=inner),
+                                    min_size=rows, max_size=rows)), dtype=_dtype(p))
+    Y = np.array(data.draw(st.lists(st.lists(residue, min_size=cols, max_size=cols),
+                                    min_size=inner, max_size=inner)), dtype=_dtype(p))
+    X, Y = X.reshape(rows, inner), Y.reshape(inner, cols)
+    out = _dot_mod(X, Y, p)
+    assert out.shape == (rows, cols) and out.dtype == _dtype(p)
+    assert out.tolist() == dot_reference(X, Y, p)
+
+
+@pytest.mark.parametrize("inner, p", DOT_CASES)
+def test_dot_mod_is_exact_at_the_largest_sums(inner, p):
+    # every product (p-1)^2, so a sum reaches inner * (p-1)^2, just below 2^53
+    # for the largest prime of the float64 tier
+    X = np.full((3, inner), p - 1, dtype=_dtype(p))
+    Y = np.full((inner, 2), p - 1, dtype=_dtype(p))
+    Y[:, 1] = p - 2
+    assert _dot_mod(X, Y, p).tolist() == dot_reference(X, Y, p)
+
+
+@pytest.mark.parametrize("inner, p", [(inner, p) for inner, p in DOT_CASES if inner])
+def test_dot_mod_is_exact_at_large_multiples_of_p(inner, p):
+    # a sum near the top of the tier that is a multiple of p, or one less:
+    # where a quotient taken as out * (1/p) can round across an integer
+    for target in (0, p - 1):
+        rest = (target - (inner - 1) * (p - 1) ** 2) % p  # what the last product must be
+        a, c = max(((a, rest * pow(a, -1, p) % p) for a in range(p - 1, max(0, p - 60), -1)),
+                   key=lambda ac: ac[0] * ac[1])
+        X = np.array([[p - 1] * (inner - 1) + [a]], dtype=_dtype(p))
+        Y = np.array([[p - 1]] * (inner - 1) + [[c]], dtype=_dtype(p))
+        assert _dot_mod(X, Y, p).tolist() == dot_reference(X, Y, p) == [[target]]
+
+
+def per_variable_monomial_values(ctx, X, exps):
+    """The reference table: for each variable, its powers up to the largest
+    exponent, gathered for every monomial and multiplied in; n products of
+    m cells per point."""
+    out = plane_ones(ctx, (X.shape[1], exps.shape[0]))
+    for i in range(exps.shape[1]):
+        top = int(exps[:, i].max(initial=0))
+        if top == 0:
+            continue
+        powers = [plane_ones(ctx, (X.shape[1],))]
+        for _ in range(top):
+            powers.append(plane_mul(ctx, powers[-1], X[:, :, i]))
+        out = plane_mul(ctx, out, np.stack(powers, axis=2)[:, :, exps[:, i]])
+    return out
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([(2, 1), (3, 1), (7, 1), (101, 1), (2, 2), (3, 2), (2, 3)]),
+       st.integers(1, 3), st.integers(0, 5), st.data())
+def test_graded_monomial_table_matches_the_per_variable_one(pk, n, npoints, data):
+    ctx = field_create(*pk)
+    digits = st.lists(st.integers(0, ctx.p - 1), min_size=ctx.k, max_size=ctx.k)
+    points = data.draw(st.lists(st.lists(digits, min_size=n, max_size=n),
+                                min_size=npoints, max_size=npoints))
+    X = np.array(points, dtype=np.int64).reshape(npoints, n, ctx.k).transpose(2, 0, 1)
+    # unsorted rows, exponents past q, degree >= 3; then an all-zero and a repeated row
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, 12)] * n), max_size=8))
+    exps = np.array(rows + [(0,) * n] + rows[:1], dtype=np.int64).reshape(-1, n)
+    got = monomial_values(ctx, X, exps)
+    assert got.shape == (ctx.k, npoints, len(exps))
+    assert got.tolist() == per_variable_monomial_values(ctx, X, exps).tolist()
+
+
+def test_monomial_table_costs_one_product_per_monomial(monkeypatch):
+    ctx = field_create(101)
+    X = to_planes(ctx, [[3, 5, 7], [0, 1, 100]])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return plane_mul(*args)
+
+    monkeypatch.setattr(fields, "plane_mul", counted)
+    # the variables and the constant cost nothing; x0^2*x1 needs x0^2 (or x0*x1) first
+    exps = np.array([[1, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 1], [2, 1, 0], [0, 2, 1]])
+    table = monomial_values(ctx, X, exps)
+    assert len(calls) == 4
+    assert table[0].tolist() == [[3, 1, 5, 7, 45, 175 % 101], [0, 1, 1, 100, 0, 100]]
+
+
+def test_huge_exponents_reduce_on_the_field():
+    # x^e = x^((e-1) % (q-1) + 1) for e >= 1 on GF(q), zero included
+    ctx = field_create(7)
+    X = to_planes(ctx, [[x] for x in range(7)])
+    e = 2**63 - 1
+    table = monomial_values(ctx, X, np.array([[e], [0], [6], [7]], dtype=np.int64))
+    assert table[0].tolist() == [[pow(x, e, 7), 1, pow(x, 6, 7), x] for x in range(7)]

@@ -364,6 +364,17 @@ def test_member_coefficients_overflow_guard(p):
         assert {m: c for m, c in zip(xmons, coeffs) if c} == member.terms
 
 
+def test_exponents_past_q_reduce_on_the_field():
+    # on GF(9), x^26 = x^2, and 26 = 2 mod 3 keeps the x0 partial too: a
+    # planted family and its reduced form have the same singular members
+    F9 = field_create(3, 2)
+    big = parse("x0^26*x1 + x1^3 + p1*x0*x1*x2 + p2*x2^3", 3, 2)
+    small = parse("x0^2*x1 + x1^3 + p1*x0*x1*x2 + p2*x2^3", 3, 2)
+    found = [[(m.params, [pt.coords for pt in m.points]) for m in hunt_members(fam, F9, trials=81, seed=1)]
+             for fam in (big, small)]
+    assert found[0] and found[0] == found[1]
+
+
 def test_dot_mod_reduces_term_by_term_near_two_to_the_31():
     p = 2147483629
     X = np.full((2, 3), p - 1, dtype=np.int64)

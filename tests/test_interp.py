@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from singhunt.errors import BudgetExceeded, IndexOutOfRange, InsufficientPoints, NotOnVariety
-from singhunt.exactla import ExactMatrix, in_row_span, nullspace, rref
+from linalg_reference import in_row_span
+from singhunt.exactla import ExactMatrix, nullspace, rref
 from singhunt.fields import field_create, plane_matmul, to_planes, to_scalars
 from singhunt.hunt import projective_points
 from singhunt.interp import (
