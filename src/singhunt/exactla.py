@@ -4,10 +4,11 @@ Everything here is exact.  A rational ExactMatrix holds integer rows (Python
 ints) over one common positive denominator; one fraction-free Gauss-Jordan
 elimination over Z serves its rref, rank, kernel, solve and determinant, with
 no Fraction arithmetic.  Over every finite field a matrix holds the digit
-planes of ``fields``, eliminated with numpy by elementwise row updates
-(int64 where a product of residues fits, Python ints otherwise); no
-elimination here makes a matrix product, so the float64 tier of
-``fields._dot_mod`` is not used.  Either way the entries (over QQ ints, or
+planes of ``fields``.  Over GF(p) with (p-1)^2 < 2^53 they are eliminated
+in float64, one outer-product update per pivot reduced exactly by
+``fields.reduce_float``; over larger primes and over GF(p^k) by elementwise
+row updates on the planes (int64 where a product of residues fits, Python
+ints otherwise).  Either way the entries (over QQ ints, or
 Fractions where not integral; ints over GF(p), FieldElements over GF(p^k))
 are derived only when first read.  Every rank, kernel and solve goes
 through ``rref``, once: a solve reads its particular solution and its kernel
@@ -30,6 +31,7 @@ from .fields import (
     _dtype,
     inv_digits,
     plane_mul,
+    reduce_float,
     to_planes,
     to_scalars,
 )
@@ -216,7 +218,53 @@ def _scaled(row: list[int], den: int, at: int) -> list[int]:
 
 
 def _rref_modp(M: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, list[int]]:
-    """RREF of the digit planes M (k x rows x cols) over ctx; M is not modified."""
+    """RREF of the digit planes M (k x rows x cols) over ctx; M is not modified.
+
+    Over GF(p) with (p-1)^2 < 2^53 this is ``_rref_float``; otherwise
+    ``_rref_planes``.  The RREF is unique, so both give the same planes."""
+    if ctx.k == 1 and M.dtype != object and (ctx.p - 1) ** 2 < 2**53:
+        return _rref_float(M[0], ctx.p)
+    return _rref_planes(M, ctx)
+
+
+def _rref_float(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """RREF over GF(p), (p-1)^2 < 2^53, of the integer matrix A, by
+    Gauss-Jordan on float64 residues; returns int64 planes (1 x rows x cols).
+
+    Each pivot (r, c) is one update of columns c onward, the pivot row being
+    zero left of c: row i loses g_i times the pivot row, where g_i is its
+    entry in column c over the pivot, and g_r = 1 - 1/pivot scales the pivot
+    row to a leading 1 in the same update.  Every value is an integer with
+    |x| <= (p-1)^2 < 2^53, so held exactly, and ``fields.reduce_float``
+    takes its exact residue."""
+    R = (A % p).astype(np.float64)
+    rows, cols = R.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        (nz,) = R[r:, c].nonzero()
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            R[[r, pr]] = R[[pr, r]]
+        inv = pow(int(R[r, c]), -1, p)
+        g = reduce_float(R[:, c] * inv, p)
+        g[r] = (1 - inv) % p
+        X = R[:, c:]
+        X -= np.multiply.outer(g, X[r])
+        reduce_float(X, p)
+        pivots.append(c)
+        r += 1
+    return R.astype(np.int64)[None], pivots
+
+
+def _rref_planes(M: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, list[int]]:
+    """RREF of the digit planes M over any ctx, by elementwise row updates
+    on the planes (int64 where a product of residues fits, Python ints
+    otherwise)."""
     p = ctx.p
     M = M % p
     _, rows, cols = M.shape

@@ -371,26 +371,32 @@ def _dtype(p: int):
     return np.int64 if (p - 1) ** 2 < 2**63 else object
 
 
+def reduce_float(x: np.ndarray, p: int) -> np.ndarray:
+    """x - floor(x / p) * p, in place, for a float64 array of integers with
+    |x| < 2^53 (held exactly): returns x, now its residues in [0, p).  The
+    correctly rounded quotient x / p is within half an ulp, below 1/p, of
+    the true one, so its floor is the true floor and the remainder is exact
+    for either sign of x."""
+    quot = x / p
+    np.floor(quot, out=quot)
+    quot *= p
+    x -= quot  # in place: the float temporaries stay two blocks
+    return x
+
+
 def _dot_mod(X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
     """(X @ Y) % p for residues, in the cheapest of three exact tiers.
 
     While every sum of products stays below 2^53 (inner * (p-1)^2 < 2^53), the
     product runs in float64, which holds those integers exactly (BLAS; an
     inner dimension of 1 is a broadcast outer product, which BLAS is slow
-    on), and is reduced by the floor of a correctly rounded quotient: for an
-    integer below 2^53 that quotient never rounds up to the next integer, so
-    the remainder is exact and in [0, p).  Past that bound the product runs
-    in int64 while it fits, and otherwise is reduced term by term (or in
-    Python ints for object planes)."""
+    on), and is reduced exactly by ``reduce_float``.  Past that bound the
+    product runs in int64 while it fits, and otherwise is reduced term by
+    term (or in Python ints for object planes)."""
     inner = X.shape[1]
     if X.dtype != object and inner * (p - 1) ** 2 < 2**53:
         Xf, Yf = X.astype(np.float64), Y.astype(np.float64)
-        out = Xf * Yf if inner == 1 else Xf @ Yf
-        quot = out / p
-        np.floor(quot, out=quot)
-        quot *= p
-        out -= quot  # in place: the float temporaries stay two blocks
-        return out.astype(np.int64)
+        return reduce_float(Xf * Yf if inner == 1 else Xf @ Yf, p).astype(np.int64)
     if X.dtype == object or inner * (p - 1) ** 2 < 2**63:
         out = X @ Y
         out %= p  # in place: one large temporary instead of two

@@ -3,12 +3,15 @@
 The vanishing system of a point set at a given degree is the kernel of the
 points-by-monomials evaluation matrix; oversampled draws guard against
 overfitting to isolated solutions, and tangent-space dimension filters
-transversally-cut isolated points out of the sample.
+transversally-cut isolated points out of the sample.  A point set holds its
+points as digit planes, so a point file over GF(p) reaches the kernel as
+residue arrays, with no FieldElement per point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 from typing import Sequence
 
@@ -17,40 +20,65 @@ import numpy as np
 from . import exactla
 from .errors import (BudgetExceeded, IndexOutOfRange, InsufficientPoints, NotOnVariety, SinghuntError,
                      at_line, data_lines)
-from .fields import FieldCtx, monomial_values, parse_element, to_planes, to_scalars
+from .fields import FieldCtx, _dtype, monomial_values, parse_element, to_elements, to_planes, to_scalars
 from .poly import MultiPoly, monomial_basis
-from .rng import split
+from .rng import first_occurrences, split
 
 COLUMN_CAP = 20_000  # monomial columns of one vanishing system
 
 
-@dataclass
 class PointSet:
-    ctx: FieldCtx
-    points: list[tuple]
-    dedup: bool = True
+    """Points of affine space over ctx, held as digit planes (k x points x
+    coordinates).  With dedup (the default) only the first occurrence of each
+    point is kept, in input order."""
 
-    def __post_init__(self):
-        pts = []
-        seen = set()
-        for pt in self.points:
-            tup = tuple(self.ctx.element(v) for v in pt)
-            key = tuple(v.coeffs for v in tup)
-            if self.dedup:
-                if key in seen:
-                    continue
-                seen.add(key)
-            pts.append(tup)
-        self.points = pts
+    def __init__(self, ctx: FieldCtx, points: Sequence[Sequence], dedup: bool = True):
+        pts = [tuple(pt) for pt in points]
+        planes = to_planes(ctx, pts) if pts else np.zeros((ctx.k, 0, 0), dtype=_dtype(ctx.p))
+        self._keep(ctx, planes, dedup)
+
+    @classmethod
+    def from_planes(cls, ctx: FieldCtx, planes: np.ndarray, dedup: bool = True) -> "PointSet":
+        """The points whose digit planes are given, with no conversion."""
+        pts = cls.__new__(cls)
+        pts._keep(ctx, planes, dedup)
+        return pts
+
+    def _keep(self, ctx: FieldCtx, planes: np.ndarray, dedup: bool) -> None:
+        if dedup and planes.shape[1]:
+            digits = np.moveaxis(planes, 0, -1).reshape(planes.shape[1], -1)
+            planes = planes[:, first_occurrences(digits.astype(np.uint64), ctx.p)]
+        self.ctx, self.planes, self.dedup = ctx, planes, dedup
+
+    @property
+    def points(self) -> list[tuple]:
+        """The points as tuples of FieldElements."""
+        return [tuple(row) for row in to_elements(self.ctx, self.planes)]
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.planes.shape[1]
 
     @classmethod
     def from_text(cls, ctx: FieldCtx, text: str) -> "PointSet":
-        """One point per line; every point has as many coordinates as the first."""
+        """One point per line; every point has as many coordinates as the first.
+
+        Over GF(p) every token is read by int(), as ``parse_element`` reads
+        it, into one int64 array that is reduced mod p.  A file that cannot
+        be read that way (a token int() rejects, a ragged line, a value
+        past int64, a prime whose residues are not int64) is parsed token
+        by token, which raises the error of the first bad line."""
+        lines = list(data_lines(text))
+        rows = [line.split() for _, line in lines]
+        rectangular = rows and all(len(r) == len(rows[0]) for r in rows)
+        if ctx.k == 1 and _dtype(ctx.p) is np.int64 and rectangular:
+            try:
+                values = np.array(list(map(int, chain.from_iterable(rows))), dtype=np.int64)
+            except (ValueError, OverflowError):
+                pass
+            else:
+                return cls.from_planes(ctx, (values.reshape(len(rows), -1) % ctx.p)[None])
         pts = []
-        for lineno, line in data_lines(text):
+        for lineno, line in lines:
             with at_line(lineno):
                 point = tuple(parse_element(ctx, tok) for tok in line.split())
                 if pts and len(point) != len(pts[0]):
@@ -90,16 +118,15 @@ def _column_count(nvars: int, degree: int, homogeneous: bool) -> int:
 
 def vanishing_system(pts: PointSet, degree: int, homogeneous: bool = False) -> VanishingSystem:
     """Basis of degree-`degree` polynomials vanishing on every point."""
-    if not pts.points:
+    if not pts:
         raise InsufficientPoints("empty point set")
-    nvars = len(pts.points[0])
+    nvars = pts.planes.shape[2]
     count = _column_count(nvars, degree, homogeneous)
     if count > COLUMN_CAP:
         raise BudgetExceeded(f"{count} monomial columns exceed the cap {COLUMN_CAP}")
     monomials = monomial_basis(nvars, degree, "exactly" if homogeneous else "at-most")
-    ctx = pts.ctx
-    rows = monomial_values(ctx, to_planes(ctx, pts.points), np.array(monomials, dtype=np.int64))
-    kernel = exactla.nullspace(exactla.ExactMatrix.from_planes(ctx, rows))
+    rows = monomial_values(pts.ctx, pts.planes, np.array(monomials, dtype=np.int64))
+    kernel = exactla.nullspace(exactla.ExactMatrix.from_planes(pts.ctx, rows))
     return VanishingSystem(pts.ctx, nvars, degree, homogeneous, monomials, kernel)
 
 
@@ -124,20 +151,18 @@ def oversampled_system(
         raise ValueError("slack must be >= 1")
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    if not pts.points:
+    if not pts:
         raise InsufficientPoints("empty point set")
-    nvars = len(pts.points[0])
-    need = _column_count(nvars, degree, homogeneous) + slack
-    if len(pts.points) < need:
-        raise InsufficientPoints(
-            f"need {need} points (|monomials| + slack), have {len(pts.points)}"
-        )
+    need = _column_count(pts.planes.shape[2], degree, homogeneous) + slack
+    if len(pts) < need:
+        raise InsufficientPoints(f"need {need} points (|monomials| + slack), have {len(pts)}")
     stacked = []
     for d in range(draws):
-        order = list(range(len(pts.points)))
+        order = list(range(len(pts)))
         split(seed, d).shuffle(order)
-        stacked += [pts.points[i] for i in order[:need]]
-    system = vanishing_system(PointSet(pts.ctx, stacked, dedup=False), degree, homogeneous)
+        stacked += order[:need]
+    system = vanishing_system(PointSet.from_planes(pts.ctx, pts.planes[:, stacked], dedup=False),
+                              degree, homogeneous)
     if draws > 1 and system.basis:
         R, pivots, _ = exactla.rref(exactla.ExactMatrix.make(pts.ctx, system.basis))
         system.basis = to_scalars(pts.ctx, R.planes[:, : len(pivots)])
@@ -161,5 +186,5 @@ def tangent_dim(gens: Sequence[MultiPoly], pt: Sequence) -> int:
 
 def filter_isolated(pts: PointSet, gens: Sequence[MultiPoly]) -> PointSet:
     """Drop points with zero-dimensional tangent space; keep the rest."""
-    kept = [pt for pt in pts.points if tangent_dim(gens, pt) >= 1]
-    return PointSet(pts.ctx, kept, dedup=pts.dedup)
+    kept = [i for i, pt in enumerate(pts.points) if tangent_dim(gens, pt) >= 1]
+    return PointSet.from_planes(pts.ctx, pts.planes[:, kept], dedup=pts.dedup)

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import exactla
-from .errors import BadGram, DimensionMismatch, NonIntegral, NoSolution, data_lines
+from .errors import BadGram, DimensionMismatch, NonIntegral, data_lines
 from .rng import below_rows, digit_rows
 
 
@@ -560,18 +560,6 @@ def solve_curve_intersections(
         )
     solutions.sort(key=lambda s: (s.pairings, s.self_int))
     return solutions
-
-
-def unique_curve_solution(solutions: list[CurveSolution]) -> CurveSolution:
-    from .errors import MultipleSolutions
-
-    if not solutions:
-        raise NoSolution("no intersection assignment satisfies the template")
-    if len(solutions) > 1:
-        raise MultipleSolutions(
-            f"{len(solutions)} assignments satisfy the template", solutions
-        )
-    return solutions[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+SHUFFLE_BLOCK = 1 << 16  # draws a shuffle makes in one numpy pass
 
 
 def _mix(z: int) -> int:
@@ -49,9 +50,23 @@ class SplitMix64:
                 return u % n
 
     def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """Fisher-Yates: for i from len(items) - 1 down to 1, swap items[i]
+        with items[below(i + 1)].  The draws are made SHUFFLE_BLOCK at a time
+        by ``_draw_table``; a block with a rejected draw is redrawn by
+        ``below``, so the permutation and the state after it are the scalar
+        loop's, bit for bit."""
+        i = len(items) - 1
+        while i > 0:
+            moduli = np.arange(i + 1, max(i + 1 - SHUFFLE_BLOCK, 1), -1, dtype=np.uint64)
+            draws, rejected = _draw_table(np.array([self.state], dtype=np.uint64), moduli)
+            if rejected.any():
+                js = [self.below(m) for m in moduli.tolist()]
+            else:
+                self.state = (self.state + len(moduli) * _GAMMA) & _MASK
+                js = draws[0].tolist()
+            for i, j in zip(range(i, i - len(js), -1), js):
+                items[i], items[j] = items[j], items[i]
+            i -= 1
 
 
 def split(seed: int, index: int) -> SplitMix64:
@@ -59,32 +74,50 @@ def split(seed: int, index: int) -> SplitMix64:
     return SplitMix64(_mix((seed & _MASK) ^ _mix(index & _MASK)))
 
 
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_M1, _M2, _GAMMA64 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB), np.uint64(_GAMMA)
+
+
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """``_mix`` of every entry of a uint64 array, wrapping like the scalar."""
+    z = z ^ (z >> _S30)
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
+    return z
+
+
+def _draw_table(states: np.ndarray, moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(draws, rejected), both streams x moduli, in one 2-D pass.
+
+    The j-th draw u of the stream at state s is mix(s + (j+1)*gamma), with
+    wrapping uint64 arithmetic; draws[r, j] is that u mod moduli[j] (a
+    modulus 0 stands for 2^64), and rejected[r, j] says that ``below``
+    rejects u.  Entry (r, j) is the scalar ``below(moduli[j])`` of stream r
+    only while row r has no rejection before column j.  The table is
+    column-major, so each operation broadcast over the moduli runs down the
+    streams, not along rows as short as the moduli."""
+    steps = np.arange(1, len(moduli) + 1, dtype=np.uint64) * _GAMMA64
+    u = _mix_array(np.add(states[:, None], steps, order="F"))
+    safe = np.maximum(moduli, np.uint64(1))
+    # below(m) keeps u <= (2^64 - 1) - 2^64 % m, and 2^64 % m == (2^64 - m) % m
+    return np.where(moduli == 0, u, u % safe), u > ~(np.negative(moduli) % safe)
 
 
 def below_rows(seed: int, index: np.ndarray, moduli: Sequence[int]) -> np.ndarray:
     """Row r is [split(seed, index[r]).below(m) for m in moduli], for every r at once.
 
-    Returns a uint64 array (len(index) x len(moduli)).  Without rejections
-    the j-th draw of a stream is mixed from its start state plus j+1
-    gammas, so all rows are computed with wrapping uint64 arithmetic; a row
-    in which some draw is rejected is redone by the scalar generator, so
-    every row equals the scalar draw bit for bit.
+    Returns a uint64 array (len(index) x len(moduli)) from ``_draw_table``;
+    a row in which some draw is rejected is redone by the scalar generator,
+    so every row equals the scalar draw bit for bit.
     """
-    limits = [_limit(m) for m in moduli]
+    for m in moduli:
+        _limit(m)
     index = np.asarray(index, dtype=np.uint64)
     state = _mix_array(np.uint64(seed & _MASK) ^ _mix_array(index))
-    out = np.empty((len(index), len(moduli)), dtype=np.uint64)
-    redo = np.zeros(len(index), dtype=bool)
-    for j, (m, limit) in enumerate(zip(moduli, limits)):
-        state = state + np.uint64(_GAMMA)
-        u = _mix_array(state)
-        redo |= u > np.uint64(limit - 1)
-        out[:, j] = u if m == 1 << 64 else u % np.uint64(m)
-    for r in np.flatnonzero(redo).tolist():
+    out, rejected = _draw_table(state, np.array([m & _MASK for m in moduli], dtype=np.uint64))
+    for r in np.flatnonzero(rejected.any(axis=1)).tolist():
         rng = split(seed, int(index[r]))
         out[r] = [rng.below(m) for m in moduli]
     return out

@@ -6,11 +6,12 @@ import pathlib
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singhunt import godeaux, hunt, poly
+from singhunt import fields, godeaux, hunt, poly
 from singhunt.cli import main
 from singhunt.cover import MAX_GROUP_ORDER, AbelianGroup, char_generator_exponents, cyclic_subgroups
 from singhunt.fields import field_create, format_element
@@ -170,6 +171,32 @@ def test_interpolate_command(tmp_path, capsys):
     assert code == 0
     assert "dimension: 1" in out
     assert "x0^2 + x1*x2" in out
+
+
+@pytest.mark.parametrize("flags", [[], ["--slack", "2", "--draws", "3"]])
+def test_interpolate_over_gfp_builds_no_field_element_per_point(tmp_path, capsys, flags):
+    """73 and 730 points of one plane over GF(101) give the same report, and
+    reading and interpolating them constructs as many FieldElements."""
+    built = []
+    init = fields.FieldElement.__init__
+
+    def counted(self, ctx, coeffs):
+        built.append(1)
+        init(self, ctx, coeffs)
+
+    plane = [(a, b, (7 - 2 * a - 3 * b) % 101) for a in range(101) for b in range(101)]
+    counts, outs = [], []
+    for n in (73, 730):
+        pts = tmp_path / f"plane{n}.txt"
+        pts.write_text("".join(f"{a} {b} {c}\n" for a, b, c in random.Random(n).sample(plane, n)))
+        built.clear()
+        with mock.patch.object(fields.FieldElement, "__init__", counted):
+            code = main(["interpolate", "--points", str(pts), "--field", "101", "--degree", "1"] + flags)
+        assert code == 0
+        counts.append(len(built))
+        outs.append(strip_timings(capsys.readouterr().out).replace(str(pts), "<points>"))
+    assert outs[0].replace("count: 73", "count: 730") == outs[1]
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("points,flags,reason", [
@@ -714,7 +741,12 @@ def test_solve_with_non_integral_derived_pairing_finds_nothing(tmp_path, capsys)
 # family over GF(3^2) whose every trial has a one-dimensional kernel, and the plane quartic Q3 over GF(31)
 # with inconsistent trials and repeated members) and four interpolations (the locus-gfp shape with three draws and with one,
 # a conic over GF(7^2), and random points that lie on no quadric), compared
-# byte for byte, up to timings:, with the reports recorded in tests/golden/
+# byte for byte, up to timings:, with the reports recorded in tests/golden/.
+# Six more interpolations pin how a point file is read over GF(p): tokens
+# written as duplicates mod p, negatives, `+5` and `1_0` between comments and
+# blank lines (with and without oversampled draws), a token past 2^63, and the
+# exit code and message of a bad token, a ragged line, and a ragged line
+# before a bad token
 # ---------------------------------------------------------------------------
 
 BENCH_NAMES9 = "N1 N2 N3 N4 N5 N6 N7 N8 K".split()
@@ -776,6 +808,28 @@ def _random_points_text() -> str:
     return "".join(f"{rnd.randrange(101)} {rnd.randrange(101)}\n" for _ in range(40))
 
 
+def _messy_points_text() -> str:
+    """Points of the plane 2*x0 + x1 + 3*x2 = 5 over GF(7), each coordinate
+    written as one of v, v + 7, v - 7, +v and an underscored v + 7*k, with
+    every third point repeated mod 7, between comments and blank lines."""
+    def spell(v, i):
+        return [str(v), str(v + 7), str(v - 7), f"+{v}", "_".join(str(v + 7 * (i + 2)))][i % 5]
+    lines = ["# a plane over GF(7), written in several ways", ""]
+    for i, (a, c) in enumerate([(a, c) for a in range(7) for c in range(0, 7, 2)]):
+        pt = (a, (5 - 2 * a - 3 * c) % 7, c)
+        lines.append(" ".join(spell(v, i + j) for j, v in enumerate(pt)) + f"   # point {i}")
+        if i % 3 == 0:
+            lines += ["", " ".join(str(v + 14) for v in pt)]
+    return "\n".join(lines) + "\n"
+
+
+HUGE_TOKEN_POINTS = (  # on x1 = 2*x0 + 1 mod 7; the fourth point repeats the first
+    "9223372036854775808 3\n-18446744073709551617 2\n0 1\n1 -4\n5 4\n18446744073709551616 5\n")
+BAD_TOKEN_POINTS = "# two good points, then a bad one\n0 1 0\n\n1 1 1\n0 x 1\n1 2 3\n"
+RAGGED_POINTS = "0 1 0\n1 1 1 # three\n2 3\n0 x 1\n"
+RAGGED_THEN_BAD_POINTS = "0 1 0\n1 2\n0 x\n"
+
+
 GOLDEN_COMMANDS = {
     "fixture": ["fixture"],
     "rank11": ["lattice", "--gram", "{gram11}", "rank"],
@@ -816,6 +870,18 @@ GOLDEN_COMMANDS = {
                               "--seed", "5"],
     "interpolate-random": ["interpolate", "--points", "{random_points}", "--field", "101",
                            "--degree", "2", "--slack", "3", "--seed", "2"],
+    "interpolate-messy": ["interpolate", "--points", "{messy_points}", "--field", "7",
+                          "--degree", "1"],
+    "interpolate-messy-draws": ["interpolate", "--points", "{messy_points}", "--field", "7",
+                                "--degree", "1", "--slack", "2", "--draws", "3", "--seed", "3"],
+    "interpolate-huge-token": ["interpolate", "--points", "{huge_points}", "--field", "7",
+                               "--degree", "1"],
+    "interpolate-bad-token": ["interpolate", "--points", "{bad_points}", "--field", "7",
+                              "--degree", "1"],
+    "interpolate-ragged": ["interpolate", "--points", "{ragged_points}", "--field", "7",
+                           "--degree", "1"],
+    "interpolate-ragged-then-bad": ["interpolate", "--points", "{ragged_bad_points}", "--field", "7",
+                                    "--degree", "1"],
 }
 
 
@@ -839,6 +905,11 @@ def golden_reports(tmp_path):
         "locus_points": _locus_points_text(),
         "conic_points": _conic_gfq_points_text(),
         "random_points": _random_points_text(),
+        "messy_points": _messy_points_text(),
+        "huge_points": HUGE_TOKEN_POINTS,
+        "bad_points": BAD_TOKEN_POINTS,
+        "ragged_points": RAGGED_POINTS,
+        "ragged_bad_points": RAGGED_THEN_BAD_POINTS,
     }
     paths = {}
     for key, text in files.items():

@@ -3,11 +3,13 @@ from fractions import Fraction
 from itertools import permutations
 from math import gcd
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from linalg_reference import matvec
+from singhunt import exactla
 from singhunt.errors import ContextMismatch, DimensionMismatch, NotSquare
 from singhunt.exactla import (
     QQ,
@@ -575,3 +577,104 @@ def test_signature_matches_the_characteristic_polynomial(m):
     negated = [c * (-1) ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs)]
     want = (sign_changes(coeffs), sign_changes(negated), zero)
     assert symmetric_signature(ExactMatrix.make(QQ, m, n)) == want
+
+
+# ---------------------------------------------------------------------------
+# the float64 Gauss-Jordan over GF(p) against the elimination on the planes,
+# kept as the reference
+# ---------------------------------------------------------------------------
+
+FLOAT_BOUND_PRIME = 94_906_249  # the largest prime p with (p-1)^2 < 2^53
+PAST_FLOAT_BOUND_PRIME = 94_906_297  # the next prime
+
+
+def test_float_bound_primes():
+    assert (FLOAT_BOUND_PRIME - 1) ** 2 < 2**53 <= (PAST_FLOAT_BOUND_PRIME - 1) ** 2
+    assert all(not sympy.isprime(n) for n in range(FLOAT_BOUND_PRIME + 1, PAST_FLOAT_BOUND_PRIME))
+    assert sympy.isprime(FLOAT_BOUND_PRIME) and sympy.isprime(PAST_FLOAT_BOUND_PRIME)
+
+
+def assert_float_rref_matches_planes(A: np.ndarray, p: int) -> None:
+    R, pivots = exactla._rref_float(A, p)
+    want, want_pivots = exactla._rref_planes(A[None], field_create(p))
+    assert pivots == want_pivots
+    assert R.dtype == want.dtype == np.int64 and R.shape == want.shape == (1,) + A.shape
+    assert R.tolist() == want.tolist()
+
+
+@st.composite
+def unreduced_matrices(draw):
+    """(A, p): a small integer matrix, negative entries and entries >= p
+    included, some rows repeated as multiples and some columns zeroed."""
+    p = draw(st.sampled_from([2, 3, 7, 101, FLOAT_BOUND_PRIME]))
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entry = st.one_of(st.integers(-3 * p, 3 * p), st.sampled_from([0, 1, p - 1, p, -p, -(p - 1)]))
+    A = np.array(draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)),
+                 dtype=np.int64).reshape(rows, cols)
+    if rows > 1 and draw(st.booleans()):
+        A[draw(st.integers(1, rows - 1))] = A[0] * draw(st.integers(-3, 3))
+    if cols and draw(st.booleans()):
+        A[:, draw(st.integers(0, cols - 1))] = 0
+    return A, p
+
+
+@settings(max_examples=300)
+@given(unreduced_matrices())
+def test_float_rref_matches_the_plane_elimination(case):
+    assert_float_rref_matches_planes(*case)
+
+
+@pytest.mark.parametrize("p", [2, 3, FLOAT_BOUND_PRIME])
+@pytest.mark.parametrize("shape,kind", [
+    ((0, 0), "random"), ((0, 4), "random"), ((4, 0), "random"), ((5, 6), "zero"),
+    ((6, 6), "full rank"), ((3, 9), "random"), ((9, 3), "random"), ((42, 10), "random"),
+])
+def test_float_rref_shapes(p, shape, kind):
+    rnd = np.random.default_rng(sum(shape) + p)
+    if kind == "zero":
+        A = np.zeros(shape, dtype=np.int64)
+    elif kind == "full rank":  # unit upper triangular times a permutation
+        A = np.triu(rnd.integers(-p, 2 * p, size=shape), 1) + np.eye(shape[0], dtype=np.int64)
+        A = A[rnd.permutation(shape[0])]
+    else:
+        A = rnd.integers(-2 * p, 2 * p, size=shape)
+    assert_float_rref_matches_planes(A, p)
+    if kind == "full rank":
+        assert exactla._rref_float(A, p)[1] == list(range(shape[1]))
+
+
+def test_float_rref_is_exact_at_the_largest_products():
+    """Every entry p - 1 or p - 2 at the bound prime: the updates reach
+    -(p-1)^2, where an inexact remainder would show."""
+    p = FLOAT_BOUND_PRIME
+    A = np.array([[p - 1, p - 1, p - 2, 1], [p - 2, p - 1, p - 1, p - 1], [1, p - 2, p - 1, p - 2]])
+    assert_float_rref_matches_planes(A, p)
+    assert_float_rref_matches_planes(-A, p)
+
+
+@pytest.mark.parametrize("p,path", [
+    (2, "_rref_float"), (3, "_rref_float"), (FLOAT_BOUND_PRIME, "_rref_float"),
+    (PAST_FLOAT_BOUND_PRIME, "_rref_planes"), (2147483659, "_rref_planes"),
+])
+def test_rref_takes_the_float_path_below_the_bound(monkeypatch, p, path):
+    """rref over GF(p) runs the float64 kernel exactly while (p-1)^2 < 2^53;
+    past that it eliminates on int64 planes (Python ints once (p-1)^2 >= 2^63)."""
+    calls = []
+    for name in ("_rref_float", "_rref_planes"):
+        original = getattr(exactla, name)
+        monkeypatch.setattr(exactla, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    ctx = field_create(p)
+    A = ExactMatrix.make(ctx, [[1, 2, 3, -1], [p + 1, 3, 7, p - 2], [0, 0, -1, 5]])
+    R, pivots, rk = rref(A)
+    assert calls == [path]
+    assert A.planes.dtype == (np.int64 if (p - 1) ** 2 < 2**63 else object)
+    assert pivots == [0, 1, 2] and R.data[:3] == [[1, 0, 0, R[0, 3]], [0, 1, 0, R[1, 3]], [0, 0, 1, R[2, 3]]]
+    assert all(x == 0 for x in matvec(A, [-R[0, 3], -R[1, 3], -R[2, 3], 1]))
+
+
+def test_extension_fields_keep_the_plane_elimination(monkeypatch):
+    calls = []
+    original = exactla._rref_planes
+    monkeypatch.setattr(exactla, "_rref_planes", lambda *a: calls.append(1) or original(*a))
+    rank(ExactMatrix.make(field_create(3, 2), [[1, 2], [2, 1]]))
+    assert calls == [1]

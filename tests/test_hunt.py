@@ -9,7 +9,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from singhunt import exactla, fields, hunt
+from singhunt import exactla, fields, hunt, rng
 from singhunt.errors import (
     BudgetExceeded,
     NotLinearInParams,
@@ -33,6 +33,7 @@ from singhunt.hunt import (
 )
 from singhunt.poly import QQ, ZZ, MultiPoly, ParametricFamily, monomial_basis, parse, parse_poly
 from singhunt.rng import digit_rows, first_occurrences, split
+from test_rng import fisher_yates
 
 F7 = field_create(7)
 F11 = field_create(11)
@@ -283,7 +284,7 @@ def scalar_param_candidates(nparams, ctx, trials, seed, full_scan=2_000_000):
         return [()]
     if space <= trials and space <= full_scan:
         points = list(itertools.product(list(ctx.elements()), repeat=nparams))
-        split(seed, 0).shuffle(points)
+        fisher_yates(split(seed, 0), points)
         return [tuple(v.coeffs for v in pt) for pt in points]
     seen = set()
     out = []
@@ -301,6 +302,24 @@ def scalar_param_candidates(nparams, ctx, trials, seed, full_scan=2_000_000):
         seen.add(key)
         out.append(key)
     return out
+
+
+@pytest.mark.parametrize("block", [rng.SHUFFLE_BLOCK, 50])
+def test_full_scan_hunt_keeps_the_scalar_shuffle_order(block):
+    """The conic over GF(7) with 400 trials scans all 343 parameter points in
+    the order of a scalar Fisher-Yates from split(seed, 0), whatever block
+    the shuffle draws in, and finds the same 50 members."""
+    fam = parse(CONIC, 3, 3)
+    with mock.patch.object(rng, "SHUFFLE_BLOCK", block):
+        got = _param_candidates(3, F7, 400, 3)
+        members = hunt_members(fam, F7, trials=400, seed=3)
+    order = list(range(343))
+    fisher_yates(split(3, 0), order)
+    assert got[:, :, 0].tolist() == [[i // 49, i // 7 % 7, i % 7] for i in order]
+    assert got[:4, :, 0].tolist() == [[2, 6, 4], [5, 5, 0], [6, 1, 5], [6, 5, 6]]
+    assert len(members) == 50
+    assert [tuple(v.coeffs[0] for v in m.params) for m in members[:4]] == [
+        (0, 0, 2), (0, 0, 5), (0, 2, 0), (0, 3, 3)]
 
 
 P63 = 2**63 + 29  # prime; about half of all u64 draws below it are rejected

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singhunt.errors import BudgetExceeded, IndexOutOfRange, InsufficientPoints, NotOnVariety
+from singhunt.errors import BudgetExceeded, IndexOutOfRange, InsufficientPoints, NotOnVariety, data_lines
 from linalg_reference import in_row_span
 from singhunt.exactla import ExactMatrix, nullspace, rref
-from singhunt.fields import field_create, plane_matmul, to_planes, to_scalars
+from singhunt.fields import field_create, parse_element, plane_matmul, to_planes, to_scalars
 from singhunt.hunt import projective_points
 from singhunt.interp import (
     COLUMN_CAP,
@@ -339,3 +339,36 @@ def test_filter_isolated_identity_on_smooth_curve():
 
 def test_filter_isolated_empty_input():
     assert filter_isolated(PointSet(F7, []), []).points == []
+
+
+# ---------------------------------------------------------------------------
+# reading a point file: the residue-array read against the token-by-token
+# parse that keeps the first occurrence of each point
+# ---------------------------------------------------------------------------
+
+def reference_points(ctx, text):
+    seen, pts = set(), []
+    for _, line in data_lines(text):
+        pt = tuple(parse_element(ctx, tok) for tok in line.split())
+        if tuple(v.coeffs for v in pt) not in seen:
+            seen.add(tuple(v.coeffs for v in pt))
+            pts.append(pt)
+    return pts
+
+
+TOKENS = st.one_of(st.integers(-300, 300).map(str),
+                   st.sampled_from(["+5", "1_0", "-0", "007", "9223372036854775807", "-9223372036854775808",
+                                    "9223372036854775808", str(2**70)]))
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([2, 7, 101, 2147483629, 2**64 - 59]), st.integers(1, 3), st.data())
+def test_point_files_read_as_the_token_by_token_parse(p, nvars, data):
+    ctx = field_create(p)
+    rows = data.draw(st.lists(st.lists(TOKENS, min_size=nvars, max_size=nvars), min_size=1, max_size=30))
+    text = "# points\n" + "".join(" ".join(row) + ("  # c\n\n" if i % 4 == 1 else "\n")
+                                  for i, row in enumerate(rows))
+    ps = PointSet.from_text(ctx, text)
+    want = reference_points(ctx, text)
+    assert len(ps) == len(want) and ps.points == want
+    assert ps.planes.shape == (1, len(want), nvars)

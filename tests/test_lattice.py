@@ -14,6 +14,7 @@ from singhunt import godeaux, lattice
 from singhunt.errors import DimensionMismatch, MultipleSolutions, NoSolution
 from singhunt.exactla import QQ, ExactMatrix, determinant, rref, solve, symmetric_signature
 from singhunt.lattice import (
+    CurveSolution,
     CurveTemplate,
     DivisorClass,
     GramLattice,
@@ -25,7 +26,6 @@ from singhunt.lattice import (
     parse_lattice,
     search_relations,
     solve_curve_intersections,
-    unique_curve_solution,
 )
 from singhunt.rng import below_rows, split
 
@@ -377,6 +377,16 @@ def test_search_relations_seeded_sampling_deterministic():
     b = search_relations(L9, bounds, self_bounds=(-2, 8), seed=7, trials=2000,
                          exhaustive_limit=10)
     assert a == b
+
+
+def unique_curve_solution(solutions: list[CurveSolution]) -> CurveSolution:
+    """The one solution of a template, as the paper's C' and D' have; a
+    reference for these tests."""
+    if not solutions:
+        raise NoSolution("no intersection assignment satisfies the template")
+    if len(solutions) > 1:
+        raise MultipleSolutions(f"{len(solutions)} assignments satisfy the template", solutions)
+    return solutions[0]
 
 
 def test_solve_curve_intersections_c_relation():
