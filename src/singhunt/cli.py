@@ -442,7 +442,7 @@ def cmd_cover(args) -> int:
     elif args.action == "invariants":
         if "K" not in L.names:
             raise SinghuntError(f"{args.lattice}: cover invariants needs a class named K")
-        inv = lattice_mod.SurfaceInvariants(args.chi, args.k2, args.q)
+        inv = lattice_mod.SurfaceInvariants(args.chi, args.k2)
         chi_s = cover_mod.chi_cover(inv, data)
         report.add_result("chi_cover", chi_s)
         report.add_result("K2_cover", cover_mod.cover_canonical_square(group.size, inv.K2))
@@ -713,7 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["verify", "invariants"])
     p.add_argument("--chi", type=int, default=1)
     p.add_argument("--k2", type=int, default=1)
-    p.add_argument("--q", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_cover)
 

@@ -4,16 +4,17 @@ Everything here is exact.  A rational ExactMatrix holds integer rows (Python
 ints) over one common positive denominator; one fraction-free Gauss-Jordan
 elimination over Z serves its rref, rank, kernel, solve and determinant, with
 no Fraction arithmetic.  Over every finite field a matrix holds the digit
-planes of ``fields``.  Over GF(p) with (p-1)^2 < 2^53 they are eliminated
-in float64, one outer-product update per pivot reduced exactly by
-``fields.reduce_float``; over larger primes and over GF(p^k) by elementwise
-row updates on the planes (int64 where a product of residues fits, Python
-ints otherwise).  Either way the entries (over QQ ints, or
-Fractions where not integral; ints over GF(p), FieldElements over GF(p^k))
-are derived only when first read.  Every rank, kernel and solve goes
-through ``rref``, once: a solve reads its particular solution and its kernel
-from the one RREF of [A | b].  ``determinant`` runs its elimination
-directly, for the row swaps.
+planes of ``fields``, and one Gauss-Jordan over GF(p) eliminates them: a
+GF(p^k) matrix first becomes its regular representation over GF(p), each
+entry its k x k multiplication matrix.  The elimination makes one
+outer-product update per pivot, in float64 reduced exactly by
+``fields.reduce_float`` while (p-1)^2 < 2^53, otherwise in int64 reduced by
+``%`` (Python ints once a product of residues exceeds int64).  Either way
+the entries (over QQ ints, or Fractions where not integral; ints over
+GF(p), FieldElements over GF(p^k)) are derived only when first read.  Every
+rank, kernel and solve goes through ``rref``, once: a solve reads its
+particular solution and its kernel from the one RREF of [A | b].
+``determinant`` runs its elimination directly, for the row swaps.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from .fields import (
     FieldCtx,
     FieldElement,
     _dtype,
-    inv_digits,
-    plane_mul,
     reduce_float,
     to_planes,
     to_scalars,
@@ -220,24 +219,52 @@ def _scaled(row: list[int], den: int, at: int) -> list[int]:
 def _rref_modp(M: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, list[int]]:
     """RREF of the digit planes M (k x rows x cols) over ctx; M is not modified.
 
-    Over GF(p) with (p-1)^2 < 2^53 this is ``_rref_float``; otherwise
-    ``_rref_planes``.  The RREF is unique, so both give the same planes."""
-    if ctx.k == 1 and M.dtype != object and (ctx.p - 1) ** 2 < 2**53:
-        return _rref_float(M[0], ctx.p)
-    return _rref_planes(M, ctx)
+    Over GF(p^k) it is read from the RREF over GF(p) of the regular
+    representation: that RREF is unique, so it is the block matrix of the
+    GF(p^k) RREF (a pivot 1 is an identity block, every other block of a
+    pivot column is zero), whose rows 0, k, 2k, ... hold the digits of the
+    GF(p^k) rows and whose every k-th pivot is k times a GF(p^k) one."""
+    k = ctx.k
+    if k == 1:
+        R, pivots = _rref_residues(M[0], ctx.p)
+        return R[None], pivots
+    _, rows, cols = M.shape
+    R, pivots = _rref_residues(_regular(M, ctx), ctx.p)
+    planes = np.moveaxis(R[::k].reshape(rows, cols, k), -1, 0)
+    return np.ascontiguousarray(planes), [c // k for c in pivots[::k]]  # a copy frees R
 
 
-def _rref_float(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """RREF over GF(p), (p-1)^2 < 2^53, of the integer matrix A, by
-    Gauss-Jordan on float64 residues; returns int64 planes (1 x rows x cols).
+def _regular(M: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """The matrix over GF(p) (k*rows x k*cols) in which each entry a of the
+    planes M becomes its multiplication matrix: row l holds the digits of
+    t^l * a, which are those of t^(l-1) * a shifted up one, less the top digit
+    times the modulus (t^k = -(m_0 + m_1 t + ... + m_(k-1) t^(k-1)))."""
+    p, k = ctx.p, ctx.k
+    _, rows, cols = M.shape
+    modulus = np.array(ctx.modulus[:k], dtype=_dtype(p))
+    E = np.zeros((rows, k, cols, k), dtype=_dtype(p))
+    E[:, 0] = np.moveaxis(M % p, 0, -1)
+    for l in range(1, k):
+        E[:, l, :, 1:] = E[:, l - 1, :, :-1]
+        E[:, l] = (E[:, l] - E[:, l - 1, :, -1:] * modulus) % p
+    return E.reshape(rows * k, cols * k)
+
+
+def _rref_residues(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """RREF over GF(p) of the integer matrix A, and its pivots: the one
+    Gauss-Jordan of every finite field.
 
     Each pivot (r, c) is one update of columns c onward, the pivot row being
     zero left of c: row i loses g_i times the pivot row, where g_i is its
     entry in column c over the pivot, and g_r = 1 - 1/pivot scales the pivot
     row to a leading 1 in the same update.  Every value is an integer with
-    |x| <= (p-1)^2 < 2^53, so held exactly, and ``fields.reduce_float``
-    takes its exact residue."""
-    R = (A % p).astype(np.float64)
+    |x| <= (p-1)^2: float64 holds it exactly while (p-1)^2 < 2^53, and
+    ``fields.reduce_float`` takes its exact residue (R comes back int64);
+    past that the residues are int64 reduced by ``%`` (Python ints once
+    (p-1)^2 >= 2^63)."""
+    exact_float = (p - 1) ** 2 < 2**53
+    R = (A % p).astype(np.float64 if exact_float else _dtype(p))
+    reduce = reduce_float if exact_float else lambda x, p: np.remainder(x, p, out=x)
     rows, cols = R.shape
     pivots: list[int] = []
     r = 0
@@ -251,43 +278,14 @@ def _rref_float(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if pr != r:
             R[[r, pr]] = R[[pr, r]]
         inv = pow(int(R[r, c]), -1, p)
-        g = reduce_float(R[:, c] * inv, p)
+        g = reduce(R[:, c] * inv, p)
         g[r] = (1 - inv) % p
         X = R[:, c:]
         X -= np.multiply.outer(g, X[r])
-        reduce_float(X, p)
+        reduce(X, p)
         pivots.append(c)
         r += 1
-    return R.astype(np.int64)[None], pivots
-
-
-def _rref_planes(M: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, list[int]]:
-    """RREF of the digit planes M over any ctx, by elementwise row updates
-    on the planes (int64 where a product of residues fits, Python ints
-    otherwise)."""
-    p = ctx.p
-    M = M % p
-    _, rows, cols = M.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(M[:, r:, c])[1]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz.min())
-        if pr != r:
-            M[:, [r, pr]] = M[:, [pr, r]]
-        M[:, r] = plane_mul(ctx, M[:, r], inv_digits(ctx, M[:, r, c])[:, None])
-        col = M[:, :, c].copy()
-        col[:, r] = 0
-        mask = np.nonzero(col.any(axis=0))[0]
-        if mask.size:
-            M[:, mask] = (M[:, mask] - plane_mul(ctx, col[:, mask, None], M[:, r, None])) % p
-        pivots.append(c)
-        r += 1
-    return M, pivots
+    return (R.astype(np.int64) if exact_float else R), pivots
 
 
 def rank(A: ExactMatrix) -> int:
@@ -396,12 +394,22 @@ def solve(A: ExactMatrix, b: Sequence) -> tuple[list | None, list[list]]:
         return x, _kernel_rows(R, pivots, A.cols)
     ctx = A.domain
     column = to_planes(ctx, list(b)).reshape(ctx.k, A.rows, 1)
-    R, pivots, _ = rref(ExactMatrix.from_planes(ctx, np.concatenate([A.planes, column], axis=2)))
-    if A.cols in pivots:
-        return None, []
-    X = np.zeros((ctx.k, A.cols), dtype=R.planes.dtype)
-    X[:, pivots] = R.planes[:, :len(pivots), A.cols]
-    return to_scalars(ctx, X), to_scalars(ctx, _kernel_planes(R, pivots, A.cols))
+    found = solve_augmented(ExactMatrix.from_planes(ctx, np.concatenate([A.planes, column], axis=2)))
+    return (None, []) if found is None else (to_scalars(ctx, found[0]), to_scalars(ctx, found[1]))
+
+
+def solve_augmented(aug: ExactMatrix) -> tuple[np.ndarray, np.ndarray] | None:
+    """The solutions of A x = b over a finite field, from one ``rref`` of
+    the planes aug = [A | b]: the planes (k x cols) of the particular
+    solution, zero at the free columns, and (k x nullity x cols) of the
+    kernel basis; None when the system is inconsistent."""
+    R, pivots, _ = rref(aug)
+    cols = aug.cols - 1
+    if cols in pivots:
+        return None
+    X = np.zeros((aug.domain.k, cols), dtype=R.planes.dtype)
+    X[:, pivots] = R.planes[:, :len(pivots), cols]
+    return X, _kernel_planes(R, pivots, cols)
 
 
 # ---------------------------------------------------------------------------

@@ -499,12 +499,6 @@ def to_scalars(ctx: FieldCtx, planes: np.ndarray) -> list:
     return planes[0].tolist() if ctx.k == 1 else to_elements(ctx, planes)
 
 
-def inv_digits(ctx: FieldCtx, digits: np.ndarray) -> np.ndarray:
-    """Digits of the inverse of the nonzero value with the given digits."""
-    value = FieldElement(ctx, tuple(int(d) for d in digits))
-    return np.array(inv(value).coeffs, dtype=digits.dtype)
-
-
 # ---------------------------------------------------------------------------
 # textual element syntax: decimal integers for prime fields, polynomials in
 # t (e.g. "3*t+1", "t^2+4*t") for extensions; round trip is bit-exact

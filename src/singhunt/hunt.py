@@ -33,7 +33,7 @@ from .fields import (
     to_planes,
 )
 from .poly import QQ, ZZ, MultiPoly, ParametricFamily, coerce, monomial_basis
-from .rng import below_rows, digit_rows, first_occurrences, split
+from .rng import below_rows, digit_rows, first_occurrences
 
 DEFAULT_POINT_BUDGET = 2_000_000
 DEFAULT_CAP = 8
@@ -484,8 +484,8 @@ def _attempt_limit(trials: int) -> int:
 def _param_candidates(nparams: int, ctx: FieldCtx, trials: int, seed: int) -> np.ndarray:
     """Basis digits (candidates x nparams x k) of the parameter points to test.
 
-    When trials cover the whole space it is scanned in a seeded-shuffled
-    order.  Otherwise trial i draws each parameter's digits (low degree
+    When trials cover the whole space it is scanned in counting order.
+    Otherwise trial i draws each parameter's digits (low degree
     first) from stream split(seed, i); repeats are skipped, and at most
     _attempt_limit(trials) streams are read.
     """
@@ -495,9 +495,7 @@ def _param_candidates(nparams: int, ctx: FieldCtx, trials: int, seed: int) -> np
     width = nparams * k
     space = ctx.q**nparams
     if space <= trials and space <= FULL_SCAN_POINTS:
-        order = list(range(space))
-        split(seed, 0).shuffle(order)
-        return digit_rows(order, [p] * width).reshape(space, nparams, k).astype(_dtype(p))
+        return digit_rows(np.arange(space), [p] * width).reshape(space, nparams, k).astype(_dtype(p))
     limit = _attempt_limit(trials)
     rows = np.empty((0, width), dtype=np.uint64)
     drawn, rounds = trials, 0
@@ -552,25 +550,22 @@ def _solve_at_point_candidates(
                 system[:, :, row, m.index(1)] = C[:, :, col]
             else:
                 system[:, :, row, npar] = -C[:, :, col] % p
-    # each trial's solutions, read from one RREF of its [A | b]: the particular
-    # solution from the last column, the kernel from the pivots of the rest
+    # each trial's solutions, read from one RREF of its [A | b]
     found = [np.zeros((ctx.k, 0, npar), dtype=system.dtype)]
     for t in range(trials):
-        R, pivots, _ = exactla.rref(exactla.ExactMatrix.from_planes(ctx, system[:, t]))
-        if npar in pivots:
+        solved = exactla.solve_augmented(exactla.ExactMatrix.from_planes(ctx, system[:, t]))
+        if solved is None:
             continue  # inconsistent
-        kernel = exactla._kernel_planes(R, pivots, npar)
+        sol, kernel = solved
         dim = kernel.shape[1]
         count = ctx.q ** dim
         if count > member_cap:
             raise BudgetExceeded(
                 f"solution space has {count} parameter points (cap {member_cap})"
             )
-        sol = np.zeros((ctx.k, 1, npar), dtype=system.dtype)
-        sol[:, 0, pivots] = R.planes[:, :len(pivots), npar]
         combos = digit_rows(np.arange(count), [p] * (dim * ctx.k)).reshape(count, dim, ctx.k)
         combos = np.moveaxis(combos, 2, 0).astype(system.dtype)
-        found.append((plane_matmul(ctx, combos, kernel) + sol) % p)
+        found.append((plane_matmul(ctx, combos, kernel) + sol[:, None]) % p)
     digits = np.moveaxis(np.concatenate(found, axis=1), 0, -1)  # solutions x npar x k
     flat = digits.reshape(len(digits), npar * ctx.k).astype(np.uint64)
     return digits[first_occurrences(flat, p)]

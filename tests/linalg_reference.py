@@ -2,13 +2,16 @@
 
 ``matvec`` multiplies in Python arithmetic on the matrix entries, so it can
 check ``exactla.solve`` and ``exactla.nullspace`` without going through the
-plane products they are built on.
+plane products they are built on.  ``field_rref`` is a plain Gauss-Jordan on
+FieldElement arithmetic, sharing no code with the digit planes or the
+regular representation that ``exactla.rref`` eliminates.
 """
 
 from fractions import Fraction
 
 from singhunt.exactla import ExactMatrix, rank
 from singhunt.errors import DimensionMismatch
+from singhunt.fields import FieldCtx
 from singhunt.poly import QQ
 
 
@@ -34,3 +37,25 @@ def row_span_rank(rows, domain) -> int:
 def in_row_span(rows, v, domain) -> bool:
     base = row_span_rank(rows, domain)
     return row_span_rank(list(rows) + [list(v)], domain) == base
+
+
+def field_rref(ctx: FieldCtx, rows: list[list]) -> tuple[list[list], list[int]]:
+    """(RREF, pivot columns) over ctx of the rows of ints (read mod p), digit
+    tuples or FieldElements, by Gauss-Jordan on FieldElements."""
+    M = [[ctx.element(v) for v in row] for row in rows]
+    cols = len(M[0]) if M else 0
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        scale = 1 / M[r][c]
+        M[r] = [x * scale for x in M[r]]
+        for i, row in enumerate(M):
+            if i != r and row[c]:
+                f = row[c]
+                M[i] = [x - f * y for x, y in zip(row, M[r])]
+        pivots.append(c)
+    return M, pivots

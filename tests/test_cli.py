@@ -337,8 +337,8 @@ def test_cover_commands(tmp_path, capsys):
 
 
 def test_cover_invariants_reads_the_base_invariants(tmp_path, capsys):
-    """chi_cover is 8*chi plus seven terms of -1 and K2_cover is 8*K^2; q
-    enters only p_g, which the report does not print."""
+    """chi_cover is 8*chi plus seven terms of -1 and K2_cover is 8*K^2; q,
+    which would enter only p_g, is not an option."""
     gram = tmp_path / "gram11.txt"
     gram.write_text(format_lattice(godeaux.extended_lattice()) + "\n")
     cov = tmp_path / "cover.txt"
@@ -346,10 +346,7 @@ def test_cover_invariants_reads_the_base_invariants(tmp_path, capsys):
     argv = ["cover", "--lattice", str(gram), "--cover", str(cov), "invariants"]
     assert main(argv + ["--chi", "2", "--k2", "3"]) == 0
     assert "  chi_cover: 9\n  K2_cover: 24\n" in capsys.readouterr().out
-    assert main(argv) == 0
-    default = strip_timings(capsys.readouterr().out)
-    assert main(argv + ["--q", "1"]) == 0
-    assert strip_timings(capsys.readouterr().out) == default
+    assert main(argv + ["--q", "1"]) == 2
 
 
 def test_hunt_budget_bounds_the_points_of_projective_space(tmp_path, capsys):

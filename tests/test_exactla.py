@@ -6,9 +6,10 @@ from math import gcd
 import numpy as np
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings, strategies as st
 
-from linalg_reference import matvec
+from linalg_reference import field_rref, matvec
 from singhunt import exactla
 from singhunt.errors import ContextMismatch, DimensionMismatch, NotSquare
 from singhunt.exactla import (
@@ -24,7 +25,7 @@ from singhunt.exactla import (
     solve,
     symmetric_signature,
 )
-from singhunt.fields import field_create
+from singhunt.fields import _dtype, field_create
 from singhunt.lattice import GODEAUX_GRAM_TEXT
 
 GRAM = parse_matrix(GODEAUX_GRAM_TEXT)
@@ -580,12 +581,21 @@ def test_signature_matches_the_characteristic_polynomial(m):
 
 
 # ---------------------------------------------------------------------------
-# the float64 Gauss-Jordan over GF(p) against the elimination on the planes,
-# kept as the reference
+# the one finite-field elimination against two references that share no code
+# with its digit planes or its regular representation: a Gauss-Jordan on
+# FieldElements (any k), and sympy's DomainMatrix over GF(p) (k = 1)
 # ---------------------------------------------------------------------------
 
 FLOAT_BOUND_PRIME = 94_906_249  # the largest prime p with (p-1)^2 < 2^53
 PAST_FLOAT_BOUND_PRIME = 94_906_297  # the next prime
+INT64_BOUND_PRIME = 3_037_000_493  # the largest prime p with (p-1)^2 < 2^63
+PAST_INT64_BOUND_PRIME = 3_037_000_507  # the next prime
+MERSENNE_61 = 2**61 - 1
+# k <= 2 at the large primes: over some of them no t^3 + c or t^4 + c is
+# irreducible, and the modulus search tries all p constants before moving on
+FIELDS = [(p, k) for p in (2, 3, 101) for k in (1, 2, 3, 4)] + [
+    (p, k) for p in (FLOAT_BOUND_PRIME, PAST_FLOAT_BOUND_PRIME, INT64_BOUND_PRIME,
+                     PAST_INT64_BOUND_PRIME, MERSENNE_61) for k in (1, 2)]
 
 
 def test_float_bound_primes():
@@ -594,34 +604,75 @@ def test_float_bound_primes():
     assert sympy.isprime(FLOAT_BOUND_PRIME) and sympy.isprime(PAST_FLOAT_BOUND_PRIME)
 
 
-def assert_float_rref_matches_planes(A: np.ndarray, p: int) -> None:
-    R, pivots = exactla._rref_float(A, p)
-    want, want_pivots = exactla._rref_planes(A[None], field_create(p))
-    assert pivots == want_pivots
-    assert R.dtype == want.dtype == np.int64 and R.shape == want.shape == (1,) + A.shape
-    assert R.tolist() == want.tolist()
+def test_int64_bound_primes():
+    assert (INT64_BOUND_PRIME - 1) ** 2 < 2**63 <= (PAST_INT64_BOUND_PRIME - 1) ** 2
+    assert all(not sympy.isprime(n) for n in range(INT64_BOUND_PRIME + 1, PAST_INT64_BOUND_PRIME))
+    assert sympy.isprime(INT64_BOUND_PRIME) and sympy.isprime(PAST_INT64_BOUND_PRIME)
+
+
+def assert_rref_matches_reference(ctx, planes: np.ndarray) -> list[int]:
+    """rref of the digit planes (k x rows x cols) against ``field_rref``;
+    returns the pivots."""
+    R, pivots, rk = rref(ExactMatrix.from_planes(ctx, planes))
+    digits = np.moveaxis(planes, 0, -1).tolist()  # rows x cols x k
+    want, want_pivots = field_rref(ctx, [[tuple(d) for d in row] for row in digits])
+    assert pivots == want_pivots and rk == len(pivots)
+    assert R.planes.dtype == _dtype(ctx.p) and R.planes.shape == planes.shape
+    assert np.moveaxis(R.planes, 0, -1).tolist() == [[list(v.coeffs) for v in row] for row in want]
+    return pivots
+
+
+def assert_rref_matches_sympy(A: np.ndarray, p: int) -> None:
+    """rref over GF(p) of the integer matrix A against sympy's DomainMatrix."""
+    K = sympy.GF(p)
+    want, want_pivots = DomainMatrix([[K(int(v)) for v in row] for row in A.tolist()], A.shape, K).rref()
+    R, pivots, _ = rref(ExactMatrix.from_planes(field_create(p), A.astype(_dtype(p))[None]))
+    assert pivots == list(want_pivots)
+    assert R.planes[0].tolist() == [[int(v) % p for v in row] for row in want.to_list()]
 
 
 @st.composite
-def unreduced_matrices(draw):
-    """(A, p): a small integer matrix, negative entries and entries >= p
-    included, some rows repeated as multiples and some columns zeroed."""
-    p = draw(st.sampled_from([2, 3, 7, 101, FLOAT_BOUND_PRIME]))
-    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
-    entry = st.one_of(st.integers(-3 * p, 3 * p), st.sampled_from([0, 1, p - 1, p, -p, -(p - 1)]))
-    A = np.array(draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)),
-                 dtype=np.int64).reshape(rows, cols)
-    if rows > 1 and draw(st.booleans()):
-        A[draw(st.integers(1, rows - 1))] = A[0] * draw(st.integers(-3, 3))
-    if cols and draw(st.booleans()):
-        A[:, draw(st.integers(0, cols - 1))] = 0
-    return A, p
+def plane_matrices(draw, prime_fields_only=False):
+    """(ctx, planes): the digit planes (k x rows x cols) of a random, zero,
+    full-rank or rank-deficient matrix over GF(p^k), with unreduced digits
+    (negative and >= p included)."""
+    p, k = draw(st.sampled_from([f for f in FIELDS if f[1] == 1 or not prime_fields_only]))
+    ctx = field_create(p, k)
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    digit = st.one_of(st.integers(-3 * p, 3 * p), st.sampled_from([0, 1, p - 1, p, -p, -(p - 1)]))
+    size = k * rows * cols
+    planes = np.array(draw(st.lists(digit, min_size=size, max_size=size)),
+                      dtype=_dtype(p)).reshape(k, rows, cols)
+    kind = draw(st.sampled_from(["random", "zero", "full rank", "deficient"]))
+    if kind == "zero":
+        planes[:] = 0
+    elif kind == "full rank":  # unit upper triangular in the leading square, rows permuted
+        for i in range(min(rows, cols)):
+            planes[:, i, : i + 1] = 0
+            planes[0, i, i] = 1 + p * draw(st.integers(-2, 2))
+        planes = planes[:, draw(st.permutations(range(rows)))]
+    elif kind == "deficient" and rows > 1:  # row j = a * row 0 + row i, a in GF(p^k)
+        j, i = draw(st.integers(1, rows - 1)), draw(st.integers(0, rows - 1))
+        a = ctx.element(tuple(draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))))
+        row0 = [ctx.element(tuple(d)) for d in planes[:, 0].T.tolist()]
+        row = [(a * x).coeffs for x in row0]
+        planes[:, j] = np.array(row, dtype=planes.dtype).reshape(cols, k).T + planes[:, i]
+    return ctx, planes
 
 
 @settings(max_examples=300)
-@given(unreduced_matrices())
-def test_float_rref_matches_the_plane_elimination(case):
-    assert_float_rref_matches_planes(*case)
+@given(plane_matrices())
+def test_rref_matches_the_reference_elimination(case):
+    ctx, planes = case
+    pivots = assert_rref_matches_reference(ctx, planes)
+    assert len(pivots) <= min(planes.shape[1:])
+
+
+@settings(max_examples=150)
+@given(plane_matrices(prime_fields_only=True))
+def test_rref_matches_sympy_over_prime_fields(case):
+    ctx, planes = case
+    assert_rref_matches_sympy(planes[0], ctx.p)
 
 
 @pytest.mark.parametrize("p", [2, 3, FLOAT_BOUND_PRIME])
@@ -638,43 +689,51 @@ def test_float_rref_shapes(p, shape, kind):
         A = A[rnd.permutation(shape[0])]
     else:
         A = rnd.integers(-2 * p, 2 * p, size=shape)
-    assert_float_rref_matches_planes(A, p)
+    pivots = assert_rref_matches_reference(field_create(p), A[None])
+    assert_rref_matches_sympy(A, p)
     if kind == "full rank":
-        assert exactla._rref_float(A, p)[1] == list(range(shape[1]))
+        assert pivots == list(range(shape[1]))
 
 
 def test_float_rref_is_exact_at_the_largest_products():
-    """Every entry p - 1 or p - 2 at the bound prime: the updates reach
-    -(p-1)^2, where an inexact remainder would show."""
+    """Every entry p - 1 or p - 2 at the float64 bound prime: the updates
+    reach -(p-1)^2, where an inexact remainder would show."""
     p = FLOAT_BOUND_PRIME
     A = np.array([[p - 1, p - 1, p - 2, 1], [p - 2, p - 1, p - 1, p - 1], [1, p - 2, p - 1, p - 2]])
-    assert_float_rref_matches_planes(A, p)
-    assert_float_rref_matches_planes(-A, p)
+    for M in (A, -A):
+        assert_rref_matches_reference(field_create(p), M[None])
+        assert_rref_matches_sympy(M, p)
 
 
-@pytest.mark.parametrize("p,path", [
-    (2, "_rref_float"), (3, "_rref_float"), (FLOAT_BOUND_PRIME, "_rref_float"),
-    (PAST_FLOAT_BOUND_PRIME, "_rref_planes"), (2147483659, "_rref_planes"),
+def test_int64_rref_is_exact_at_the_largest_products():
+    """The same at the int64 bound prime, over GF(p) and GF(p^2): the updates
+    reach -(p-1)^2 > -2^63."""
+    p = INT64_BOUND_PRIME
+    A = np.array([[p - 1, p - 1, p - 2, 1], [p - 2, p - 1, p - 1, p - 1], [1, p - 2, p - 1, p - 2]])
+    for M in (A, -A):
+        assert_rref_matches_reference(field_create(p), M[None])
+        assert_rref_matches_reference(field_create(p, 2), np.stack([M, M[::-1]]))
+
+
+@pytest.mark.parametrize("p,k,tier", [
+    (2, 1, "float64"), (3, 1, "float64"), (FLOAT_BOUND_PRIME, 1, "float64"),
+    (PAST_FLOAT_BOUND_PRIME, 1, "int64"), (2147483659, 1, "int64"), (INT64_BOUND_PRIME, 1, "int64"),
+    (PAST_INT64_BOUND_PRIME, 1, "object"), (MERSENNE_61, 1, "object"),
+    (3, 2, "float64"), (2, 4, "float64"), (FLOAT_BOUND_PRIME, 2, "float64"),
+    (PAST_FLOAT_BOUND_PRIME, 2, "int64"), (MERSENNE_61, 3, "object"),
 ])
-def test_rref_takes_the_float_path_below_the_bound(monkeypatch, p, path):
-    """rref over GF(p) runs the float64 kernel exactly while (p-1)^2 < 2^53;
-    past that it eliminates on int64 planes (Python ints once (p-1)^2 >= 2^63)."""
-    calls = []
-    for name in ("_rref_float", "_rref_planes"):
-        original = getattr(exactla, name)
-        monkeypatch.setattr(exactla, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
-    ctx = field_create(p)
-    A = ExactMatrix.make(ctx, [[1, 2, 3, -1], [p + 1, 3, 7, p - 2], [0, 0, -1, 5]])
-    R, pivots, rk = rref(A)
-    assert calls == [path]
-    assert A.planes.dtype == (np.int64 if (p - 1) ** 2 < 2**63 else object)
-    assert pivots == [0, 1, 2] and R.data[:3] == [[1, 0, 0, R[0, 3]], [0, 1, 0, R[1, 3]], [0, 0, 1, R[2, 3]]]
-    assert all(x == 0 for x in matvec(A, [-R[0, 3], -R[1, 3], -R[2, 3], 1]))
-
-
-def test_extension_fields_keep_the_plane_elimination(monkeypatch):
-    calls = []
-    original = exactla._rref_planes
-    monkeypatch.setattr(exactla, "_rref_planes", lambda *a: calls.append(1) or original(*a))
-    rank(ExactMatrix.make(field_create(3, 2), [[1, 2], [2, 1]]))
-    assert calls == [1]
+def test_rref_takes_the_float_path_below_the_bound(monkeypatch, p, k, tier):
+    """Every finite field is eliminated by the one kernel, its residues held
+    in float64 while (p-1)^2 < 2^53, in int64 while (p-1)^2 < 2^63 and in
+    Python ints past that; GF(p^k) takes the tier of its prime."""
+    float_calls = []
+    original = exactla.reduce_float
+    monkeypatch.setattr(exactla, "reduce_float", lambda x, q: float_calls.append(x.dtype) or original(x, q))
+    ctx = field_create(p, k)
+    A = np.array([[1, 2, 3, -1], [p + 1, 3, 7, p - 2], [0, 0, -1, 5]])
+    planes = np.stack([A] + [np.roll(A, i, axis=1) for i in range(1, k)]).astype(_dtype(p))
+    assert assert_rref_matches_reference(ctx, planes) == [0, 1, 2]
+    R, _, _ = rref(ExactMatrix.from_planes(ctx, planes))
+    # the float64 tier returns int64 planes; the others keep their residues
+    assert {str(d) for d in float_calls} == ({"float64"} if tier == "float64" else set())
+    assert str(R.planes.dtype) == ("int64" if tier == "float64" else tier)

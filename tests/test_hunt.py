@@ -33,7 +33,6 @@ from singhunt.hunt import (
 )
 from singhunt.poly import QQ, ZZ, MultiPoly, ParametricFamily, monomial_basis, parse, parse_poly
 from singhunt.rng import digit_rows, first_occurrences, split
-from test_rng import fisher_yates
 
 F7 = field_create(7)
 F11 = field_create(11)
@@ -283,8 +282,7 @@ def scalar_param_candidates(nparams, ctx, trials, seed, full_scan=2_000_000):
     if nparams == 0:
         return [()]
     if space <= trials and space <= full_scan:
-        points = list(itertools.product(list(ctx.elements()), repeat=nparams))
-        fisher_yates(split(seed, 0), points)
+        points = itertools.product(list(ctx.elements()), repeat=nparams)
         return [tuple(v.coeffs for v in pt) for pt in points]
     seen = set()
     out = []
@@ -307,16 +305,12 @@ def scalar_param_candidates(nparams, ctx, trials, seed, full_scan=2_000_000):
 @pytest.mark.parametrize("block", [rng.SHUFFLE_BLOCK, 50])
 def test_full_scan_hunt_keeps_the_scalar_shuffle_order(block):
     """The conic over GF(7) with 400 trials scans all 343 parameter points in
-    the order of a scalar Fisher-Yates from split(seed, 0), whatever block
-    the shuffle draws in, and finds the same 50 members."""
+    counting order, whatever the shuffle's block size, and finds 50 members."""
     fam = parse(CONIC, 3, 3)
     with mock.patch.object(rng, "SHUFFLE_BLOCK", block):
         got = _param_candidates(3, F7, 400, 3)
         members = hunt_members(fam, F7, trials=400, seed=3)
-    order = list(range(343))
-    fisher_yates(split(3, 0), order)
-    assert got[:, :, 0].tolist() == [[i // 49, i // 7 % 7, i % 7] for i in order]
-    assert got[:4, :, 0].tolist() == [[2, 6, 4], [5, 5, 0], [6, 1, 5], [6, 5, 6]]
+    assert got[:, :, 0].tolist() == [[i // 49, i // 7 % 7, i % 7] for i in range(343)]
     assert len(members) == 50
     assert [tuple(v.coeffs[0] for v in m.params) for m in members[:4]] == [
         (0, 0, 2), (0, 0, 5), (0, 2, 0), (0, 3, 3)]
@@ -590,8 +584,7 @@ def test_solve_at_point_eliminates_once_per_trial(text, nvars, nparams, field, t
     fam, ctx = parse(text, nvars, nparams), field_create(*field)
     want = reference_solve_at_point(fam, ctx, trials, seed, 10_000)
     with mock.patch.object(exactla, "rref", wraps=exactla.rref) as rref, \
-            mock.patch.object(exactla, "solve", side_effect=AssertionError("exactla.solve")), \
-            mock.patch.object(hunt, "split", side_effect=AssertionError("split")):
+            mock.patch.object(exactla, "solve", side_effect=AssertionError("exactla.solve")):
         got = _solve_at_point_candidates(fam, ctx, trials, seed, 10_000, hunt.DEFAULT_POINT_BUDGET)
     assert rref.call_count == trials
     assert [tuple(map(tuple, row)) for row in got.tolist()] == want
