@@ -731,10 +731,10 @@ def test_solve_with_non_integral_derived_pairing_finds_nothing(tmp_path, capsys)
 # ---------------------------------------------------------------------------
 # golden reports: the benchmark's lattice and cover commands (input texts
 # copied from perfbench/workloads.py), a search on a degenerate and on a
-# rational lattice, six random-params hunts (a locus family as locus-gfp
+# rational lattice, seven random-params hunts (a locus family as locus-gfp
 # draws it, the conic with --classify over GF(7^2) and, as hunt-gfp runs it,
 # over GF(101), a family that is zero mod p, and a cubic surface family in P^3
-# with --classify over GF(7) and GF(3^2)), two solve-at-point hunts (a binary
+# with --classify over GF(7), GF(3^2) and GF(101)), two solve-at-point hunts (a binary
 # family over GF(3^2) whose every trial has a one-dimensional kernel, and the plane quartic Q3 over GF(31)
 # with inconsistent trials and repeated members) and four interpolations (the locus-gfp shape with three draws and with one,
 # a conic over GF(7^2), and random points that lie on no quadric), compared
@@ -852,6 +852,8 @@ GOLDEN_COMMANDS = {
                        "--seed", "1", "--classify"],
     "hunt-cubic-gfq": ["hunt", "--family", "{cubic}", "--field", "3,2", "--trials", "100",
                        "--seed", "2", "--classify"],
+    "hunt-cubic-gfp101": ["hunt", "--family", "{cubic}", "--field", "101", "--trials", "40",
+                          "--seed", "5", "--classify"],
     "hunt-zero-mod-p": ["hunt", "--family", "{zero}", "--field", "7", "--trials", "3",
                         "--seed", "2"],
     "hunt-solve-binary-gfq": ["hunt", "--family", "{binary}", "--field", "3,2", "--trials", "30",
