@@ -15,6 +15,11 @@ GF(p), FieldElements over GF(p^k)) are derived only when first read.  Every
 rank, kernel and solve goes through ``rref``, once: a solve reads its
 particular solution and its kernel from the one RREF of [A | b].
 ``determinant`` runs its elimination directly, for the row swaps.
+``rank_stack`` ranks a whole stack of finite-field matrices at once (digit
+planes k x systems x rows x cols), with each system's pivot chosen
+separately: a fraction-free echelon form, with no inverse and no back
+substitution, in the same three tiers, GF(p^k) through the regular
+representation.
 """
 
 from __future__ import annotations
@@ -235,19 +240,30 @@ def _rref_modp(M: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, list[int]]:
 
 
 def _regular(M: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """The matrix over GF(p) (k*rows x k*cols) in which each entry a of the
-    planes M becomes its multiplication matrix: row l holds the digits of
-    t^l * a, which are those of t^(l-1) * a shifted up one, less the top digit
-    times the modulus (t^k = -(m_0 + m_1 t + ... + m_(k-1) t^(k-1)))."""
+    """The matrices over GF(p) (... x k*rows x k*cols) in which each entry a
+    of the planes M (k x ... x rows x cols) becomes its multiplication
+    matrix: row l holds the digits of t^l * a, which are those of
+    t^(l-1) * a shifted up one, less the top digit times the modulus
+    (t^k = -(m_0 + m_1 t + ... + m_(k-1) t^(k-1)))."""
     p, k = ctx.p, ctx.k
-    _, rows, cols = M.shape
+    *stack, rows, cols = M.shape[1:]
     modulus = np.array(ctx.modulus[:k], dtype=_dtype(p))
-    E = np.zeros((rows, k, cols, k), dtype=_dtype(p))
-    E[:, 0] = np.moveaxis(M % p, 0, -1)
+    E = np.zeros((*stack, rows, k, cols, k), dtype=_dtype(p))
+    E[..., 0, :, :] = np.moveaxis(M % p, 0, -1)
     for l in range(1, k):
-        E[:, l, :, 1:] = E[:, l - 1, :, :-1]
-        E[:, l] = (E[:, l] - E[:, l - 1, :, -1:] * modulus) % p
-    return E.reshape(rows * k, cols * k)
+        E[..., l, :, 1:] = E[..., l - 1, :, :-1]
+        E[..., l, :, :] = (E[..., l, :, :] - E[..., l - 1, :, -1:] * modulus) % p
+    return E.reshape(*stack, rows * k, cols * k)
+
+
+def _residue_tier(p: int):
+    """(dtype, reduce) of the exact residue arithmetic over GF(p) in which
+    every integer |x| <= (p-1)^2 is held: float64 while (p-1)^2 < 2^53,
+    reduced by ``fields.reduce_float``; past that int64 reduced by ``%``
+    (Python ints once (p-1)^2 >= 2^63).  reduce(x, p) reduces x in place."""
+    if (p - 1) ** 2 < 2**53:
+        return np.float64, reduce_float
+    return _dtype(p), lambda x, p: np.remainder(x, p, out=x)
 
 
 def _rref_residues(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -258,13 +274,10 @@ def _rref_residues(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     zero left of c: row i loses g_i times the pivot row, where g_i is its
     entry in column c over the pivot, and g_r = 1 - 1/pivot scales the pivot
     row to a leading 1 in the same update.  Every value is an integer with
-    |x| <= (p-1)^2: float64 holds it exactly while (p-1)^2 < 2^53, and
-    ``fields.reduce_float`` takes its exact residue (R comes back int64);
-    past that the residues are int64 reduced by ``%`` (Python ints once
-    (p-1)^2 >= 2^63)."""
-    exact_float = (p - 1) ** 2 < 2**53
-    R = (A % p).astype(np.float64 if exact_float else _dtype(p))
-    reduce = reduce_float if exact_float else lambda x, p: np.remainder(x, p, out=x)
+    |x| <= (p-1)^2, held in the tier of ``_residue_tier`` (R comes back int64
+    from float64)."""
+    dtype, reduce = _residue_tier(p)
+    R = (A % p).astype(dtype)
     rows, cols = R.shape
     pivots: list[int] = []
     r = 0
@@ -285,11 +298,48 @@ def _rref_residues(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         reduce(X, p)
         pivots.append(c)
         r += 1
-    return (R.astype(np.int64) if exact_float else R), pivots
+    return (R.astype(np.int64) if dtype is np.float64 else R), pivots
 
 
 def rank(A: ExactMatrix) -> int:
     return rref(A)[2]
+
+
+def rank_stack(M: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """The rank of every matrix of a stack over ctx, from its digit planes M
+    (k x systems x rows x cols): an int64 array, one rank per system.
+
+    A fraction-free echelon form over GF(p), with no inverse and no back
+    substitution, in the tiers of ``_residue_tier``.  At each column every
+    system whose column is not zero takes its first row P nonzero there as
+    pivot row, with pivot a, and each of its rows (P too, which so becomes
+    zero) becomes a*row - f*P, f being the row's entry in the column; a
+    system's rank is the number of columns at which it had a pivot.  The
+    matrices are ranked as their transposes when that takes fewer columns,
+    and over GF(p^k) as their regular representations, of k times the rank.
+    """
+    k, systems, rows, cols = M.shape
+    p = ctx.p
+    A = M[0] if k == 1 else _regular(M, ctx)
+    if rows < cols:
+        A = A.transpose(0, 2, 1)
+    dtype, reduce = _residue_tier(p)
+    R = (A % p).astype(dtype)
+    ranks = np.zeros(systems, dtype=np.int64)
+    every = np.arange(systems)
+    for c in range(R.shape[2]):
+        column = R[:, :, c]
+        nonzero = column != 0
+        pivot = nonzero.any(axis=1)
+        if not pivot.any():
+            continue
+        P = R[every, nonzero.argmax(axis=1), c:]  # each system's pivot row
+        X = R[:, :, c + 1:]
+        X *= np.where(pivot, P[:, 0], 1)[:, None, None]
+        X -= column[:, :, None] * P[:, None, 1:]
+        reduce(X, p)
+        ranks += pivot
+    return ranks // k
 
 
 # ---------------------------------------------------------------------------

@@ -311,18 +311,25 @@ def field_create(p: int, k: int = 1) -> FieldCtx:
     return ctx
 
 
-def _digit_tuples(p: int, k: int) -> Iterator[tuple[int, ...]]:
-    """The k-digit tuples base p in counting order, most significant digit
-    first: the order of itertools.product(range(p), repeat=k), which would
-    first build range(p) as a tuple (p may be near 2^64)."""
+def _digit_tuples(p: int, k: int, start: int = 0) -> Iterator[tuple[int, ...]]:
+    """The k-digit tuples base p in counting order from the start-th, most
+    significant digit first: the order of itertools.product(range(p),
+    repeat=k), which would first build range(p) as a tuple (p may be near
+    2^64)."""
     weights = [p**i for i in range(k - 1, -1, -1)]
-    for n in range(p**k):
+    for n in range(start, p**k):
         yield tuple(n // w % p for w in weights)
 
 
 def _first_irreducible(p: int, k: int) -> tuple[int, ...]:
-    # the monic candidates, low degree first, counting up from the top coefficient
-    for digits in _digit_tuples(p, k):
+    # the monic candidates, low degree first, counting up from the top
+    # coefficient; the first p are the binomials t^k + c, of which none is
+    # irreducible when a prime factor of k does not divide p - 1, or when
+    # 4 | k and p != 1 mod 4 (Lidl and Niederreiter, Thm 3.75): then the
+    # search starts after them
+    primes = [r for r in range(2, k + 1) if k % r == 0 and all(r % s for s in range(2, r))]
+    no_binomial = any((p - 1) % r for r in primes) or (k % 4 == 0 and p % 4 != 1)
+    for digits in _digit_tuples(p, k, p if no_binomial else 0):
         f = list(reversed(digits)) + [1]
         if _is_irreducible(f, p):
             return tuple(f)

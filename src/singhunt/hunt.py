@@ -1,15 +1,21 @@
 """Detect singular members in a family and classify isolated singularities.
 
 A member is singular at a projective point when the defining polynomial and
-all its geometric partials vanish there.  Classification is numeric: corank
-of the Hessian plus the Tjurina number computed by truncated local-algebra
+all its geometric partials vanish there.  Members are scanned in batches over
+every rational point; a family of forms first drops the members whose
+Macaulay matrix of the partials has full column rank, which have no singular
+point (one ``exactla.rank_stack`` per batch, where that costs less than the
+scan; see the Macaulay prune below).  Classification is numeric: corank of
+the Hessian plus the Tjurina number computed by truncated local-algebra
 linear algebra, which separates the A_k types without any Groebner machinery.
-Each classified point takes one elimination: the corank and the Tjurina
-numbers at both caps are read from the pivots of a single RREF.
+A point whose n x n Hessian is regular is A1 by the Morse lemma; every other
+classified point takes one elimination: the corank and the Tjurina numbers
+at both caps are read from the pivots of a single RREF.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -261,9 +267,10 @@ def classify_local(
 ) -> SingularPoint:
     """Classify the singularity of g at the affine origin.
 
-    g must vanish at 0 with vanishing Jacobian.  The label is A_tau when the
-    Hessian corank is <= 1 and tau stabilized between caps; otherwise the
-    point is reported unclassified with a diagnostic.
+    g must vanish at 0 with vanishing Jacobian.  A regular Hessian gives A1
+    with corank 0 and tau 1 and builds no cap matrix.  Otherwise the label
+    is A_tau when the Hessian corank is <= 1 and tau stabilized between
+    caps, and the point is reported unclassified with a diagnostic when not.
     """
     if cap < 2:
         raise ValueError(f"cap must be >= 2, got {cap}")
@@ -283,8 +290,10 @@ def classify_local(
         if e in g.terms:
             raise NotSingular("Jacobian does not vanish at the origin")
 
-    corank, tau_lo, tau_hi = _corank_and_tjurina(g, cap)
     coords = point if point is not None else zero_exps
+    if _hessian_is_regular(g):  # the Morse lemma; p > degree >= 2 makes p odd
+        return SingularPoint(coords, "A1", 0, 1, "")
+    corank, tau_lo, tau_hi = _corank_and_tjurina(g, cap)
     if tau_lo != tau_hi:
         return SingularPoint(
             coords, UNCLASSIFIED, corank, None,
@@ -295,6 +304,22 @@ def classify_local(
             coords, UNCLASSIFIED, corank, tau_hi, f"corank {corank} > 1"
         )
     return SingularPoint(coords, f"A{tau_hi}", corank, tau_hi, "")
+
+
+def _hessian_is_regular(g: MultiPoly) -> bool:
+    """Whether the n x n Hessian of g at the origin, read from the degree-2
+    part of g, has rank n: a nonzero determinant over QQ, one stack rank
+    over a finite field."""
+    n = g.nvars
+    entries = {}
+    for e, c in g.terms.items():
+        if sum(e) == 2:
+            i, j = (v for v in range(n) for _ in range(e[v]))
+            entries[i, j] = entries[j, i] = 2 * c if i == j else c
+    H = exactla.ExactMatrix.sparse(g.domain, n, n, entries)
+    if H.domain == QQ:
+        return exactla.determinant(H) != 0
+    return exactla.rank_stack(H.planes[:, None], H.domain)[0] == n
 
 
 def _corank_and_tjurina(g: MultiPoly, cap: int) -> tuple[int, int, int]:
@@ -450,13 +475,16 @@ def _family_scan(
     fam: ParametricFamily, ctx: FieldCtx, params: np.ndarray, budget: int
 ) -> Iterator[tuple[int, list[tuple[FieldElement, ...]]]]:
     """(row, singular points) of every singular member, one parameter row
-    (planes k x rows x nparams) each."""
+    (planes k x rows x nparams) each.  A family of forms of degree d >= 1
+    first drops the members that ``_may_be_singular`` rules out, when that
+    costs less than scanning them."""
     if not params.shape[1]:
         return
     n = fam.nvars
     _check_budget(ctx.q, n, budget)
     poly = fam.poly.map_domain(ctx)
     check_f = not (fam.is_homogeneous_in_x() and fam.x_degree % ctx.p)
+    prune = fam.is_homogeneous_in_x() and fam.x_degree >= 1
     # glibc's malloc maps each block above its mmap threshold (128 KiB at
     # start) afresh and unmaps it when freed, so the scan's temporaries of
     # about SCAN_CELLS cells would be new zeroed pages at every block: 40,825
@@ -466,8 +494,79 @@ def _family_scan(
     np.empty(1 << 18)
     for start in range(0, params.shape[1], SCAN_CELLS):
         xmons, C = _member_coefficients(poly, n, params[:, start:start + SCAN_CELLS], ctx)
-        for t, found in _scan(xmons, C, ctx, n, check_f):
-            yield start + t, found
+        rows = np.arange(C.shape[1])
+        if prune and _prune_pays(xmons, ctx, n, fam.x_degree):
+            rows = rows[_may_be_singular(xmons, C, ctx, n, fam.x_degree)]
+        if len(rows):
+            for t, found in _scan(xmons, C[:, rows], ctx, n, check_f):
+                yield start + int(rows[t]), found
+
+
+# -- the Macaulay prune ---------------------------------------------------------
+#
+# A member F, a form of degree d >= 1 in n variables, with a singular point P
+# over GF(q) has its partials vanish at P, so every row x^m * dF/dx_i of its
+# Macaulay matrix in degree D (columns: the monomials of degree D) annihilates
+# the nonzero vector (P^a) over |a| = D: the matrix is short of full column
+# rank, in every characteristic.  A member of full column rank has no
+# singular point and needs no scan.  In degree D = max(n(d-2)+1, d-1) the
+# converse holds over the algebraic closure when p does not divide d: the
+# partials then form a regular sequence exactly when F is smooth, and the
+# Hilbert function of that complete intersection is zero past n(d-2).
+
+
+@functools.lru_cache(maxsize=64)
+def _macaulay_gather(
+    xmons: tuple[tuple[int, ...], ...], n: int, d: int, p: int
+) -> tuple[tuple[int, int], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The Macaulay matrix in degree D = max(n(d-2)+1, d-1) of the partials
+    of a form of degree d with the monomials xmons, as one gather:
+    ((rows, cols), flat cells, xmons indices, multipliers) of its entries.
+
+    Row (i, m) is x^m * dF/dx_i for |m| = D - d + 1 and column a is x^a
+    for |a| = D; x^e contributes e_i times its coefficient at a = m + e - e_i,
+    where e_i is nonzero mod p."""
+    D = max(n * (d - 2) + 1, d - 1)
+    shifts = monomial_basis(n, D - d + 1, "exactly")
+    column = {a: j for j, a in enumerate(monomial_basis(n, D, "exactly"))}
+    cells, sources, mults = [], [], []
+    for i in range(n):
+        for r, m in enumerate(shifts, start=i * len(shifts)):
+            for j, e in enumerate(xmons):
+                if e[i] % p:
+                    a = [u + v for u, v in zip(m, e)]
+                    a[i] -= 1
+                    cells.append(r * len(column) + column[tuple(a)])
+                    sources.append(j)
+                    mults.append(e[i] % p)
+    return (n * len(shifts), len(column)), tuple(cells), tuple(sources), tuple(mults)
+
+
+def _prune_pays(xmons: list[tuple[int, ...]], ctx: FieldCtx, n: int, d: int) -> bool:
+    """Whether ranking a member's Macaulay matrix (rows * cols * min(rows,
+    cols)) costs no more than scanning the member (points * monomials)."""
+    rows, cols = _macaulay_gather(tuple(xmons), n, d, ctx.p)[0]
+    return rows * cols * min(rows, cols) <= projective_size(ctx.q, n) * len(xmons)
+
+
+def _may_be_singular(
+    xmons: list[tuple[int, ...]], C: np.ndarray, ctx: FieldCtx, n: int, d: int
+) -> np.ndarray:
+    """A mask of the members (rows of the planes C, forms of degree d >= 1
+    with the monomials xmons) whose Macaulay matrix is short of full column
+    rank: no member outside it has a singular point.  The matrices are
+    ranked by ``exactla.rank_stack``, about SCAN_CELLS cells at a time."""
+    (rows, cols), cells, sources, mults = _macaulay_gather(tuple(xmons), n, d, ctx.p)
+    mults = np.array(mults, dtype=C.dtype)
+    members = C.shape[1]
+    keep = np.empty(members, dtype=bool)
+    step = max(1, SCAN_CELLS // (rows * cols))
+    for lo in range(0, members, step):
+        batch = C[:, lo:lo + step, sources]
+        M = np.zeros((ctx.k, batch.shape[1], rows * cols), dtype=C.dtype)
+        M[:, :, cells] = batch * mults % ctx.p
+        keep[lo:lo + step] = exactla.rank_stack(M.reshape(*M.shape[:2], rows, cols), ctx) < cols
+    return keep
 
 
 def _param_key(params: tuple):

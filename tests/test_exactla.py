@@ -591,11 +591,9 @@ PAST_FLOAT_BOUND_PRIME = 94_906_297  # the next prime
 INT64_BOUND_PRIME = 3_037_000_493  # the largest prime p with (p-1)^2 < 2^63
 PAST_INT64_BOUND_PRIME = 3_037_000_507  # the next prime
 MERSENNE_61 = 2**61 - 1
-# k <= 2 at the large primes: over some of them no t^3 + c or t^4 + c is
-# irreducible, and the modulus search tries all p constants before moving on
 FIELDS = [(p, k) for p in (2, 3, 101) for k in (1, 2, 3, 4)] + [
     (p, k) for p in (FLOAT_BOUND_PRIME, PAST_FLOAT_BOUND_PRIME, INT64_BOUND_PRIME,
-                     PAST_INT64_BOUND_PRIME, MERSENNE_61) for k in (1, 2)]
+                     PAST_INT64_BOUND_PRIME, MERSENNE_61) for k in (1, 2, 3)]
 
 
 def test_float_bound_primes():
@@ -638,7 +636,13 @@ def plane_matrices(draw, prime_fields_only=False):
     (negative and >= p included)."""
     p, k = draw(st.sampled_from([f for f in FIELDS if f[1] == 1 or not prime_fields_only]))
     ctx = field_create(p, k)
-    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    return ctx, draw(planes_of_shape(ctx, draw(st.integers(0, 6)), draw(st.integers(0, 6))))
+
+
+@st.composite
+def planes_of_shape(draw, ctx, rows, cols):
+    """The digit planes (k x rows x cols) of one matrix of plane_matrices."""
+    p, k = ctx.p, ctx.k
     digit = st.one_of(st.integers(-3 * p, 3 * p), st.sampled_from([0, 1, p - 1, p, -p, -(p - 1)]))
     size = k * rows * cols
     planes = np.array(draw(st.lists(digit, min_size=size, max_size=size)),
@@ -657,7 +661,7 @@ def plane_matrices(draw, prime_fields_only=False):
         row0 = [ctx.element(tuple(d)) for d in planes[:, 0].T.tolist()]
         row = [(a * x).coeffs for x in row0]
         planes[:, j] = np.array(row, dtype=planes.dtype).reshape(cols, k).T + planes[:, i]
-    return ctx, planes
+    return planes
 
 
 @settings(max_examples=300)
@@ -737,3 +741,84 @@ def test_rref_takes_the_float_path_below_the_bound(monkeypatch, p, k, tier):
     # the float64 tier returns int64 planes; the others keep their residues
     assert {str(d) for d in float_calls} == ({"float64"} if tier == "float64" else set())
     assert str(R.planes.dtype) == ("int64" if tier == "float64" else tier)
+
+
+# ---------------------------------------------------------------------------
+# the stack rank against the per-matrix rank (itself checked against the
+# references above) and, over GF(p), sympy's DomainMatrix rank
+# ---------------------------------------------------------------------------
+
+STACK_PRIMES = [2, 3, 101, FLOAT_BOUND_PRIME, PAST_FLOAT_BOUND_PRIME, INT64_BOUND_PRIME,
+                PAST_INT64_BOUND_PRIME]
+
+
+def assert_stack_ranks_match(ctx, planes: np.ndarray) -> list[int]:
+    """rank_stack of the planes (k x systems x rows x cols) against rank of
+    each matrix and, over GF(p), sympy; returns the ranks."""
+    before = planes.copy()
+    ranks = exactla.rank_stack(planes, ctx)
+    assert (planes == before).all()
+    want = [rank(ExactMatrix.from_planes(ctx, planes[:, s])) for s in range(planes.shape[1])]
+    assert ranks.tolist() == want
+    if ctx.k == 1:
+        K = sympy.GF(ctx.p)
+        assert want == [DomainMatrix([[K(int(v)) for v in row] for row in A.tolist()], A.shape, K).rank()
+                        for A in planes[0]]
+    return want
+
+
+@st.composite
+def plane_stacks(draw):
+    """(ctx, planes): a stack (k x systems x rows x cols) of 0 to 4 matrices
+    of plane_matrices, all of one shape."""
+    ctx = field_create(draw(st.sampled_from(STACK_PRIMES)), draw(st.integers(1, 3)))
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    systems = [draw(planes_of_shape(ctx, rows, cols)) for _ in range(draw(st.integers(0, 4)))]
+    if not systems:
+        return ctx, np.zeros((ctx.k, 0, rows, cols), dtype=_dtype(ctx.p))
+    return ctx, np.stack(systems, axis=1)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(plane_stacks())
+def test_rank_stack_matches_the_rank_of_each_matrix(case):
+    assert_stack_ranks_match(*case)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("p", STACK_PRIMES)
+def test_rank_stack_shapes_and_tiers(monkeypatch, p, k):
+    """Empty, zero, full-rank, rank-deficient and wide stacks, and a stack of
+    entries p - 1 and p - 2, whose updates reach (p-1)^2 at the bound primes.
+    The residues take the tiers of the one Gauss-Jordan."""
+    float_calls = []
+    original = exactla.reduce_float
+    monkeypatch.setattr(exactla, "reduce_float", lambda x, q: float_calls.append(x.dtype) or original(x, q))
+    ctx = field_create(p, k)
+    rnd = np.random.default_rng(p + k)
+
+    def stack(systems, rows, cols):
+        return rnd.integers(0, p, size=(k, systems, rows, cols), dtype=np.int64).astype(_dtype(p))
+
+    assert exactla.rank_stack(stack(0, 3, 4), ctx).tolist() == []
+    assert assert_stack_ranks_match(ctx, stack(3, 0, 4)) == [0, 0, 0]
+    assert assert_stack_ranks_match(ctx, stack(2, 4, 0)) == [0, 0]
+    assert assert_stack_ranks_match(ctx, 0 * stack(3, 4, 5)) == [0, 0, 0]
+    full = stack(4, 5, 5)
+    for i in range(5):  # unit upper triangular, rows permuted
+        full[:, :, i, :i + 1] = 0
+        full[0, :, i, i] = 1
+    assert assert_stack_ranks_match(ctx, full[:, :, rnd.permutation(5)]) == [5] * 4
+    deficient = stack(4, 6, 5)
+    deficient[:, :, 3] = (deficient[:, :, 0] + deficient[:, :, 5]) % p
+    deficient[:, 1, 2] = 0
+    deficient[:, 2, :, 1:] = deficient[:, 2, :, :1] * np.arange(1, 5, dtype=np.int64) % p
+    assert all(r <= 5 for r in assert_stack_ranks_match(ctx, deficient))
+    assert assert_stack_ranks_match(ctx, deficient[:, 2:3])[0] <= 1
+    wide = stack(3, 2, 6)  # rows < cols, an identity in the leading square
+    wide[:, :, :, :2] = 0
+    wide[0, :, [0, 1], [0, 1]] = 1
+    assert assert_stack_ranks_match(ctx, wide) == [2, 2, 2]
+    extreme = np.where(rnd.integers(0, 3, size=(k, 3, 4, 4)) > 0, p - 1, p - 2).astype(_dtype(p))
+    assert_stack_ranks_match(ctx, extreme)
+    assert {str(d) for d in float_calls} == ({"float64"} if (p - 1) ** 2 < 2**53 else set())

@@ -4,6 +4,7 @@ from math import isqrt
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from singhunt import fields
@@ -45,6 +46,56 @@ def test_field_create_examples():
 def test_modulus_matches_bruteforce_oracle():
     for p in (3, 5, 7, 11, 13):
         assert field_create(p, 2).modulus == brute_first_irreducible_quadratic(p)
+
+
+def brute_first_irreducible(p, k):
+    """Oracle for 2 <= k <= 4: the monic candidates in the search order
+    (counting up from the top coefficient), the first with no root in GF(p)
+    and, for k = 4, no monic quadratic factor, found by trying every x and
+    every t^2 + a*t + b."""
+    x = np.arange(p)
+    a, b = np.divmod(np.arange(p * p), p)
+    for digits in itertools.product(range(p), repeat=k):
+        f = list(reversed(digits)) + [1]
+        value = np.zeros(p, dtype=np.int64)
+        for c in reversed(f):
+            value = (value * x + c) % p
+        if not value.all():
+            continue
+        if k == 4:
+            r = [np.full(p * p, c) for c in f]
+            for deg in (4, 3, 2):  # divide by t^2 + a*t + b
+                r[deg - 1] = (r[deg - 1] - r[deg] * a) % p
+                r[deg - 2] = (r[deg - 2] - r[deg] * b) % p
+            if ((r[0] == 0) & (r[1] == 0)).any():
+                continue
+        return tuple(f)
+    raise AssertionError
+
+
+def test_modulus_search_skips_no_irreducible_candidate():
+    """Skipping the binomials t^k + c where none is irreducible leaves every
+    modulus as the search through all candidates finds it."""
+    for p in range(2, 200):
+        if fields.is_prime(p):
+            for k in (2, 3, 4):
+                assert fields._first_irreducible(p, k) == brute_first_irreducible(p, k), (p, k)
+
+
+@pytest.mark.parametrize("p, k", [(3_037_000_493, 3), (3_037_000_507, 4)])
+def test_modulus_search_is_fast_where_no_binomial_is_irreducible(monkeypatch, p, k):
+    """p = 2 mod 3 makes every element a cube, so no t^3 + c is irreducible;
+    p = 3 mod 4 leaves no irreducible t^4 + c: the search passes the p
+    binomials without testing them."""
+    assert (p - 1) % 3 if k == 3 else p % 4 == 3
+    tested = []
+    original = fields._is_irreducible
+    monkeypatch.setattr(fields, "_is_irreducible", lambda f, q: tested.append(f) or original(f, q))
+    modulus = fields._first_irreducible(p, k)
+    assert len(tested) < 100 and modulus[-1] == 1 and len(modulus) == k + 1
+    t = sympy.Symbol("t")
+    assert sympy.Poly(list(reversed(modulus)), t, modulus=p).is_irreducible
+    assert field_create(p, k).modulus == modulus
 
 
 @pytest.mark.parametrize("p, k, modulus", [

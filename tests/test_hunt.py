@@ -802,3 +802,137 @@ def test_tjurina_stability_diagnostic():
     assert res.label == "?" and "stabilized" in res.diagnostic
     res2 = classify_local(f, cap=11)
     assert res2.label == "A8" and res2.tjurina == 8
+
+
+# -- the A1 shortcut: a regular Hessian classifies without the cap matrix ------
+
+def full_classification(g, cap):
+    """classify_local without the shortcut: every point from the cap matrix."""
+    corank, tau_lo, tau_hi = hunt._corank_and_tjurina(g, cap)
+    coords = (0,) * g.nvars
+    if tau_lo != tau_hi:
+        return hunt.SingularPoint(coords, "?", corank, None,
+                                  f"tjurina not stabilized at cap {cap} ({tau_lo} vs {tau_hi})")
+    if corank > 1:
+        return hunt.SingularPoint(coords, "?", corank, tau_hi, f"corank {corank} > 1")
+    return hunt.SingularPoint(coords, f"A{tau_hi}", corank, tau_hi, "")
+
+
+@st.composite
+def morse_or_degenerate(draw, domain):
+    """(g, cap): a local singularity of local_singularities, or one whose
+    degree-2 part is a random quadratic form (often of full rank, sometimes
+    of rank n - 1 or zero) plus higher terms."""
+    g, cap = draw(local_singularities(domain))
+    if draw(st.booleans()):
+        return g, cap
+    n = g.nvars
+    scalar = st.integers(-3, 3) if domain == QQ else st.integers(0, domain.p - 1).map(domain.element)
+    rows = [[draw(scalar) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):  # a degenerate form: the last row a combination of the others
+        rows[-1] = [sum(draw(st.integers(-2, 2)) * r[j] for r in rows[:-1]) for j in range(n)]
+    quadric = MultiPoly.zero(n, domain)
+    for row in rows:  # a sum of squares of linear forms, Hessian 2 R^T R
+        linear = MultiPoly(n, domain, {tuple(int(i == j) for i in range(n)): c for j, c in enumerate(row)})
+        quadric = quadric + linear * linear
+    higher = {e: c for e, c in g.terms.items() if sum(e) > 2}
+    return quadric + MultiPoly(n, domain, higher), cap
+
+
+@pytest.mark.parametrize("domain", [F101, F11, QQ], ids=["GF101", "GF11", "QQ"])
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_a1_shortcut_matches_the_full_classification(domain, data):
+    g, cap = data.draw(morse_or_degenerate(domain))
+    try:
+        got = classify_local(g, cap)
+    except SmallCharacteristic:
+        assert g.total_degree() >= domain.p
+        return
+    assert got == full_classification(g, cap)
+    regular = reference_hessian_rank(g) == g.nvars
+    assert hunt._hessian_is_regular(g) == regular
+    if regular:
+        assert (got.label, got.corank, got.tjurina) == ("A1", 0, 1)
+
+
+@pytest.mark.parametrize("text, builds", [("x0^2+x1^2+x2^2+x0^5", 0), ("x0^2+x1^2+x2^4", 1),
+                                          ("x0*x1+x2^2", 0), ("x0^9", 1)])
+@pytest.mark.parametrize("domain", [F101, QQ], ids=["GF101", "QQ"])
+def test_regular_hessian_builds_no_cap_matrix(text, builds, domain):
+    with mock.patch.object(hunt, "_corank_and_tjurina", wraps=hunt._corank_and_tjurina) as full:
+        classify_local(parse_poly(text, 3, domain=domain))
+    assert full.call_count == builds
+
+
+# -- the Macaulay prune: skipped members have no singular point ----------------
+
+@st.composite
+def form_batches(draw):
+    """(ctx, n, d, xmons, C): coefficient planes of a batch of forms of degree
+    d in n variables over a small field, p | d and exponents divisible by p
+    included; some members are cones (a variable missing), hence singular."""
+    p, k = draw(st.sampled_from(PRIME_FIELDS + EXTENSION_FIELDS))
+    ctx = field_create(p, k)
+    n = draw(st.integers(1, 3 if ctx.q < 10 else 2))
+    d = draw(st.integers(1, 5))
+    xmons = draw(st.lists(st.sampled_from(monomial_basis(n, d, "exactly")), min_size=1, max_size=6,
+                          unique=True))
+    members = draw(st.integers(1, 6))
+    digit = st.one_of(st.just(0), st.integers(0, p - 1))
+    C = np.array(draw(st.lists(digit, min_size=k * members * len(xmons),
+                               max_size=k * members * len(xmons))),
+                 dtype=np.int64).reshape(k, members, len(xmons))
+    if n > 1 and draw(st.booleans()):  # a cone over a form in fewer variables
+        C[:, 0, [j for j, e in enumerate(xmons) if e[-1]]] = 0
+    return ctx, n, d, xmons, C
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(form_batches(), st.sampled_from([hunt.SCAN_CELLS, 1, 7]))
+def test_pruned_members_have_no_singular_point(case, cells):
+    ctx, n, d, xmons, C = case
+    with mock.patch.object(hunt, "SCAN_CELLS", cells):
+        keep = hunt._may_be_singular(xmons, C, ctx, n, d)
+    elements = to_elements(ctx, C)
+    for t, coeffs in enumerate(elements):
+        f = MultiPoly(n, ctx, {e: c for e, c in zip(xmons, coeffs) if c})
+        partials = [f.partial(i) for i in range(n)]
+        singular = any(all(not g.eval(pt) for g in partials) for pt in projective_points(ctx, n))
+        assert keep[t] or not singular
+        if not f.is_zero() and n == 1 and d % ctx.p:  # a x^d is smooth on P^0: dropped
+            assert not keep[t]
+
+
+def test_smooth_conics_are_pruned_and_singular_ones_kept():
+    xmons = [(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]
+    C = np.array([[[1, 0, 1, 0, 0, 1],    # x0^2 + x1^2 + x2^2, smooth
+                   [1, 0, 1, 0, 2, 1]]])  # (x0 + x1)^2 + x2^2, singular at (1:-1:0)
+    assert hunt._may_be_singular(xmons, C, F101, 3, 2).tolist() == [False, True]
+
+
+G5 = ("x0^5+x1^5+x2^5+x3^5+p1*x1*x2^3*x3+p2*x1^2*x2*x3^2+p3*x0*x2^2*x3^2+p4*x0*x1*x3^3"
+      "+p5*x0*x1^3*x2+p6*x0^2*x1*x2^2+p7*x0^2*x1^2*x3+p8*x0^3*x2*x3")
+Q6 = ("x0^4+x1^4+x2^4+p1*x0^2*x1^2+p2*x0^2*x2^2+p3*x1^2*x2^2+p4*x0^2*x1*x2+p5*x0*x1^2*x2"
+      "+p6*x0*x1*x2^2+x0^3*x1+2*x1^3*x2+3*x2^3*x0")
+LOCUS = "x1^2 + x0^2*p1^2 - 2*x0^2*p2*p3 + 3*x0^2*p1 - x0^2"
+CUBIC_SURFACE = "x0^3+x1^3+x2^3+x3^3+p1*x0*x1*x2+p2*x1*x2*x3+p3*x0*x2*x3"
+
+
+@pytest.mark.parametrize("text, nvars, nparams, p, pruned", [
+    (CONIC, 3, 3, 101, True), (LOCUS, 2, 3, 101, True), (CUBIC_SURFACE, 4, 3, 101, True),
+    (Q6, 3, 6, 31, False), (G5, 4, 8, 31, False),
+])
+def test_prune_runs_where_it_costs_less_than_the_scan(text, nvars, nparams, p, pruned):
+    """The members handed to the scan: fewer than those drawn where ranking
+    the Macaulay matrices costs less than scanning, all of them otherwise."""
+    scanned = []
+
+    def counted(xmons, C, *args):
+        scanned.append(C.shape[1])
+        return iter([])
+
+    with mock.patch.object(hunt, "_scan", counted):
+        hunt_members(parse(text, nvars, nparams), field_create(p), trials=50, seed=1)
+    assert (sum(scanned) < 50) == pruned
+    assert pruned or scanned == [50]
