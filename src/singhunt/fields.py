@@ -513,6 +513,8 @@ def to_scalars(ctx: FieldCtx, planes: np.ndarray) -> list:
 
 def _format_t_poly(coeffs: Sequence[int]) -> str:
     """The polynomial in t with these coefficients (low degree first), highest term first."""
+    if len(coeffs) == 1:
+        return str(coeffs[0])
     parts = []
     for e in range(len(coeffs) - 1, -1, -1):
         c = coeffs[e]

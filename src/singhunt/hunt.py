@@ -5,9 +5,14 @@ all its geometric partials vanish there.  Members are scanned in batches over
 every rational point; a family of forms first drops the members whose
 Macaulay matrix of the partials has full column rank, which have no singular
 point (one ``exactla.rank_stack`` per batch, where that costs less than the
-scan; see the Macaulay prune below).  Classification is numeric: corank of
-the Hessian plus the Tjurina number computed by truncated local-algebra
-linear algebra, which separates the A_k types without any Groebner machinery.
+scan; see the Macaulay prune below).  The scan returns a member table: the
+singular cells as arrays of member rows and point indices, in report order
+after one lexsort.  One more lexsort over the parameter digits orders the
+members, and only the reported members' parameters and points become
+FieldElements, one ``to_elements`` call each.  Classification is numeric:
+corank of the Hessian plus the Tjurina number computed by truncated
+local-algebra linear algebra, which separates the A_k types without any
+Groebner machinery.
 A point whose n x n Hessian is regular is A1 by the Morse lemma; every other
 classified point takes one elimination: the corank and the Tjurina numbers
 at both caps are read from the pivots of a single RREF.
@@ -16,6 +21,7 @@ at both caps are read from the pivots of a single RREF.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -140,8 +146,8 @@ def singular_points(
     """All canonical points of P^(nvars-1) where f and every partial vanish."""
     f = f.map_domain(ctx)
     params = np.zeros((ctx.k, 1, 0), dtype=_dtype(ctx.p))
-    hits = _family_scan(ParametricFamily(f, f.nvars, 0), ctx, params, budget)
-    return next((found for _, found in hits), [])
+    _, points = _family_scan(ParametricFamily(f, f.nvars, 0), ctx, params, budget)
+    return list(map(tuple, to_elements(ctx, _projective_planes(ctx, f.nvars, points))))
 
 
 def _check_budget(q: int, nvars: int, budget: int) -> None:
@@ -194,16 +200,18 @@ def _member_coefficients(
 
 def _scan(
     xmons: list[tuple[int, ...]], C: np.ndarray, ctx: FieldCtx, n: int, check_f: bool
-) -> Iterator[tuple[int, list[tuple[FieldElement, ...]]]]:
-    """(row, singular points) of every singular member (row of the planes C,
-    coefficients of xmons), scanning P^(n-1): each monomial table's points
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, points): the singular cells of the members (rows of the planes
+    C, coefficients of xmons) as member rows and point indices of
+    projective_points(ctx, n), scanning P^(n-1): each monomial table's points
     are decoded from their index range, so no array of every point is made.
 
     A point is singular when every partial vanishes there, and f too when
     check_f (by the Euler relation, a form of degree prime to p vanishes
     wherever its partials do).  A value is zero when all its planes are.
-    Each member's points come in enumeration order; over GF(p) a nonzero
-    binary form's come sorted by coordinates.
+    The cells come by member row, and each member's points in report order:
+    enumeration order, but sorted by coordinates for a nonzero binary form
+    over GF(p).
     """
     p = ctx.p
     checks = []  # (coefficient columns of C, their monomials, multipliers)
@@ -245,17 +253,22 @@ def _scan(
                 b, t = b[keep], t[keep]
         found_b.append(start + b)
         found_t.append(t)
-    t = np.concatenate(found_t)
-    order = np.argsort(t, kind="stable")  # by member; each member's points stay in order
-    b, t = np.concatenate(found_b)[order], t[order]
-    used = sorted(set(b.tolist()))
-    coords = dict(zip(used, map(tuple, to_elements(ctx, _projective_planes(ctx, n, used)))))
-    rows, firsts = np.unique(t, return_index=True)
-    for row, found in zip(rows.tolist(), np.split(b, firsts[1:])):
-        found = found.tolist()
-        if ctx.k == 1 and n == 2 and len({sum(m) for m, c in zip(xmons, C[0, row].tolist()) if c}) == 1:
-            found = sorted(found, key=lambda b: [c.coeffs for c in coords[b]])
-        yield row, [coords[b] for b in found]
+    b, t = np.concatenate(found_b), np.concatenate(found_t)
+    rank = b
+    if ctx.k == 1 and n == 2 and len(t):
+        # P^1 over GF(p) enumerates (1:0), ..., (1:p-1), (0:1); sorted by
+        # coordinates (0:1) comes first, so point b has rank (b + 1) % (p + 1).
+        # A member is a nonzero form when the lowest and highest degree of
+        # its terms (as ranks among the degrees of xmons) agree.
+        degrees = [sum(m) for m in xmons]
+        level = {e: i for i, e in enumerate(sorted(set(degrees)))}
+        levels = np.array([level[e] for e in degrees], dtype=np.int64)
+        nonzero = np.asarray(C[0] != 0, dtype=bool)
+        lo = np.where(nonzero, levels, len(level)).min(axis=1, initial=len(level))
+        form = lo == np.where(nonzero, levels, -1).max(axis=1, initial=-1)
+        rank = np.where(form[t], (b + 1) % (p + 1), b)
+    order = np.lexsort((rank, t))
+    return t[order], b[order]
 
 
 # ---------------------------------------------------------------------------
@@ -441,24 +454,29 @@ def hunt_members(
         if strategy == "random-params" and len(digits) < trials:
             stats["shortfall"] = _shortfall(fam.nparams, ctx, trials, len(digits))
 
+    rows, points = _family_scan(fam, ctx, np.moveaxis(digits, 2, 0), budget)
+    if not len(rows):  # most small hunts: skip the table's fixed numpy cost
+        return []
+    singular, firsts = np.unique(rows, return_index=True)
+    bounds = np.append(firsts, len(rows)).tolist()
+    # report order: by parameters, each parameter's digits low degree first
+    flat = digits[singular].reshape(len(singular), fam.nparams * ctx.k)
+    order = np.lexsort((singular, *flat.T[::-1]))
+    used, cell_point = np.unique(points, return_inverse=True)
+    coords = list(map(tuple, to_elements(ctx, _projective_planes(ctx, fam.nvars, used))))
+    cells = [coords[i] for i in cell_point.tolist()]
+    params = to_elements(ctx, np.moveaxis(digits[singular[order]], 2, 0))
     members = []
-    for t, pts in _family_scan(fam, ctx, np.moveaxis(digits, 2, 0), budget):
-        if not pts:
-            continue
-        params = _params(ctx, digits[t])
+    for j, ps in zip(order.tolist(), params):
+        pts = cells[bounds[j]:bounds[j + 1]]
         if classify_points:
             # a family without parameters specialises to its own integer polynomial
-            member_poly = fam.specialize(params).map_domain(ctx)
-            spts = [_classified(member_poly, coords, cap) for coords in pts]
+            member_poly = fam.specialize(ps).map_domain(ctx)
+            spts = [_classified(member_poly, c, cap) for c in pts]
         else:
-            spts = [SingularPoint(coords) for coords in pts]
-        members.append(SingularMember(tuple(params), spts))
-    return sorted(members, key=lambda m: _param_key(m.params))
-
-
-def _params(ctx: FieldCtx, digits: np.ndarray) -> list[FieldElement]:
-    """The parameter point whose basis digits are the rows of digits."""
-    return [ctx.element(d) for d in digits.tolist()]
+            spts = [SingularPoint(c) for c in pts]
+        members.append(SingularMember(tuple(ps), spts))
+    return members
 
 
 def _classified(member_poly: MultiPoly, coords: tuple, cap: int) -> SingularPoint:
@@ -473,13 +491,14 @@ def _classified(member_poly: MultiPoly, coords: tuple, cap: int) -> SingularPoin
 
 def _family_scan(
     fam: ParametricFamily, ctx: FieldCtx, params: np.ndarray, budget: int
-) -> Iterator[tuple[int, list[tuple[FieldElement, ...]]]]:
-    """(row, singular points) of every singular member, one parameter row
-    (planes k x rows x nparams) each.  A family of forms of degree d >= 1
-    first drops the members that ``_may_be_singular`` rules out, when that
-    costs less than scanning them."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, points): the singular cells of the members, one parameter row
+    (planes k x rows x nparams) each, as ``_scan`` gives them.  A family of
+    forms of degree d >= 1 first drops the members that ``_may_be_singular``
+    rules out, when that costs less than scanning them."""
+    found = [(np.zeros(0, dtype=np.int64),) * 2]
     if not params.shape[1]:
-        return
+        return found[0]
     n = fam.nvars
     _check_budget(ctx.q, n, budget)
     poly = fam.poly.map_domain(ctx)
@@ -498,8 +517,9 @@ def _family_scan(
         if prune and _prune_pays(xmons, ctx, n, fam.x_degree):
             rows = rows[_may_be_singular(xmons, C, ctx, n, fam.x_degree)]
         if len(rows):
-            for t, found in _scan(xmons, C[:, rows], ctx, n, check_f):
-                yield start + int(rows[t]), found
+            t, b = _scan(xmons, C[:, rows], ctx, n, check_f)
+            found.append((start + rows[t], b))
+    return tuple(np.concatenate(cells) for cells in zip(*found))
 
 
 # -- the Macaulay prune ---------------------------------------------------------
@@ -542,10 +562,18 @@ def _macaulay_gather(
     return (n * len(shifts), len(column)), tuple(cells), tuple(sources), tuple(mults)
 
 
+def _macaulay_shape(n: int, d: int) -> tuple[int, int]:
+    """(rows, cols) of ``_macaulay_gather``'s matrix, without building it:
+    n shifts by each of the C(D-d+n, n-1) monomials of degree D - d + 1,
+    and the C(D+n-1, n-1) monomials of degree D."""
+    D = max(n * (d - 2) + 1, d - 1)
+    return n * math.comb(D - d + n, n - 1), math.comb(D + n - 1, n - 1)
+
+
 def _prune_pays(xmons: list[tuple[int, ...]], ctx: FieldCtx, n: int, d: int) -> bool:
     """Whether ranking a member's Macaulay matrix (rows * cols * min(rows,
     cols)) costs no more than scanning the member (points * monomials)."""
-    rows, cols = _macaulay_gather(tuple(xmons), n, d, ctx.p)[0]
+    rows, cols = _macaulay_shape(n, d)
     return rows * cols * min(rows, cols) <= projective_size(ctx.q, n) * len(xmons)
 
 
@@ -567,10 +595,6 @@ def _may_be_singular(
         M[:, :, cells] = batch * mults % ctx.p
         keep[lo:lo + step] = exactla.rank_stack(M.reshape(*M.shape[:2], rows, cols), ctx) < cols
     return keep
-
-
-def _param_key(params: tuple):
-    return tuple(v.coeffs for v in params)
 
 
 FULL_SCAN_POINTS = 2_000_000  # largest parameter space a hunt may scan in full

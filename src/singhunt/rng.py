@@ -143,10 +143,25 @@ def first_occurrences(rows: np.ndarray, base: int) -> np.ndarray:
     """Ascending indices of the first occurrence of every distinct row of
     digits below base.
 
-    Each row's digits are packed into as few uint64 words as hold them
-    (base^d <= 2^64 digits a word), and the rows are ranked on the words;
-    rows of no digits are all equal.
+    A row that packs into one word w < base^width leaves room below it for
+    its index i when base^width * 2^bits <= 2^64 (bits the bit length of
+    the row count).  Then one unstable np.sort of the keys w << bits | i puts
+    equal rows next to each other, the lowest index first.  Otherwise each
+    row's digits are packed into as few uint64 words as hold them
+    (base^d <= 2^64 digits a word), and a stable lexsort ranks the rows on
+    the words.  Rows of no digits are all equal.
     """
+    bits = len(rows).bit_length()
+    if base ** rows.shape[1] << bits <= 1 << 64:
+        shift = np.uint64(bits)
+        key = np.zeros(len(rows), dtype=np.uint64)
+        for j in range(rows.shape[1]):
+            key = key * np.uint64(base) + rows[:, j]
+        key = np.sort(key << shift | np.arange(len(rows), dtype=np.uint64))
+        word = key >> shift
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = word[1:] != word[:-1]
+        return np.sort((key[new] & np.uint64((1 << bits) - 1)).astype(np.intp))
     per = 1
     while base ** (per + 1) <= 1 << 64:
         per += 1

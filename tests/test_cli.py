@@ -2,9 +2,12 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -932,6 +935,23 @@ def test_golden_reports_are_byte_identical(tmp_path):
     assert sorted(reports) == sorted(p.name for p in GOLDEN_DIR.iterdir())
     for name, text in reports.items():
         assert text == (GOLDEN_DIR / name).read_text(), name
+
+
+def test_python_dash_m_runs_the_cli():
+    """`python -m singhunt` prints the fixture's golden report and exits with
+    the CLI's code, here 0 and, for an unknown option, the usage code 2."""
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "singhunt", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+
+    done = run("fixture", "godeaux-2a1-2a3")
+    report = re.split(r"^timings:", done.stdout, flags=re.M)[0]
+    assert f"exit: {done.returncode}\nstderr: {done.stderr!r}\n{report}" == (
+        GOLDEN_DIR / "fixture.txt").read_text()
+    assert run("fixture", "--no-such-option").returncode == 2
 
 
 # ---------------------------------------------------------------------------

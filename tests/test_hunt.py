@@ -358,6 +358,66 @@ def test_first_occurrences_match_a_set_of_seen_rows(base, width, data):
     assert got.tolist() == sorted(seen.values())
 
 
+def seen_first(rows):
+    """The first index of every distinct row, from a dict of rows seen."""
+    seen = {}
+    for r, row in enumerate(map(tuple, rows.tolist())):
+        seen.setdefault(row, r)
+    return sorted(seen.values())
+
+
+def check_first_occurrences(rows, base, packed):
+    """first_occurrences against seen_first, on the packed path (one sort of
+    word << bits | index keys, no lexsort) or on the lexsort path."""
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        got = first_occurrences(rows, base)
+    assert got.dtype == np.intp
+    assert got.tolist() == seen_first(rows)
+    assert lexsort.called != packed
+
+
+@pytest.mark.parametrize("count", sorted({c for e in range(13) for c in (2**e - 1, 2**e, 2**e + 1)}
+                                         | {5000, 5038}))
+def test_first_occurrences_at_row_counts_around_powers_of_two(count):
+    # three digits below 101, as a 5000-trial draw over GF(101) has them;
+    # every row of the second half repeats one of the first half
+    gen = np.random.default_rng(count)
+    rows = gen.integers(0, 101, size=(count, 3), dtype=np.uint64)
+    rows[count // 2:] = rows[gen.integers(0, max(1, count // 2), size=count - count // 2)]
+    check_first_occurrences(rows, 101, packed=True)
+
+
+@pytest.mark.parametrize("base, width, count, packed", [
+    (2, 64, 0, True), (2, 64, 1, False),             # 2^64 * 2^0 fits; 2^64 * 2^1 does not
+    (2, 63, 1, True), (2, 63, 2, False),             # one index bit, then two
+    (2, 51, 5000, True), (2, 52, 5000, False),       # 5000 rows take 13 bits
+    (3, 39, 1, True), (3, 40, 1, False),             # 3^39 < 2^63 < 3^40
+    (3, 32, 5000, True), (3, 33, 5000, False),       # 3^32 < 2^51 < 3^33
+    (101, 8, 1023, True), (101, 8, 1024, False),     # 2^53 < 101^8 < 2^54
+    (101, 9, 15, True), (101, 9, 16, False), (101, 10, 1, False),
+    (2**60, 1, 15, True), (2**60, 1, 16, False),     # 2^60 * 2^4 is 2^64 exactly
+    (2**60 + 33, 1, 7, True), (2**60 + 33, 1, 8, False),
+    (2**64 - 59, 1, 0, True), (2**64 - 59, 1, 1, False), (2**64 - 59, 2, 3, False),
+])
+def test_first_occurrences_on_both_sides_of_the_packed_key_bound(base, width, count, packed):
+    # digits 0, 1 and base - 1: the top digit fills the word, so an
+    # off-by-one in the bound would overflow it into the index bits
+    gen = np.random.default_rng(width + count)
+    choices = np.array(sorted({0, 1, base - 1}), dtype=np.uint64)
+    rows = choices[gen.integers(0, len(choices), size=(count, width))]
+    rows[count // 2:] = rows[:count - count // 2]  # every row of the first half repeats
+    check_first_occurrences(rows, base, packed)
+
+
+@pytest.mark.parametrize("count", [0, 1, 5])
+@pytest.mark.parametrize("width", [0, 3])
+def test_first_occurrences_of_no_rows_and_of_empty_rows(count, width):
+    rows = np.zeros((count, width), dtype=np.uint64)
+    got = first_occurrences(rows, 7)
+    assert got.tolist() == ([0] if count else [])
+    assert got.dtype == np.intp
+
+
 def test_param_candidates_refuse_primes_above_two_to_the_64():
     # rejection sampling from u64 draws would never accept a value
     with pytest.raises(ValueError, match="2\\^64"):
@@ -930,9 +990,99 @@ def test_prune_runs_where_it_costs_less_than_the_scan(text, nvars, nparams, p, p
 
     def counted(xmons, C, *args):
         scanned.append(C.shape[1])
-        return iter([])
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
 
     with mock.patch.object(hunt, "_scan", counted):
         hunt_members(parse(text, nvars, nparams), field_create(p), trials=50, seed=1)
     assert (sum(scanned) < 50) == pruned
     assert pruned or scanned == [50]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_macaulay_shape_matches_the_gather(n, d):
+    # the shape does not depend on the monomials, so one will do
+    xmons = ((d,) + (0,) * (n - 1),)
+    assert hunt._macaulay_shape(n, d) == hunt._macaulay_gather(xmons, n, d, 101)[0]
+
+
+def test_huge_degree_form_hunts_without_building_the_gather():
+    # a Macaulay matrix of degree about 2^64 cannot be built; its shape
+    # alone says that the prune does not pay, and the scan finds (1:6)
+    fam = parse("x0^9223372036854775807+x1^9223372036854775807", 2, 0)
+    with mock.patch.object(hunt, "_macaulay_gather") as gather:
+        members = hunt_members(fam, F7, trials=1)
+    assert not gather.called
+    assert [m.text() for m in members] == ["() | 1? | (1:6)"]
+
+
+# -- the member table against the per-member path it replaced -----------------
+
+def per_member_scan_tail(xmons, C, ctx, n, rows, points):
+    """(row, points) of every singular member, from the cells (member rows and
+    point indices) the scan found, as the scan made them before the member
+    table: the cells in block order (by point, then member), grouped by
+    member with a stable sort, and a nonzero binary form's points over GF(p)
+    sorted by their coordinates one member at a time."""
+    order = np.lexsort((rows, points))
+    b, t = points[order], rows[order]
+    order = np.argsort(t, kind="stable")
+    b, t = b[order], t[order]
+    used = sorted(set(b.tolist()))
+    coords = dict(zip(used, map(tuple, to_elements(ctx, _projective_planes(ctx, n, used)))))
+    members, firsts = np.unique(t, return_index=True)
+    for row, found in zip(members.tolist(), np.split(b, firsts[1:])):
+        found = found.tolist()
+        if ctx.k == 1 and n == 2 and len({sum(m) for m, c in zip(xmons, C[0, row].tolist()) if c}) == 1:
+            found = sorted(found, key=lambda b: [c.coeffs for c in coords[b]])
+        yield row, [coords[b] for b in found]
+
+
+def per_member_hunt(fam, ctx, trials, seed, classify_points):
+    """hunt_members as a loop over the members the scan found: one
+    FieldElement per parameter digit, then a sort by the parameters' basis
+    tuples."""
+    digits = _param_candidates(fam.nparams, ctx, trials, seed)
+    xmons, C = _member_coefficients(fam.poly.map_domain(ctx), fam.nvars, np.moveaxis(digits, 2, 0), ctx)
+    check_f = not (fam.is_homogeneous_in_x() and fam.x_degree % ctx.p)
+    rows, points = hunt._scan(xmons, C, ctx, fam.nvars, check_f)
+    members = []
+    for row, pts in per_member_scan_tail(xmons, C, ctx, fam.nvars, rows, points):
+        params = [ctx.element(d) for d in digits[row].tolist()]
+        if classify_points:
+            member_poly = fam.specialize(params).map_domain(ctx)
+            spts = [hunt._classified(member_poly, coords, hunt.DEFAULT_CAP) for coords in pts]
+        else:
+            spts = [hunt.SingularPoint(coords) for coords in pts]
+        members.append(hunt.SingularMember(tuple(params), spts))
+    return sorted(members, key=lambda m: tuple(v.coeffs for v in m.params))
+
+
+@st.composite
+def binary_forms(draw):
+    """(ctx, family, trials): binary forms of one degree whose every term
+    carries a parameter, so that the zero parameter point is the zero member,
+    with trials that cover the whole parameter space about half of the time."""
+    p, k = draw(st.sampled_from(PRIME_FIELDS + EXTENSION_FIELDS))
+    ctx = field_create(p, k)
+    npar = draw(st.integers(1, 2))
+    degree = draw(st.integers(1, 5))
+    pmons = [m for m in monomial_basis(npar, 2, "at-most") if any(m)]
+    exps = st.tuples(st.sampled_from(monomial_basis(2, degree, "exactly")), st.sampled_from(pmons))
+    terms = draw(st.dictionaries(exps.map(lambda t: t[0] + t[1]), st.integers(-3, 3).filter(bool),
+                                 min_size=1, max_size=5))
+    trials = draw(st.sampled_from([ctx.q**npar, 1 + ctx.q**npar // 3]))
+    return ctx, ParametricFamily(MultiPoly(2 + npar, ZZ, terms), 2, npar), trials
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.one_of(binary_forms(), st.tuples(field_families(PRIME_FIELDS + EXTENSION_FIELDS, max_params=2),
+                                           st.integers(1, 12)).map(lambda c: (*c[0], c[1]))),
+       st.integers(0, 3), st.booleans(), SCAN_SIZES)
+def test_member_table_matches_the_per_member_path(case, seed, classify_points, cells):
+    ctx, fam, trials = case
+    with mock.patch.object(hunt, "SCAN_CELLS", cells):
+        got = hunt_members(fam, ctx, trials=trials, seed=seed, classify_points=classify_points)
+        want = per_member_hunt(fam, ctx, trials, seed, classify_points)
+    assert got == want
+    assert [m.text() for m in got] == [m.text() for m in want]
