@@ -99,27 +99,21 @@ def _parse_field(spec: str):
     return field_create(p, k)
 
 
-def _infer_counts(text: str) -> tuple[int, int]:
-    import re
-
-    nv = -1
-    npar = 0
-    for m in re.finditer(r"x(\d+)", text):
-        nv = max(nv, int(m.group(1)))
-    for m in re.finditer(r"p(\d+)", text):
-        npar = max(npar, int(m.group(1)))
-    return nv + 1, npar
-
-
-def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+def _one_polynomial(text: str, what: str, nvars, nparams, domain=poly.ZZ):
+    """(line, polynomial) of the one data line of a file; a count left None
+    is read off the terms."""
+    families = poly.parse_poly_file(text, nvars, nparams, domain)
+    if len(families) != 1:
+        raise SinghuntError(f"{what} file must contain one polynomial, got {len(families)}")
+    return next(data_lines(text))[1], families[0]
 
 
 def _load(path: str, parse):
     """Parse a data file, naming the file in any error."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     try:
-        return parse(_read(path))
+        return parse(text)
     except SinghuntError as exc:
         raise SinghuntError(f"{path}: {exc}") from exc
 
@@ -135,17 +129,13 @@ def cmd_hunt(args) -> int:
             raise SinghuntError(f"{flag} must be >= {least}, got {value}")
 
     def parse_family(text):
-        nvars, nparams = _infer_counts(text)
-        families = poly.parse_poly_file(text, nvars if args.nvars is None else args.nvars,
-                                        nparams if args.nparams is None else args.nparams)
-        if len(families) != 1:
-            raise SinghuntError(f"family file must contain one polynomial, got {len(families)}")
-        if families[0].nvars == 0:
+        _, fam = _one_polynomial(text, "family", args.nvars, args.nparams)
+        if fam.nvars == 0:
             raise SinghuntError("family has no variable x0, x1, ...")
-        top = max((e for exps in families[0].poly.terms for e in exps), default=0)
+        top = max((e for exps in fam.poly.terms for e in exps), default=0)
         if top >= 2**63:
             raise SinghuntError(f"exponent {top} does not fit in 64 bits")
-        return families[0]
+        return fam
 
     fam = _load(args.family, parse_family)
     nvars, nparams = fam.nvars, fam.nparams
@@ -178,15 +168,14 @@ def cmd_hunt(args) -> int:
 
 def cmd_classify(args) -> int:
     report = Report("classify")
-    if args.field:
-        ctx = _parse_field(args.field)
-        domain = ctx
+    domain = _parse_field(args.field) if args.field else poly.QQ
+    if os.path.isfile(args.poly):
+        text, fam = _load(args.poly, lambda text: _one_polynomial(text, "poly", None, 0, domain))
     else:
-        domain = poly.QQ
-    text = _read(args.poly) if os.path.exists(args.poly) else args.poly
-    nvars, _ = _infer_counts(text)
-    f = poly.parse_poly(text.strip(), nvars, domain=domain)
-    report.add_input("poly", text.strip())
+        text = args.poly.strip()
+        fam = poly.parse(text, None, 0, domain)
+    f = fam.poly
+    report.add_input("poly", text)
     report.add_input("cap", args.cap)
     if args.point:
         pt = [
@@ -737,7 +726,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (FileNotFoundError, SinghuntError, ValueError) as exc:
+    except (OSError, SinghuntError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -302,6 +302,9 @@ def _rref_residues(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(A: ExactMatrix) -> int:
+    """The number of pivots; over QQ of the fraction-free elimination alone."""
+    if A.domain == QQ:
+        return len(_fraction_free(list(A.num))[1])
     return rref(A)[2]
 
 

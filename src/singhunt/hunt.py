@@ -321,18 +321,14 @@ def classify_local(
 
 def _hessian_is_regular(g: MultiPoly) -> bool:
     """Whether the n x n Hessian of g at the origin, read from the degree-2
-    part of g, has rank n: a nonzero determinant over QQ, one stack rank
-    over a finite field."""
+    part of g, has rank n."""
     n = g.nvars
     entries = {}
     for e, c in g.terms.items():
         if sum(e) == 2:
             i, j = (v for v in range(n) for _ in range(e[v]))
             entries[i, j] = entries[j, i] = 2 * c if i == j else c
-    H = exactla.ExactMatrix.sparse(g.domain, n, n, entries)
-    if H.domain == QQ:
-        return exactla.determinant(H) != 0
-    return exactla.rank_stack(H.planes[:, None], H.domain)[0] == n
+    return exactla.rank(exactla.ExactMatrix.sparse(g.domain, n, n, entries)) == n
 
 
 def _corank_and_tjurina(g: MultiPoly, cap: int) -> tuple[int, int, int]:

@@ -3,10 +3,15 @@
 Terms are stored as a map from exponent tuples to nonzero coefficients.
 The parameter/geometric-variable split lives in ParametricFamily; MultiPoly
 itself is domain-generic and immutable.
+
+Polynomial text is read in one pass by one token scanner, ``_parse_poly``,
+behind ``parse``, ``parse_poly`` and ``parse_poly_file``; a count left None
+is read off the terms read, so a file's comments count for nothing.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -347,128 +352,86 @@ class ParametricFamily:
 # *-separated powers x<i>^<e> / p<j>^<e>; ^1 optional; whitespace free-form
 # ---------------------------------------------------------------------------
 
-def parse(text: str, nvars: int, nparams: int = 0, domain=ZZ) -> ParametricFamily:
-    poly = _parse_poly(text, nvars, nparams, domain)
-    return ParametricFamily(poly, nvars, nparams)
+def parse(text: str, nvars: int | None = None, nparams: int | None = 0, domain=ZZ) -> ParametricFamily:
+    """A family; a count left None is read off the terms (see _parse_poly)."""
+    return _parse_poly(text, nvars, nparams, domain)
 
 
-def parse_poly(text: str, nvars: int, domain=ZZ) -> MultiPoly:
+def parse_poly(text: str, nvars: int | None = None, domain=ZZ) -> MultiPoly:
     """Parse a polynomial in the geometric variables only."""
-    return _parse_poly(text, nvars, 0, domain)
+    return _parse_poly(text, nvars, 0, domain).poly
 
 
-def _parse_poly(text: str, nvars: int, nparams: int, domain, line: int = 1) -> MultiPoly:
-    """line: the file line that text starts on, for error positions."""
-    total = nvars + nparams
-    terms: dict = {}
-    i = 0
-    n = len(text)
+MAX_INFERRED = 1000  # a count read off the terms covers at most x0..x999 or p1..p1000
+_WS = r"[ \t\r\n]*"
+# One token after optional whitespace (group 1): a number with an optional
+# /denominator, x<i> or p<j> with an optional ^exponent, or one character,
+# which is "" at the end of the text.
+_TOKEN = re.compile(rf"""({_WS})(?:
+      (\d+)(?:/(\d*))?
+    | ([xp])(\d*)(?:{_WS}\^{_WS}(\d*))?
+    | (\Z|.))""", re.VERBOSE | re.DOTALL)
 
-    def err(msg, col):
-        raise PolySyntaxError(msg, line, col)
 
-    def skip_ws():
-        nonlocal i, line
-        while i < n and text[i] in " \t\r\n":
-            if text[i] == "\n":
-                line += 1
-            i += 1
+def _parse_poly(text: str, nvars: int | None, nparams: int | None, domain,
+                line: int = 1) -> ParametricFamily:
+    """Read text in one pass over its tokens.  A count left None is read off
+    the variables: the highest x index plus one, the highest p index, in
+    x0..x{MAX_INFERRED - 1} and p1..p{MAX_INFERRED}.  line: the file line
+    text starts on; an error's column is its 1-based offset into text."""
+    def error(at, message, kind=PolySyntaxError):
+        return kind(message, line + text.count("\n", 0, at), at + 1)
 
-    sign = 1
-    expect_term = True
-    first = True
-    while True:
-        skip_ws()
-        if i >= n:
-            if expect_term and not first:
-                err("dangling sign at end of input", i + 1)
-            break
-        ch = text[i]
-        if ch in "+-":
-            if expect_term and not first:
-                err(f"unexpected {ch!r}", i + 1)
-            sign = 1 if ch == "+" else -1
-            i += 1
-            expect_term = True
-            first = False
-            continue
-        if not expect_term and not first:
-            err(f"expected '+' or '-' before {ch!r}", i + 1)
-        coeff = Fraction(sign)
-        exps = [0] * total
-        saw_factor = False
-        while True:
-            skip_ws()
-            if i < n and (text[i].isdigit()):
-                start = i
-                while i < n and text[i].isdigit():
-                    i += 1
-                num = int(text[start:i])
-                if i < n and text[i] == "/":
-                    i += 1
-                    dstart = i
-                    while i < n and text[i].isdigit():
-                        i += 1
-                    if dstart == i or not int(text[dstart:i]):
-                        err("missing or zero denominator", i + 1)
-                    coeff *= Fraction(num, int(text[dstart:i]))
-                else:
-                    coeff *= num
-                saw_factor = True
-            elif i < n and text[i] in "xp":
-                kind = text[i]
-                i += 1
-                start = i
-                while i < n and text[i].isdigit():
-                    i += 1
-                if start == i:
-                    err(f"missing index after {kind!r}", i + 1)
-                idx = int(text[start:i])
-                if kind == "x":
-                    if not 0 <= idx < nvars:
-                        raise UnknownVariable(
-                            f"x{idx} outside x0..x{nvars - 1}", line, start
-                        )
-                    pos = idx
-                else:
-                    if not 1 <= idx <= nparams:
-                        raise UnknownVariable(
-                            f"p{idx} outside p1..p{nparams}", line, start
-                        )
-                    pos = nvars + idx - 1
-                e = 1
-                skip_ws()
-                if i < n and text[i] == "^":
-                    i += 1
-                    skip_ws()
-                    estart = i
-                    while i < n and text[i].isdigit():
-                        i += 1
-                    if estart == i:
-                        err("missing exponent after '^'", i + 1)
-                    e = int(text[estart:i])
-                exps[pos] += e
-                saw_factor = True
-            else:
-                err(
-                    f"unexpected character {text[i]!r}" if i < n else "unexpected end",
-                    i + 1,
-                )
-            skip_ws()
-            if i < n and text[i] == "*":
-                i += 1
+    terms: dict = {}  # frozenset of (label, exponent) -> coefficient; x<i> is i, p<j> is -j
+    top = {"x": -1, "p": 0}
+    sign, state = 1, "start"  # start, sign, factor, more (after a factor), done
+    for m in _TOKEN.finditer(text):
+        _, num, den, kind, idx, e, ch = m.groups()
+        if state == "more":
+            if ch == "*":
+                state = "factor"
                 continue
-            break
-        if not saw_factor:
-            err("empty term", i + 1)
-        key = tuple(exps)
-        acc = terms.get(key, Fraction(0))
-        terms[key] = acc + coeff
-        sign = 1
-        expect_term = False
-        first = False
-
-    return MultiPoly(total, domain, terms)
+            key = frozenset(powers.items())
+            terms[key] = terms.get(key, 0) + coeff
+            state = "done"
+        if state != "factor":
+            if state == "sign" and ch in ("", "+", "-"):
+                raise error(m.end(1), f"unexpected {ch!r}" if ch else "dangling sign at end of input")
+            if ch == "":
+                break
+            if ch in ("+", "-"):
+                sign, state = (1 if ch == "+" else -1), "sign"
+                continue
+            if state == "done":
+                raise error(m.end(1), f"expected '+' or '-' before {text[m.end(1)]!r}")
+            coeff, powers = sign, {}
+        if num is not None:
+            num = int(num)
+            if den is not None and not (den and int(den)):
+                raise error(m.end(), "missing or zero denominator")
+            coeff *= num if den is None else Fraction(num, int(den))
+        elif kind is not None:
+            if not idx:
+                raise error(m.end(1) + 1, f"missing index after {kind!r}")
+            idx = int(idx)
+            low, count = (0, nvars) if kind == "x" else (1, nparams)
+            high = low - 1 + (MAX_INFERRED if count is None else count)
+            if not low <= idx <= high:
+                raise error(m.end(1), f"{kind}{idx} outside {kind}{low}..{kind}{high}", UnknownVariable)
+            if e == "":
+                raise error(m.end(), "missing exponent after '^'")
+            e, label = int(e or 1), idx if kind == "x" else -idx
+            if e:
+                powers[label] = powers.get(label, 0) + e
+            top[kind] = max(top[kind], idx)
+        else:
+            raise error(m.end(1), f"unexpected character {ch!r}" if ch else "unexpected end")
+        state = "more"
+    nvars = top["x"] + 1 if nvars is None else nvars
+    nparams = top["p"] if nparams is None else nparams
+    labels = [*range(nvars), *range(-1, -nparams - 1, -1)]
+    terms = {tuple(map(dict(key).get, labels, [0] * len(labels))): c for key, c in terms.items()}
+    return ParametricFamily(MultiPoly(nvars + nparams, domain, terms), nvars, nparams)
 
 
 def format_poly(f: MultiPoly, nvars: int | None = None, nparams: int = 0) -> str:
@@ -513,9 +476,8 @@ def _field_coeff_str(c: FieldElement) -> str:
     return text if c.ctx.k == 1 else f"({text})"
 
 
-def parse_poly_file(text: str, nvars: int, nparams: int = 0) -> list[ParametricFamily]:
-    """One polynomial per line; '#' starts a comment; blank lines skipped."""
-    return [
-        ParametricFamily(_parse_poly(line, nvars, nparams, ZZ, lineno), nvars, nparams)
-        for lineno, line in data_lines(text)
-    ]
+def parse_poly_file(text: str, nvars: int | None = None, nparams: int | None = 0,
+                    domain=ZZ) -> list[ParametricFamily]:
+    """One polynomial per data line ('#' comments and blank lines skipped);
+    a count left None is inferred for each polynomial from its own terms."""
+    return [_parse_poly(line, nvars, nparams, domain, lineno) for lineno, line in data_lines(text)]

@@ -13,7 +13,6 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-SHUFFLE_BLOCK = 1 << 16  # draws a shuffle makes in one numpy pass
 
 
 def _mix(z: int) -> int:
@@ -51,22 +50,18 @@ class SplitMix64:
 
     def shuffle(self, items: list) -> None:
         """Fisher-Yates: for i from len(items) - 1 down to 1, swap items[i]
-        with items[below(i + 1)].  The draws are made SHUFFLE_BLOCK at a time
-        by ``_draw_table``; a block with a rejected draw is redrawn by
-        ``below``, so the permutation and the state after it are the scalar
-        loop's, bit for bit."""
-        i = len(items) - 1
-        while i > 0:
-            moduli = np.arange(i + 1, max(i + 1 - SHUFFLE_BLOCK, 1), -1, dtype=np.uint64)
-            draws, rejected = _draw_table(np.array([self.state], dtype=np.uint64), moduli)
-            if rejected.any():
-                js = [self.below(m) for m in moduli.tolist()]
-            else:
-                self.state = (self.state + len(moduli) * _GAMMA) & _MASK
-                js = draws[0].tolist()
-            for i, j in zip(range(i, i - len(js), -1), js):
-                items[i], items[j] = items[j], items[i]
-            i -= 1
+        with items[below(i + 1)].  The draws come from one ``_draw_table``;
+        if one is rejected, all are redrawn by ``below``, so the permutation
+        and the state after it are the scalar loop's, bit for bit."""
+        moduli = np.arange(len(items), 1, -1, dtype=np.uint64)
+        draws, rejected = _draw_table(np.array([self.state], dtype=np.uint64), moduli)
+        if rejected.any():
+            js = [self.below(m) for m in moduli.tolist()]
+        else:
+            self.state = (self.state + len(moduli) * _GAMMA) & _MASK
+            js = draws[0].tolist()
+        for i, j in zip(range(len(items) - 1, 0, -1), js):
+            items[i], items[j] = items[j], items[i]
 
 
 def split(seed: int, index: int) -> SplitMix64:

@@ -1187,3 +1187,106 @@ def test_fuzzed_family_points_and_residue_files_keep_the_exit_contract(tmp_path_
         assert code in (0, 1, 3), (argv, code)
         assert (code == 1) == ("\n  FAIL | " in out.getvalue()), argv
         assert (code == 3) == err.getvalue().startswith("error: "), (argv, err.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# polynomial text: hunt --family and classify --poly read it the same way
+# ---------------------------------------------------------------------------
+
+NODAL_CUBIC = "x0^2*x2+x1^2*x2+x0^3"
+
+
+def test_comments_in_a_family_file_count_for_nothing(tmp_path, capsys):
+    """The counts are read off the terms, so a comment naming x7 and p4 leaves
+    the family in 3 variables and 1 parameter (it used to read 8/4 and report
+    3 cones over P^7); explicit counts still override."""
+    plain, commented = tmp_path / "plain.txt", tmp_path / "commented.txt"
+    plain.write_text("x0^2+x1^2+x2^2+p1*x0*x1\n")
+    commented.write_text("# see x7 in the notes, p4 too\n" + plain.read_text())
+    reports = []
+    for fam in (plain, commented):
+        assert main(["hunt", "--family", str(fam), "--field", "2", "--trials", "3"]) == 0
+        reports.append(strip_timings(capsys.readouterr().out).replace(str(fam), "FAMILY"))
+    assert reports[0] == reports[1]
+    assert "  nvars/nparams: 3/1\n" in reports[1] and "  members: 1\n" in reports[1]
+    assert main(["hunt", "--family", str(commented), "--field", "2", "--trials", "3",
+                 "--nvars", "4", "--nparams", "2"]) == 0
+    assert "  nvars/nparams: 4/2\n" in capsys.readouterr().out
+
+
+def test_classify_reads_a_poly_file_like_a_family_file(tmp_path, capsys):
+    """`#` comments and blank lines are skipped, and the report shows the
+    polynomial's line."""
+    path = tmp_path / "cubic.txt"
+    path.write_text(f"# a nodal cubic, x7 is not one of its variables\n\n{NODAL_CUBIC}  # at (0:0:1)\n")
+    assert main(["classify", "--poly", str(path), "--point", "0,0,1"]) == 0
+    out = capsys.readouterr().out
+    assert f"  poly: {NODAL_CUBIC}\n" in out
+    assert "  label: A1\n  corank: 0\n  tjurina: 1\n" in out
+    assert main(["classify", "--poly", NODAL_CUBIC, "--point", "0,0,1"]) == 0
+    assert strip_timings(capsys.readouterr().out) == strip_timings(out)
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"{NODAL_CUBIC} + p1*x0\n# p1 is no variable of classify\n", "p1 outside p1..p0 (line 1, column 24)"),
+    (f"{NODAL_CUBIC}\n+ x0*x1\n", "poly file must contain one polynomial, got 2"),
+    ("# nothing else\n", "poly file must contain one polynomial, got 0"),
+])
+def test_a_bad_poly_file_names_the_file(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main(["classify", "--poly", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--poly", "/"], "error: unexpected character '/' (line 1, column 1)\n"),
+    (["classify", "--poly", "x0^2+x1000^2"], "error: x1000 outside x0..x999 (line 1, column 6)\n"),
+    (["hunt", "--family", "{tmp}", "--field", "7"], "error: [Errno 21] Is a directory: '{tmp}'\n"),
+])
+def test_a_directory_or_a_huge_index_is_a_data_error(tmp_path, capsys, argv, message):
+    """A directory is no --poly file and no family; an index read off the
+    terms stops at 999 instead of sizing every exponent vector by it."""
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 3
+    assert capsys.readouterr().err == message.format(tmp=tmp_path)
+
+
+# Terms of polynomial text and junk to put between them.  An index stays at
+# most 3, where junk such as "x" meets a term that starts with a digit:
+# classify's cost grows steeply with the number of variables (see
+# CHANGES.md), which is not what this test checks.
+POLY_TERMS = ["x0^2", "x1^2", "x2^3", "x0*x1", "3*x0*x2", "1/2*x1^2", "p1*x0*x1", "p2*x2^2", "x1", "2",
+              "x0^0"]
+POLY_JUNK = ["p0", "x", "p", "t", "^", "^ ", "*", "/", "/0", "+", "-", "#", "?", "\n", "\t", "²", "x0 x1 ",
+             "x1^"]
+
+
+@st.composite
+def polynomial_texts(draw):
+    """A sum of terms with mixed signs and spacing, with junk now and then."""
+    parts = []
+    for term in draw(st.lists(st.sampled_from(POLY_TERMS), min_size=1, max_size=5)):
+        parts += [draw(st.sampled_from(["+", " - ", " + ", "-"])), term]
+    for _ in range(draw(st.integers(0, 2))):
+        parts.insert(draw(st.integers(0, len(parts))), draw(st.sampled_from(POLY_JUNK)))
+    return "".join(parts[draw(st.integers(0, 1)):])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(polynomial_texts())
+def test_malformed_polynomial_text_keeps_the_exit_contract(tmp_path_factory, text):
+    """As --poly text and as a family file: exit 0, or 3 with one `error:`
+    line and no traceback."""
+    fam = tmp_path_factory.mktemp("fuzz") / "family.txt"
+    fam.write_text(text)
+    for argv in (
+        ["classify", f"--poly={text}"],  # with '=', as text may start with '-'
+        ["classify", f"--poly={text}", "--field", "7", "--point", "0,0,1"],
+        ["hunt", "--family", str(fam), "--field", "7", "--trials", "3", "--classify"],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 3), (argv, code)
+        assert (code == 3) == err.getvalue().startswith("error: "), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue() and err.getvalue().count("\n") == (code == 3), argv

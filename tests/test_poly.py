@@ -1,15 +1,20 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from singhunt.errors import PolySyntaxError, UnknownVariable
+from poly_reference import infer_counts, parse_poly_chars
+from singhunt.errors import PolySyntaxError, SinghuntError, UnknownVariable
 from singhunt.fields import field_create
 from singhunt.poly import (
+    MAX_INFERRED,
     QQ,
     ZZ,
     MultiPoly,
     ParametricFamily,
+    _parse_poly,
     format_poly,
     monomial_basis,
     parse,
@@ -166,3 +171,86 @@ def test_homogeneous_tag():
     assert fam.is_homogeneous_in_x() and fam.x_degree == 2
     mixed = parse("x0^2 + x1", 2, 0)
     assert not mixed.is_homogeneous_in_x()
+
+
+# ---------------------------------------------------------------------------
+# the token scanner against the character parser it replaced
+# ---------------------------------------------------------------------------
+
+POLY_CHARS = list("xpt0123456789^*/+-#? \n")
+POLY_PIECES = ["x0", "x1^2", "x2 ^ 3", "p1", "p2^2", "p0", "3*", "1/2*", "2/0", " + ", " - ", "*", "^", "\n"]
+poly_texts = st.one_of(
+    st.text(st.sampled_from(POLY_CHARS), max_size=24),
+    st.lists(st.sampled_from(POLY_CHARS + POLY_PIECES), max_size=10).map("".join),
+)
+
+
+def outcome(read):
+    """The terms read() returns, in order, or its error's class, message,
+    line and column."""
+    try:
+        return list(read().terms.items())
+    except (SinghuntError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+@settings(max_examples=300)
+@given(poly_texts, st.integers(0, 4), st.integers(0, 3), st.integers(1, 3),
+       st.sampled_from([ZZ, QQ, field_create(7)]))
+def test_scanner_reads_as_the_character_parser(text, nvars, nparams, line, domain):
+    """With counts given: the same terms in the same order, or the same error
+    at the same line and column."""
+    want = outcome(lambda: parse_poly_chars(text, nvars, nparams, domain, line))
+    assert outcome(lambda: _parse_poly(text, nvars, nparams, domain, line).poly) == want
+
+
+@settings(max_examples=200)
+@given(poly_texts.filter(lambda text: "#" not in text))
+def test_inferred_counts_are_the_regex_scan(text):
+    """On text without comments the counts read off the terms are those of
+    the regex scan the CLI ran over the whole text, and so is the result,
+    except for p0 and indices past MAX_INFERRED, which the scanner rejects as
+    it reads them."""
+    got = outcome(lambda: _parse_poly(text, None, None, QQ).poly)
+    if isinstance(got, list):
+        fam = _parse_poly(text, None, None, QQ)
+        assert (fam.nvars, fam.nparams) == infer_counts(text)
+    counts = infer_counts(text)
+    if not re.search(r"p0+(?![0-9])", text) and max(counts) <= MAX_INFERRED:
+        assert got == outcome(lambda: parse_poly_chars(text, *counts, QQ))
+
+
+def test_counts_are_read_off_the_terms():
+    fam = parse("x0^2 + x5 - x5 + p2*x1", None, None)
+    assert (fam.nvars, fam.nparams) == (6, 2) and len(fam.poly.terms) == 2
+    assert parse_poly("x0*x2").nvars == 3 and parse_poly("").nvars == 0
+    # a comment is no data line, so it counts for nothing
+    [fam] = parse_poly_file("# x7 and p4\nx0^2 + p1*x1\n", None, None)
+    assert (fam.nvars, fam.nparams) == (2, 1)
+    # a given count is checked, not inferred
+    with pytest.raises(UnknownVariable, match=r"^p2 outside p1..p1 \(line 2, column 11\)$"):
+        parse_poly_file("\nx0^2 + p1*p2\n", None, 1)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x0 + p0*x1", "p0 outside p1..p1000 (line 1, column 6)"),
+    ("x0 + p1001", "p1001 outside p1..p1000 (line 1, column 6)"),
+    ("x1000^2 + ?", "x1000 outside x0..x999 (line 1, column 1)"),
+])
+def test_an_inferred_count_has_a_range(text, message):
+    """An index is checked as it is read, against the indices an inferred
+    count may cover."""
+    with pytest.raises(UnknownVariable) as exc:
+        parse(text, None, None)
+    assert str(exc.value) == message
+
+
+def test_only_ascii_whitespace_and_decimal_digits_are_read():
+    """Other characters are unexpected, at their column; '²' passes str.isdigit
+    but is no decimal digit, and the character parser failed on it in int()."""
+    for text, message in [("x0 +\x0cx1", "unexpected character '\\x0c' (line 1, column 5)"),
+                          ("x0\n+ 2²", "expected '+' or '-' before '²' (line 2, column 7)"),
+                          ("x²", "missing index after 'x' (line 1, column 2)")]:
+        with pytest.raises(PolySyntaxError) as exc:
+            parse_poly(text, 2)
+        assert str(exc.value) == message

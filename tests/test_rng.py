@@ -68,16 +68,16 @@ def test_shuffle_is_the_scalar_fisher_yates(n):
 
 
 @settings(max_examples=60)
-@given(st.integers(0, 2**64 - 1), st.integers(0, 200), st.integers(1, 9), st.booleans())
-def test_shuffle_in_blocks_is_the_scalar_fisher_yates(seed, n, block, reject):
-    """Any block size gives the scalar permutation, also when a block has a
-    rejected draw and is redrawn by `below`."""
+@given(st.integers(0, 2**64 - 1), st.integers(0, 200), st.booleans())
+def test_shuffle_in_blocks_is_the_scalar_fisher_yates(seed, n, reject):
+    """The one draw table gives the scalar permutation, also when it has a
+    rejected draw and every draw is redone by `below`."""
     table = _draw_table
-    if reject:  # report a rejection in every block
+    if reject:  # report a rejection in the table
         table = lambda states, moduli: (_draw_table(states, moduli)[0], np.ones((1, len(moduli)), dtype=bool))
     got, want = list(range(n)), list(range(n))
     a, b = split(seed, 1), split(seed, 1)
-    with mock.patch.object(rng, "SHUFFLE_BLOCK", block), mock.patch.object(rng, "_draw_table", table):
+    with mock.patch.object(rng, "_draw_table", table):
         a.shuffle(got)
     fisher_yates(b, want)
     assert got == want and a.state == b.state
