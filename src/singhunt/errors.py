@@ -113,16 +113,6 @@ class BadGram(SinghuntError):
     """A Gram matrix that is not symmetric, or repeats a class name."""
 
 
-class NoSolution(SinghuntError):
-    pass
-
-
-class MultipleSolutions(SinghuntError):
-    def __init__(self, message, solutions=()):
-        super().__init__(message)
-        self.solutions = list(solutions)
-
-
 class NotAGenerator(SinghuntError):
     pass
 

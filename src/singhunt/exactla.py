@@ -2,19 +2,19 @@
 
 Everything here is exact.  A rational ExactMatrix holds integer rows (Python
 ints) over one common positive denominator; one fraction-free Gauss-Jordan
-elimination over Z serves its rref, rank, kernel, solve and determinant, with
-no Fraction arithmetic.  Over every finite field a matrix holds the digit
-planes of ``fields``, and one Gauss-Jordan over GF(p) eliminates them: a
-GF(p^k) matrix first becomes its regular representation over GF(p), each
-entry its k x k multiplication matrix.  The elimination makes one
-outer-product update per pivot, in float64 reduced exactly by
+elimination over Z serves its rref, rank, kernel, solve, determinant and
+leading minors, with no Fraction arithmetic.  Over every finite field a
+matrix holds the digit planes of ``fields``, and one Gauss-Jordan over GF(p)
+eliminates them: a GF(p^k) matrix first becomes its regular representation
+over GF(p), each entry its k x k multiplication matrix.  The elimination
+makes one outer-product update per pivot, in float64 reduced exactly by
 ``fields.reduce_float`` while (p-1)^2 < 2^53, otherwise in int64 reduced by
 ``%`` (Python ints once a product of residues exceeds int64).  Either way
 the entries (over QQ ints, or Fractions where not integral; ints over
 GF(p), FieldElements over GF(p^k)) are derived only when first read.  Every
 rank, kernel and solve goes through ``rref``, once: a solve reads its
 particular solution and its kernel from the one RREF of [A | b].
-``determinant`` runs its elimination directly, for the row swaps.
+``determinant`` and ``is_negative_definite`` read its swaps and pivots.
 ``rank_stack`` ranks a whole stack of finite-field matrices at once (digit
 planes k x systems x rows x cols), with each system's pivot chosen
 separately: a fraction-free echelon form, with no inverse and no back
@@ -162,7 +162,8 @@ def rref(A: ExactMatrix) -> tuple[ExactMatrix, list[int], int]:
     Over QQ every pivot entry of R.num equals R.den."""
     if A.domain == QQ:
         num = list(A.num)
-        den, pivots, _ = _fraction_free(num)
+        leads, pivots, _ = _fraction_free(num)
+        den = leads[-1]
         if den < 0:
             num[: len(pivots)] = [[-x for x in row] for row in num[: len(pivots)]]
             den = -den
@@ -171,7 +172,7 @@ def rref(A: ExactMatrix) -> tuple[ExactMatrix, list[int], int]:
     return ExactMatrix.from_planes(A.domain, R), pivots, len(pivots)
 
 
-def _fraction_free(num: list[list[int]]) -> tuple[int, list[int], int]:
+def _fraction_free(num: list[list[int]]) -> tuple[list[int], list[int], int]:
     """Fraction-free Gauss-Jordan over Z on the rows num, in place.
 
     For each pivot a in row p, with d the previous pivot (1 at first), every
@@ -179,16 +180,17 @@ def _fraction_free(num: list[list[int]]) -> tuple[int, list[int], int]:
     column; the division is exact.  A row with f = 0 is only scaled by a/d,
     which is put off: at[i] is the pivot at which row i was last updated,
     its value is num[i] * den / at[i] for the current pivot den, and its
-    next update divides by at[i] instead of den.  Returns (den, pivots,
-    swaps): num / den is the RREF of the input, every pivot entry equals
-    den (the last pivot, of either sign), and swaps counts the row
-    exchanges, so that a square input of full rank has determinant
-    (-1)^swaps * den.
+    next update divides by at[i] instead of den.  Returns (leads, pivots,
+    swaps): leads is 1 and then each pivot, which until the first row
+    exchange is the leading minor of its size (Bareiss); num / den is the
+    RREF of the input for den = leads[-1], and swaps counts the exchanges,
+    so that a square input of full rank has determinant (-1)^swaps * den.
     """
     rows = len(num)
     cols = len(num[0]) if rows else 0
     at = [1] * rows
     pivots: list[int] = []
+    leads = [1]
     den = 1
     swaps = 0
     for c in range(cols):
@@ -211,9 +213,10 @@ def _fraction_free(num: list[list[int]]) -> tuple[int, list[int], int]:
                 at[i] = a
         at[r] = den = a
         pivots.append(c)
+        leads.append(a)
     for i in range(len(pivots)):  # the rows below are zero
         num[i] = _scaled(num[i], den, at[i])
-    return den, pivots, swaps
+    return leads, pivots, swaps
 
 
 def _scaled(row: list[int], den: int, at: int) -> list[int]:
@@ -406,7 +409,7 @@ def _primitive_integer(v: Sequence) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# determinants
+# determinants and leading minors
 # ---------------------------------------------------------------------------
 
 def determinant(A: ExactMatrix) -> Fraction:
@@ -416,10 +419,25 @@ def determinant(A: ExactMatrix) -> Fraction:
         raise ContextMismatch("determinant is defined for rational matrices")
     if A.rows != A.cols:
         raise NotSquare(f"{A.rows}x{A.cols} matrix has no determinant")
-    den, pivots, swaps = _fraction_free(list(A.num))
+    leads, pivots, swaps = _fraction_free(list(A.num))
     if len(pivots) < A.rows:
         return Fraction(0)
-    return Fraction(-den if swaps % 2 else den, A.den ** A.rows)
+    return Fraction(-leads[-1] if swaps % 2 else leads[-1], A.den ** A.rows)
+
+
+def is_negative_definite(A: ExactMatrix) -> bool:
+    """Sylvester's criterion: a symmetric rational A is negative definite
+    when (-1)^k times its leading k x k principal minor is positive for
+    every k.  One fraction-free elimination of A.num gives the minors (their
+    signs are those of A, as A.den > 0): its k-th pivot, while no row was
+    exchanged.  A zero minor forces an exchange or leaves a column without
+    a pivot."""
+    if A.domain != QQ:
+        raise ContextMismatch("definiteness is defined for rational matrices")
+    if A.rows != A.cols:
+        raise NotSquare(f"{A.rows}x{A.cols} matrix is not a square form")
+    leads, pivots, swaps = _fraction_free(list(A.num))
+    return len(pivots) == A.rows and not swaps and all((-1) ** k * a > 0 for k, a in enumerate(leads))
 
 
 # ---------------------------------------------------------------------------
@@ -463,53 +481,6 @@ def solve_augmented(aug: ExactMatrix) -> tuple[np.ndarray, np.ndarray] | None:
     X = np.zeros((aug.domain.k, cols), dtype=R.planes.dtype)
     X[:, pivots] = R.planes[:, :len(pivots), cols]
     return X, _kernel_planes(R, pivots, cols)
-
-
-# ---------------------------------------------------------------------------
-# symmetric forms: definiteness and signature, all exact
-# ---------------------------------------------------------------------------
-
-def is_negative_definite(A: ExactMatrix) -> bool:
-    """A symmetric rational A is negative definite when its signature is (0, n, 0)."""
-    return symmetric_signature(A) == (0, A.rows, 0)
-
-
-def symmetric_signature(A: ExactMatrix) -> tuple[int, int, int]:
-    """(n_plus, n_minus, n_zero) of a symmetric rational matrix.
-
-    Splits off one nonzero diagonal pivot d at a time: the signature is that
-    of d plus that of its Schur complement, kept in integers as |d| times
-    the complement over the gcd of its entries.  A zero diagonal with a
-    nonzero off-diagonal entry is repaired by adding the partner row and
-    column, which preserves the congruence class.
-    """
-    if A.domain != QQ:
-        raise ContextMismatch("signature is defined for rational matrices")
-    if A.rows != A.cols:
-        raise NotSquare(f"{A.rows}x{A.cols} matrix has no signature")
-    m = [list(row) for row in A.num]  # A.num / A.den, and A.den > 0
-    plus = minus = 0
-    while m:
-        n = len(m)
-        k = next((i for i in range(n) if m[i][i]), None)
-        if k is None:
-            pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j]), None)
-            if pair is None:
-                break  # the rest is zero
-            k, j = pair
-            m[k] = [x + y for x, y in zip(m[k], m[j])]
-            for row in m:
-                row[k] += row[j]
-        d = m[k][k]
-        sign = 1 if d > 0 else -1
-        plus += sign > 0
-        minus += sign < 0
-        rest = [i for i in range(n) if i != k]
-        m = [[sign * (d * m[i][j] - m[i][k] * m[k][j]) for j in rest] for i in rest]
-        g = gcd(*(x for row in m for x in row))
-        if g > 1:
-            m = [[x // g for x in row] for row in m]
-    return plus, minus, A.rows - plus - minus
 
 
 # ---------------------------------------------------------------------------

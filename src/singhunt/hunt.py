@@ -15,13 +15,13 @@ local-algebra linear algebra, which separates the A_k types without any
 Groebner machinery.
 A point whose n x n Hessian is regular is A1 by the Morse lemma; every other
 classified point takes one elimination: the corank and the Tjurina numbers
-at both caps are read from the pivots of a single RREF.
+at both caps are read from the pivots of a single RREF.  Its cells are
+counted first, and a matrix of more than TJURINA_CELLS is refused.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -44,12 +44,13 @@ from .fields import (
     to_elements,
     to_planes,
 )
-from .poly import QQ, ZZ, MultiPoly, ParametricFamily, coerce, monomial_basis
+from .poly import QQ, ZZ, MultiPoly, ParametricFamily, coerce, monomial_basis, monomial_count
 from .rng import below_rows, digit_rows, first_occurrences
 
 DEFAULT_POINT_BUDGET = 2_000_000
 DEFAULT_CAP = 8
 MEMBER_CAP = 10_000  # parameter points of one solve-at-point solution space
+TJURINA_CELLS = 1_000_000  # cells of one Tjurina matrix; at the cap about 2 s over GF(101)
 UNCLASSIFIED = "?"
 
 
@@ -343,32 +344,31 @@ def _corank_and_tjurina(g: MultiPoly, cap: int) -> tuple[int, int, int]:
     degree <= 1 the rows dg_i * 1 are the Hessian's and all others vanish.
     """
     n = g.nvars
-    lo = len(monomial_basis(n, cap - 2, "at-most"))
-    basis = monomial_basis(n, cap - 1, "at-most")
-    index = {m: i for i, m in enumerate(basis)}
-    gens = [g] + [g.partial(i) for i in range(n)]
+    gens = []  # (h, its order) where some multiple of h survives truncation
+    for h in [g] + [g.partial(i) for i in range(n)]:
+        order = min((sum(e) for e in h.terms), default=cap)
+        if order < cap:
+            gens.append((h, order))
+    cols = monomial_count(n, cap - 1)
+    cells = sum(monomial_count(n, cap - 1 - order) for _, order in gens) * cols
+    if cells > TJURINA_CELLS:
+        raise BudgetExceeded(f"tjurina matrix at --cap {cap} has {cells} cells, more than {TJURINA_CELLS}")
+    lo = monomial_count(n, cap - 2)
+    index = {m: i for i, m in enumerate(monomial_basis(n, cap - 1))}
     entries = {}  # (row, column) -> coefficient
     rows = 0
-    for h in gens:
-        if h.is_zero():
-            continue
-        order = min(sum(e) for e in h.terms)
-        if order > cap - 1:
-            continue  # every multiple is truncated away
+    for h, order in gens:
         for m in monomial_basis(n, cap - 1 - order, "at-most"):
-            row = {}
-            for exps, c in h.terms.items():
+            for exps, c in h.terms.items():  # the lowest terms of h survive: no row is empty
                 pos = index.get(tuple(a + b for a, b in zip(exps, m)))
                 if pos is not None:
-                    row[rows, pos] = c
-            if row:
-                entries.update(row)
-                rows += 1
+                    entries[rows, pos] = c
+            rows += 1
     pivots = []
     if rows:
-        pivots = exactla.rref(exactla.ExactMatrix.sparse(g.domain, rows, len(basis), entries))[1]
+        pivots = exactla.rref(exactla.ExactMatrix.sparse(g.domain, rows, cols, entries))[1]
     hessian_rank = sum(c <= n for c in pivots)  # columns 1..n are the degree-1 monomials
-    return n - hessian_rank, lo - sum(c < lo for c in pivots), len(basis) - len(pivots)
+    return n - hessian_rank, lo - sum(c < lo for c in pivots), cols - len(pivots)
 
 
 def classify(
@@ -478,10 +478,11 @@ def hunt_members(
 def _classified(member_poly: MultiPoly, coords: tuple, cap: int) -> SingularPoint:
     """The classified point, or an unclassified one with the reason where
     classification does not apply: a characteristic too small for the degree,
-    or a member that is not homogeneous in x."""
+    a member that is not homogeneous in x, or a Tjurina matrix over the
+    cell cap."""
     try:
         return classify(member_poly, coords, cap)
-    except (SmallCharacteristic, NotSingular) as exc:
+    except (SmallCharacteristic, NotSingular, BudgetExceeded) as exc:
         return SingularPoint(coords, UNCLASSIFIED, None, None, str(exc))
 
 
@@ -560,10 +561,10 @@ def _macaulay_gather(
 
 def _macaulay_shape(n: int, d: int) -> tuple[int, int]:
     """(rows, cols) of ``_macaulay_gather``'s matrix, without building it:
-    n shifts by each of the C(D-d+n, n-1) monomials of degree D - d + 1,
-    and the C(D+n-1, n-1) monomials of degree D."""
+    n shifts by each monomial of degree D - d + 1, and the monomials of
+    degree D."""
     D = max(n * (d - 2) + 1, d - 1)
-    return n * math.comb(D - d + n, n - 1), math.comb(D + n - 1, n - 1)
+    return n * monomial_count(n, D - d + 1, "exactly"), monomial_count(n, D, "exactly")
 
 
 def _prune_pays(xmons: list[tuple[int, ...]], ctx: FieldCtx, n: int, d: int) -> bool:

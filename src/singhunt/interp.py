@@ -12,17 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import comb
 from typing import Sequence
 
 import numpy as np
 
 from . import exactla
-from .errors import (BudgetExceeded, IndexOutOfRange, InsufficientPoints, NotOnVariety, SinghuntError,
-                     at_line, data_lines)
+from .errors import BudgetExceeded, InsufficientPoints, NotOnVariety, SinghuntError, at_line, data_lines
 from .fields import FieldCtx, _dtype, monomial_values, parse_element, to_elements, to_planes, to_scalars
-from .poly import MultiPoly, monomial_basis
-from .rng import first_occurrences, split
+from .poly import MultiPoly, monomial_basis, monomial_count
+from .rng import below_rows, first_occurrences
 
 COLUMN_CAP = 20_000  # monomial columns of one vanishing system
 
@@ -108,23 +106,16 @@ class VanishingSystem:
         return out
 
 
-def _column_count(nvars: int, degree: int, homogeneous: bool) -> int:
-    """len(monomial_basis(...)) without building it: C(n+d-1, d) monomials
-    of degree exactly d in n variables, C(n+d, d) of degree at most d."""
-    if nvars < 1 or degree < 0:
-        raise IndexOutOfRange("need nvars >= 1 and degree >= 0")
-    return comb(nvars - 1 + degree, degree) if homogeneous else comb(nvars + degree, degree)
-
-
 def vanishing_system(pts: PointSet, degree: int, homogeneous: bool = False) -> VanishingSystem:
     """Basis of degree-`degree` polynomials vanishing on every point."""
     if not pts:
         raise InsufficientPoints("empty point set")
     nvars = pts.planes.shape[2]
-    count = _column_count(nvars, degree, homogeneous)
+    mode = "exactly" if homogeneous else "at-most"
+    count = monomial_count(nvars, degree, mode)
     if count > COLUMN_CAP:
         raise BudgetExceeded(f"{count} monomial columns exceed the cap {COLUMN_CAP}")
-    monomials = monomial_basis(nvars, degree, "exactly" if homogeneous else "at-most")
+    monomials = monomial_basis(nvars, degree, mode)
     rows = monomial_values(pts.ctx, pts.planes, np.array(monomials, dtype=np.int64))
     kernel = exactla.nullspace(exactla.ExactMatrix.from_planes(pts.ctx, rows))
     return VanishingSystem(pts.ctx, nvars, degree, homogeneous, monomials, kernel)
@@ -145,7 +136,9 @@ def oversampled_system(
     evaluation rows stacked, so a polynomial must vanish on every draw to
     survive.  This suppresses components that only exist because of
     repeated isolated solutions.  With two or more draws the basis is in
-    RREF, the same for any spanning set of that kernel.
+    RREF, the same for any spanning set of that kernel.  Draw d starts the
+    Fisher-Yates shuffle of stream split(seed, d), whose swaps are row d of
+    one ``below_rows`` table.
     """
     if slack < 1:
         raise ValueError("slack must be >= 1")
@@ -153,13 +146,15 @@ def oversampled_system(
         raise ValueError("draws must be >= 1")
     if not pts:
         raise InsufficientPoints("empty point set")
-    need = _column_count(pts.planes.shape[2], degree, homogeneous) + slack
-    if len(pts) < need:
-        raise InsufficientPoints(f"need {need} points (|monomials| + slack), have {len(pts)}")
+    need = monomial_count(pts.planes.shape[2], degree, "exactly" if homogeneous else "at-most") + slack
+    n = len(pts)
+    if n < need:
+        raise InsufficientPoints(f"need {need} points (|monomials| + slack), have {n}")
     stacked = []
-    for d in range(draws):
-        order = list(range(len(pts)))
-        split(seed, d).shuffle(order)
+    for swaps in below_rows(seed, np.arange(draws), range(n, 1, -1)).tolist():
+        order = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), swaps):
+            order[i], order[j] = order[j], order[i]
         stacked += order[:need]
     system = vanishing_system(PointSet.from_planes(pts.ctx, pts.planes[:, stacked], dedup=False),
                               degree, homogeneous)

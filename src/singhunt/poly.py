@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -260,18 +261,26 @@ def _monomials_exact(nvars: int, degree: int) -> Iterable[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def monomial_basis(nvars: int, degree: int, mode: str = "at-most") -> list[tuple[int, ...]]:
-    """Exponent vectors of degree exactly `degree` or at most `degree`."""
+def _check_monomials(nvars: int, degree: int, mode: str) -> None:
     if nvars < 1 or degree < 0:
         raise IndexOutOfRange("need nvars >= 1 and degree >= 0")
-    if mode == "exactly":
-        return list(_monomials_exact(nvars, degree))
-    if mode == "at-most":
-        out = []
-        for d in range(degree + 1):
-            out.extend(_monomials_exact(nvars, d))
-        return out
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in ("exactly", "at-most"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
+def monomial_basis(nvars: int, degree: int, mode: str = "at-most") -> list[tuple[int, ...]]:
+    """Exponent vectors of degree exactly `degree` or at most `degree`."""
+    _check_monomials(nvars, degree, mode)
+    degrees = [degree] if mode == "exactly" else range(degree + 1)
+    return [m for d in degrees for m in _monomials_exact(nvars, d)]
+
+
+def monomial_count(nvars: int, degree: int, mode: str = "at-most") -> int:
+    """len(monomial_basis(nvars, degree, mode)) without listing it:
+    C(n+d-1, d) monomials of degree exactly d in n variables, C(n+d, d) of
+    degree at most d."""
+    _check_monomials(nvars, degree, mode)
+    return comb(nvars - (mode == "exactly") + degree, degree)
 
 
 def _grlex_key(exps: tuple[int, ...]):

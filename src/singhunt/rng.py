@@ -48,21 +48,6 @@ class SplitMix64:
             if u < limit:
                 return u % n
 
-    def shuffle(self, items: list) -> None:
-        """Fisher-Yates: for i from len(items) - 1 down to 1, swap items[i]
-        with items[below(i + 1)].  The draws come from one ``_draw_table``;
-        if one is rejected, all are redrawn by ``below``, so the permutation
-        and the state after it are the scalar loop's, bit for bit."""
-        moduli = np.arange(len(items), 1, -1, dtype=np.uint64)
-        draws, rejected = _draw_table(np.array([self.state], dtype=np.uint64), moduli)
-        if rejected.any():
-            js = [self.below(m) for m in moduli.tolist()]
-        else:
-            self.state = (self.state + len(moduli) * _GAMMA) & _MASK
-            js = draws[0].tolist()
-        for i, j in zip(range(len(items) - 1, 0, -1), js):
-            items[i], items[j] = items[j], items[i]
-
 
 def split(seed: int, index: int) -> SplitMix64:
     """Stream #index of the given seed; streams are mutually independent."""

@@ -4,10 +4,14 @@
 check ``exactla.solve`` and ``exactla.nullspace`` without going through the
 plane products they are built on.  ``field_rref`` is a plain Gauss-Jordan on
 FieldElement arithmetic, sharing no code with the digit planes or the
-regular representation that ``exactla.rref`` eliminates.
+regular representation that ``exactla.rref`` eliminates.  ``signature``
+reads the signature of a symmetric form off sympy's characteristic
+polynomial, with no elimination of the form at all.
 """
 
 from fractions import Fraction
+
+import sympy
 
 from singhunt.exactla import ExactMatrix, rank
 from singhunt.errors import DimensionMismatch
@@ -59,3 +63,21 @@ def field_rref(ctx: FieldCtx, rows: list[list]) -> tuple[list[list], list[int]]:
                 M[i] = [x - f * y for x, y in zip(row, M[r])]
         pivots.append(c)
     return M, pivots
+
+
+def signature(rows) -> tuple[int, int, int]:
+    """(n_plus, n_minus, n_zero) of a symmetric rational matrix.  Every root
+    of its characteristic polynomial is real, so Descartes' rule of signs
+    counts the positive and the negative ones exactly."""
+    n = len(rows)
+    x = sympy.Symbol("x")
+    M = sympy.Matrix(n, n, [sympy.Rational(str(Fraction(v))) for row in rows for v in row])
+    coeffs = sympy.Poly(M.charpoly(x).as_expr(), x).all_coeffs() if n else [1]
+    zero = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c)
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    negated = [c * (-1) ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs)]
+    return sign_changes(coeffs), sign_changes(negated), zero

@@ -382,6 +382,9 @@ def test_hunt_honours_explicit_nvars_and_nparams(tmp_path, capsys):
     (["classify", "--poly", "x0^2+x1^2", "--point", "1/0,1"], "bad rational coordinate '1/0'"),
     (["hunt", "--family", "{huge}", "--field", "7"],
      "{huge}: exponent 9223372036854775808 does not fit in 64 bits"),
+    (["classify", "--poly", "x8^2+x0^3"], "tjurina matrix at --cap 8 has 103062960 cells, more than 1000000"),
+    (["classify", "--poly", "x30^2+x0^3"],
+     "tjurina matrix at --cap 8 has 38854840324608 cells, more than 1000000"),
 ])
 def test_bad_counts_points_and_exponents_are_data_errors(tmp_path, capsys, argv, message):
     files = {"binary": tmp_path / "binary.txt", "huge": tmp_path / "huge.txt"}
@@ -1251,12 +1254,12 @@ def test_a_directory_or_a_huge_index_is_a_data_error(tmp_path, capsys, argv, mes
     assert capsys.readouterr().err == message.format(tmp=tmp_path)
 
 
-# Terms of polynomial text and junk to put between them.  An index stays at
-# most 3, where junk such as "x" meets a term that starts with a digit:
-# classify's cost grows steeply with the number of variables (see
-# CHANGES.md), which is not what this test checks.
+# Terms of polynomial text and junk to put between them.  Indices reach x30
+# (x3 and beyond where junk such as "x" meets a term that starts with a
+# digit), where classify's Tjurina matrix is far over its cell cap: that is
+# an exit 3 within a second, not a long run or a traceback.
 POLY_TERMS = ["x0^2", "x1^2", "x2^3", "x0*x1", "3*x0*x2", "1/2*x1^2", "p1*x0*x1", "p2*x2^2", "x1", "2",
-              "x0^0"]
+              "x0^0", "x8^2", "x30^2", "x0*x30", "p1*x12"]
 POLY_JUNK = ["p0", "x", "p", "t", "^", "^ ", "*", "/", "/0", "+", "-", "#", "?", "\n", "\t", "²", "x0 x1 ",
              "x1^"]
 

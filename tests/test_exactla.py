@@ -9,7 +9,7 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings, strategies as st
 
-from linalg_reference import field_rref, matvec
+from linalg_reference import field_rref, matvec, signature
 from singhunt import exactla
 from singhunt.errors import ContextMismatch, DimensionMismatch, NotSquare
 from singhunt.exactla import (
@@ -23,7 +23,6 @@ from singhunt.exactla import (
     rank,
     rref,
     solve,
-    symmetric_signature,
 )
 from singhunt.fields import _dtype, field_create
 from singhunt.lattice import GODEAUX_GRAM_TEXT
@@ -357,9 +356,9 @@ def test_rref_preserves_row_space():
         assert rank(stacked) == rk == rank(A)
 
 
-def leading_minors(A: ExactMatrix) -> list[Fraction]:
-    """Reference: the leading principal minors of A, one determinant each."""
-    return [determinant(ExactMatrix.make(QQ, [row[:k] for row in A.data[:k]]))
+def leading_minors(A: ExactMatrix) -> list:
+    """Reference: the leading principal minors of A, one sympy determinant each."""
+    return [sympy.Matrix([[sympy.Rational(str(v)) for v in row[:k]] for row in A.data[:k]]).det()
             for k in range(1, A.rows + 1)]
 
 
@@ -393,17 +392,20 @@ def test_negative_definite_matches_sylvester(upper):
 
 
 def test_signature_needs_a_square_matrix():
-    A = ExactMatrix.make(QQ, [[-1, 2, 3], [2, -1, 0]])
-    for form in (symmetric_signature, is_negative_definite):
-        with pytest.raises(NotSquare):
-            form(A)
+    with pytest.raises(NotSquare):
+        is_negative_definite(ExactMatrix.make(QQ, [[-1, 2, 3], [2, -1, 0]]))
+    with pytest.raises(ContextMismatch):
+        is_negative_definite(ExactMatrix.make(field_create(7), [[-1]]))
 
 
 def test_signature_of_gram():
-    assert symmetric_signature(GRAM) == (1, 8, 0)
-    assert symmetric_signature(ExactMatrix.identity(3, QQ)) == (3, 0, 0)
-    assert symmetric_signature(ExactMatrix.make(QQ, [[0, 1], [1, 0]])) == (1, 1, 0)
-    assert symmetric_signature(ExactMatrix.make(QQ, [[1, 2], [2, 4]])) == (1, 0, 1)
+    """Each form and its negative, the semidefinite -[[1, 2], [2, 4]] among
+    them, is negative definite exactly when its signature is (0, n, 0)."""
+    assert signature(GRAM.data) == (1, 8, 0)
+    for m in (GRAM.data, ExactMatrix.identity(3, QQ).data, [[0, 1], [1, 0]], [[1, 2], [2, 4]]):
+        for rows in (m, [[-v for v in row] for row in m]):
+            want = signature(rows) == (0, len(rows), 0)
+            assert is_negative_definite(ExactMatrix.make(QQ, rows)) == want, rows
 
 
 def test_parse_matrix_bracket_blocks():
@@ -563,21 +565,13 @@ def symmetric_rationals(draw):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(symmetric_rationals())
 def test_signature_matches_the_characteristic_polynomial(m):
-    # every root of the characteristic polynomial is real, so Descartes'
-    # rule of signs counts the positive and the negative ones exactly
+    """is_negative_definite on m - t*I is the signature's verdict, for shifts
+    t that carry m across the boundary of definiteness."""
     n = len(m)
-    x = sympy.Symbol("x")
-    coeffs = sympy.Poly(sympy.Matrix(n, n, [sympy.Rational(str(Fraction(v))) for row in m for v in row])
-                        .charpoly(x).as_expr(), x).all_coeffs() if n else [1]
-    zero = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c)
-
-    def sign_changes(cs):
-        signs = [c > 0 for c in cs if c]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    negated = [c * (-1) ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs)]
-    want = (sign_changes(coeffs), sign_changes(negated), zero)
-    assert symmetric_signature(ExactMatrix.make(QQ, m, n)) == want
+    for t in (0, 2, 5, 16):  # past 16 > 5 * 3, Gershgorin's bound, every form is definite
+        rows = [[v - t * (i == j) for j, v in enumerate(row)] for i, row in enumerate(m)]
+        want = signature(rows) == (0, n, 0)
+        assert is_negative_definite(ExactMatrix.make(QQ, rows, n)) == want
 
 
 # ---------------------------------------------------------------------------

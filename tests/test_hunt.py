@@ -862,6 +862,28 @@ def test_tjurina_stability_diagnostic():
     assert res2.label == "A8" and res2.tjurina == 8
 
 
+def test_a_tjurina_matrix_over_the_cell_cap_is_refused_before_any_row():
+    """x8^2 + x0^3 at cap 8 counts 9,009 x 11,440 cells; x30^2 + x0^3 far
+    more.  Both are refused before a monomial is listed."""
+    with mock.patch.object(hunt, "monomial_basis", side_effect=AssertionError("listed")):
+        for text, cells in (("x8^2+x0^3", 9009 * 11440), ("x30^2+x0^3", 38854840324608)):
+            f = parse_poly(text, int(text[1:text.index("^")]) + 1, domain=QQ)
+            with pytest.raises(BudgetExceeded, match=f"^tjurina matrix at --cap 8 has {cells} cells, "
+                                                     f"more than {hunt.TJURINA_CELLS}$"):
+                classify_local(f, cap=8)
+
+
+def test_a_hunt_reports_a_point_over_the_cell_cap_unclassified():
+    """The cone x0^3 + x1^3 + p1*x0^2*x1 in P^5 is singular along x0 = x1 = 0;
+    at cap 10 each point needs 2,046 x 2,002 cells, so the hunt goes on and
+    reports every point unclassified with that reason."""
+    fam = parse("x0^3+x1^3+p1*x0^2*x1", 6, 1)
+    (member,) = hunt_members(fam, field_create(5), trials=1, classify_points=True, cap=10)
+    assert len(member.points) == 156  # the points of P^3 over GF(5)
+    assert {(pt.label, pt.diagnostic) for pt in member.points} == {
+        ("?", f"tjurina matrix at --cap 10 has 4096092 cells, more than {hunt.TJURINA_CELLS}")}
+
+
 # -- the A1 shortcut: a regular Hessian classifies without the cap matrix ------
 
 def full_classification(g, cap):

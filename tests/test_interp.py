@@ -8,19 +8,19 @@ from hypothesis import given, settings, strategies as st
 
 from singhunt.errors import BudgetExceeded, IndexOutOfRange, InsufficientPoints, NotOnVariety, data_lines
 from linalg_reference import in_row_span
+from test_rng import fisher_yates
 from singhunt.exactla import ExactMatrix, nullspace, rref
 from singhunt.fields import field_create, parse_element, plane_matmul, to_planes, to_scalars
 from singhunt.hunt import projective_points
 from singhunt.interp import (
     COLUMN_CAP,
     PointSet,
-    _column_count,
     filter_isolated,
     oversampled_system,
     tangent_dim,
     vanishing_system,
 )
-from singhunt.poly import MultiPoly, monomial_basis, parse_poly
+from singhunt.poly import MultiPoly, monomial_basis, monomial_count, parse_poly
 from singhunt.rng import split
 
 F7 = field_create(7)
@@ -160,10 +160,18 @@ def test_column_cap_is_checked_before_any_monomial_is_listed():
 
 @pytest.mark.parametrize("homogeneous", [False, True])
 def test_column_count_is_the_length_of_the_monomial_basis(homogeneous):
+    """A vanishing system counts its columns with `monomial_count`, which
+    raises the argument errors of `monomial_basis`."""
+    mode = "exactly" if homogeneous else "at-most"
     for nvars in range(1, 5):
         for degree in range(7):
-            mode = "exactly" if homogeneous else "at-most"
-            assert _column_count(nvars, degree, homogeneous) == len(monomial_basis(nvars, degree, mode))
+            assert monomial_count(nvars, degree, mode) == len(monomial_basis(nvars, degree, mode))
+    for form in (monomial_basis, monomial_count):
+        for nvars, degree in ((0, 2), (2, -1)):
+            with pytest.raises(IndexOutOfRange, match="^need nvars >= 1 and degree >= 0$"):
+                form(nvars, degree, mode)
+        with pytest.raises(ValueError, match="^unknown mode 'total'$"):
+            form(2, 2, "total")
 
 
 def test_oversampled_rejects_no_draws_and_no_points():
@@ -209,7 +217,7 @@ def per_draw_basis(pts, degree, slack, homogeneous, draws, seed):
     current = None
     for d in range(draws):
         sample = list(pts.points)
-        split(seed, d).shuffle(sample)
+        fisher_yates(split(seed, d), sample)
         basis = vanishing_system(PointSet(pts.ctx, sample[:need], dedup=False), degree, homogeneous).basis
         current = basis if current is None else span_intersection(current, basis, pts.ctx)
         if not current:

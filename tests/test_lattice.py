@@ -10,9 +10,10 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from linalg_reference import signature
 from singhunt import godeaux, lattice
-from singhunt.errors import DimensionMismatch, MultipleSolutions, NoSolution
-from singhunt.exactla import QQ, ExactMatrix, determinant, rref, solve, symmetric_signature
+from singhunt.errors import DimensionMismatch, SinghuntError
+from singhunt.exactla import QQ, ExactMatrix, determinant, is_negative_definite, rref, solve
 from singhunt.lattice import (
     CurveSolution,
     CurveTemplate,
@@ -69,7 +70,11 @@ def test_rank_and_radical_share_one_elimination(names, gram):
 
 
 def test_fixture_signature():
-    assert symmetric_signature(L9.matrix()) == (1, 8, 0)
+    """The Hodge index theorem: the Gram matrix of the nine classes has
+    signature (1, 8), and the eight (-2)-curves span a negative definite block."""
+    assert signature(L9.matrix().data) == (1, 8, 0)
+    assert is_negative_definite(L9.restrict([f"N{i}" for i in range(1, 9)]).matrix())
+    assert not is_negative_definite(L9.matrix())
 
 
 def test_b2_examples():
@@ -379,13 +384,21 @@ def test_search_relations_seeded_sampling_deterministic():
     assert a == b
 
 
+class NoSolution(SinghuntError):
+    pass
+
+
+class MultipleSolutions(SinghuntError):
+    pass
+
+
 def unique_curve_solution(solutions: list[CurveSolution]) -> CurveSolution:
     """The one solution of a template, as the paper's C' and D' have; a
     reference for these tests."""
     if not solutions:
         raise NoSolution("no intersection assignment satisfies the template")
     if len(solutions) > 1:
-        raise MultipleSolutions(f"{len(solutions)} assignments satisfy the template", solutions)
+        raise MultipleSolutions(f"{len(solutions)} assignments satisfy the template")
     return solutions[0]
 
 

@@ -2,9 +2,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from singhunt import rng
+from singhunt import interp, rng
+from singhunt.fields import field_create
+from singhunt.interp import PointSet
 from singhunt.rng import _draw_table, _limit, below_rows, split
 
 BIG_MODULI = [1, 2, 2**63 + 1, 2**64]  # at 2^63 + 1 about half of all draws are rejected
@@ -55,29 +57,26 @@ def test_below_rows_redo_rejected_rows_with_the_scalar_generator():
     assert scalar.call_count == int(rejected.sum()) > 0
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 73])
-def test_shuffle_is_the_scalar_fisher_yates(n):
-    got, want = list(range(n)), list(range(n))
-    a, b = split(9, n), split(9, n)
-    a.shuffle(got)
-    fisher_yates(b, want)
-    assert got == want
-    # the state advanced by exactly the draws consumed
-    assert a.state == b.state
-    assert [a.below(10) for _ in range(5)] == [b.below(10) for _ in range(5)]
-
-
 @settings(max_examples=60)
-@given(st.integers(0, 2**64 - 1), st.integers(0, 200), st.booleans())
-def test_shuffle_in_blocks_is_the_scalar_fisher_yates(seed, n, reject):
-    """The one draw table gives the scalar permutation, also when it has a
-    rejected draw and every draw is redone by `below`."""
+@given(st.integers(0, 2**64 - 1), st.integers(2, 200), st.integers(1, 3), st.booleans())
+@example(9, 2, 1, False)
+@example(9, 73, 1, False)
+def test_shuffle_in_blocks_is_the_scalar_fisher_yates(seed, n, draws, reject):
+    """Draw d of `oversampled_system` is the scalar Fisher-Yates shuffle of
+    split(seed, d), from one draw table, also when the table has a rejected
+    draw and its rows are redone by `below`.  Point i of the set is (i,),
+    and at degree 0 with slack n - 1 a draw keeps all n points."""
     table = _draw_table
-    if reject:  # report a rejection in the table
-        table = lambda states, moduli: (_draw_table(states, moduli)[0], np.ones((1, len(moduli)), dtype=bool))
-    got, want = list(range(n)), list(range(n))
-    a, b = split(seed, 1), split(seed, 1)
-    with mock.patch.object(rng, "_draw_table", table):
-        a.shuffle(got)
-    fisher_yates(b, want)
-    assert got == want and a.state == b.state
+    if reject:  # report a rejection in every row of the table
+        table = lambda states, moduli: (_draw_table(states, moduli)[0],
+                                        np.ones((len(states), len(moduli)), dtype=bool))
+    pts = PointSet(field_create(211), [(i,) for i in range(n)])
+    with mock.patch.object(rng, "_draw_table", table), \
+            mock.patch.object(interp, "vanishing_system", wraps=interp.vanishing_system) as system:
+        interp.oversampled_system(pts, 0, slack=n - 1, draws=draws, seed=seed)
+    want = []
+    for d in range(draws):
+        order = list(range(n))
+        fisher_yates(split(seed, d), order)
+        want += order
+    assert system.call_args.args[0].planes[0, :, 0].tolist() == want
