@@ -20,7 +20,7 @@ from . import exactla
 from .errors import BudgetExceeded, InsufficientPoints, NotOnVariety, SinghuntError, at_line, data_lines
 from .fields import FieldCtx, _dtype, monomial_values, parse_element, to_elements, to_planes, to_scalars
 from .poly import MultiPoly, monomial_basis, monomial_count
-from .rng import below_rows, first_occurrences
+from .rng import first_occurrences, permutation_rows
 
 COLUMN_CAP = 20_000  # monomial columns of one vanishing system
 
@@ -137,8 +137,8 @@ def oversampled_system(
     survive.  This suppresses components that only exist because of
     repeated isolated solutions.  With two or more draws the basis is in
     RREF, the same for any spanning set of that kernel.  Draw d starts the
-    Fisher-Yates shuffle of stream split(seed, d), whose swaps are row d of
-    one ``below_rows`` table.
+    Fisher-Yates shuffle of stream split(seed, d), row d of
+    ``permutation_rows``.
     """
     if slack < 1:
         raise ValueError("slack must be >= 1")
@@ -150,12 +150,7 @@ def oversampled_system(
     n = len(pts)
     if n < need:
         raise InsufficientPoints(f"need {need} points (|monomials| + slack), have {n}")
-    stacked = []
-    for swaps in below_rows(seed, np.arange(draws), range(n, 1, -1)).tolist():
-        order = list(range(n))
-        for i, j in zip(range(n - 1, 0, -1), swaps):
-            order[i], order[j] = order[j], order[i]
-        stacked += order[:need]
+    stacked = permutation_rows(seed, range(draws), n)[:, :need].ravel()
     system = vanishing_system(PointSet.from_planes(pts.ctx, pts.planes[:, stacked], dedup=False),
                               degree, homogeneous)
     if draws > 1 and system.basis:

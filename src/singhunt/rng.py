@@ -103,6 +103,19 @@ def below_rows(seed: int, index: np.ndarray, moduli: Sequence[int]) -> np.ndarra
     return out
 
 
+def permutation_rows(seed: int, index: Sequence[int], n: int) -> np.ndarray:
+    """Row r is the Fisher-Yates shuffle of range(n) by split(seed, index[r]):
+    one ``below(i + 1)`` per position i from the last down, swapping it with
+    the draw.  The swaps of every row are one ``below_rows`` table."""
+    rows = []
+    for swaps in below_rows(seed, np.asarray(index, dtype=np.uint64), range(n, 1, -1)).tolist():
+        order = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), swaps):
+            order[i], order[j] = order[j], order[i]
+        rows.append(order)
+    return np.array(rows, dtype=np.intp).reshape(len(rows), n)
+
+
 def digit_rows(index: np.ndarray, radices: Sequence[int]) -> np.ndarray:
     """Row r is the index[r]-th tuple of itertools.product(*map(range, radices)):
     the mixed-radix digits of index[r], most significant first, in the

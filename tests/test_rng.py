@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from singhunt import interp, rng
 from singhunt.fields import field_create
 from singhunt.interp import PointSet
-from singhunt.rng import _draw_table, _limit, below_rows, split
+from singhunt.rng import _draw_table, _limit, below_rows, permutation_rows, split
 
 BIG_MODULI = [1, 2, 2**63 + 1, 2**64]  # at 2^63 + 1 about half of all draws are rejected
 
@@ -55,6 +55,18 @@ def test_below_rows_redo_rejected_rows_with_the_scalar_generator():
     rejected = _draw_table(rng._mix_array(np.uint64(3) ^ rng._mix_array(index)),
                            np.array([2**63 + 1], dtype=np.uint64))[1]
     assert scalar.call_count == int(rejected.sum()) > 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 73])
+def test_shuffle_is_the_scalar_fisher_yates(n):
+    want = list(range(n))
+    stream = split(9, n)
+    fisher_yates(stream, want)
+    assert permutation_rows(9, [n], n).tolist() == [want]
+    # the swaps are exactly the first n - 1 draws of the stream: the draws after them continue it
+    swaps = list(range(n, 1, -1))
+    assert below_rows(9, np.array([n], dtype=np.uint64), swaps + [10] * 5)[0, len(swaps):].tolist() \
+        == [stream.below(10) for _ in range(5)]
 
 
 @settings(max_examples=60)
