@@ -19,7 +19,10 @@ particular solution and its kernel from the one RREF of [A | b].
 planes k x systems x rows x cols), with each system's pivot chosen
 separately: a fraction-free echelon form, with no inverse and no back
 substitution, in the same three tiers, GF(p^k) through the regular
-representation.
+representation.  A stack of more systems than rows is eliminated with the
+systems innermost in memory, so each update is a pass over contiguous
+systems; one or a few large matrices keep their rows contiguous, which is
+faster for them.
 """
 
 from __future__ import annotations
@@ -323,29 +326,60 @@ def rank_stack(M: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     system's rank is the number of columns at which it had a pivot.  The
     matrices are ranked as their transposes when that takes fewer columns,
     and over GF(p^k) as their regular representations, of k times the rank.
+
+    Layout (``_residue_stack``): a stack of more systems than rows is held
+    systems innermost, so that every update runs down contiguous systems;
+    one or a few large matrices keep their rows contiguous.  The same
+    indexing serves both: a pivot row is gathered by its flat offset, and a
+    system whose column is zero gathers its row of ones, which leaves it
+    unchanged.
     """
     k, systems, rows, cols = M.shape
     p = ctx.p
     A = M[0] if k == 1 else _regular(M, ctx)
     if rows < cols:
         A = A.transpose(0, 2, 1)
+    _, rows, cols = A.shape
     dtype, reduce = _residue_tier(p)
-    R = (A % p).astype(dtype)
+    buf, R = _residue_stack(systems, rows, cols, dtype)
+    R[...] = A
+    reduce(R, p)
+    flat = buf.reshape(-1)
+    step_s, step_r, step_c = (s // buf.itemsize for s in R.strides)
+    ones = np.arange(systems) * step_s + rows * step_r  # where each system's row of ones starts
+    weight = np.arange(rows, 0, -1) * step_r  # row i weighs rows - i rows above the ones
+    offsets = np.arange(cols) * step_c
     ranks = np.zeros(systems, dtype=np.int64)
-    every = np.arange(systems)
-    for c in range(R.shape[2]):
+    for c in range(cols):
         column = R[:, :, c]
-        nonzero = column != 0
-        pivot = nonzero.any(axis=1)
-        if not pivot.any():
-            continue
-        P = R[every, nonzero.argmax(axis=1), c:]  # each system's pivot row
+        score = ((column != 0) * weight).max(axis=1, initial=0)  # 0: the column is zero
+        ranks += score > 0
+        if c + 1 == cols:
+            break
+        # each system's pivot row (its row of ones where the column is zero)
+        # from column c on, one column of P per system
+        P = flat.take(np.add.outer(offsets[c:], ones - score))
         X = R[:, :, c + 1:]
-        X *= np.where(pivot, P[:, 0], 1)[:, None, None]
-        X -= column[:, :, None] * P[:, None, 1:]
+        X *= P[0][:, None, None]
+        X -= column[:, :, None] * P[1:].T[:, None, :]
         reduce(X, p)
-        ranks += pivot
     return ranks // k
+
+
+def _residue_stack(systems: int, rows: int, cols: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(buf, R): an uninitialised stack R (systems x rows x cols) for
+    ``rank_stack`` and the buffer that holds it, with a row of ones below
+    every system.  A stack of more systems than rows is held systems
+    innermost (buf is rows+1 x cols x systems and R a transposed view of
+    it); otherwise each system's rows are contiguous (systems x rows+1 x
+    cols)."""
+    if systems > rows:
+        buf = np.empty((rows + 1, cols, systems), dtype=dtype)
+        buf[rows] = 1
+        return buf, buf[:rows].transpose(2, 0, 1)
+    buf = np.empty((systems, rows + 1, cols), dtype=dtype)
+    buf[:, rows] = 1
+    return buf, buf[:, :rows]
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,13 @@ point (one ``exactla.rank_stack`` per batch, where that costs less than the
 scan; see the Macaulay prune below).  The scan returns a member table: the
 singular cells as arrays of member rows and point indices, in report order
 after one lexsort.  One more lexsort over the parameter digits orders the
-members, and only the reported members' parameters and points become
-FieldElements, one ``to_elements`` call each.  Classification is numeric:
+members.  Only the reported members' parameters and points become
+FieldElements, and their report lines are built from the table's digits:
+each distinct value used makes one FieldElement and one string
+(``fields._format_t_poly`` of its digits, as the element prints), which the
+members share, and an unclassified point is one SingularPoint shared by
+every member singular there; ``SingularMember.text``, the one formatter,
+joins those strings.  Classification is numeric:
 corank of the Hessian plus the Tjurina number computed by truncated
 local-algebra linear algebra, which separates the A_k types without any
 Groebner machinery.
@@ -38,14 +43,14 @@ from .fields import (
     FieldCtx,
     FieldElement,
     _dtype,
+    _format_t_poly,
     monomial_values,
     plane_matmul,
     plane_mul,
     to_elements,
-    to_planes,
 )
 from .poly import QQ, ZZ, MultiPoly, ParametricFamily, coerce, monomial_basis, monomial_count
-from .rng import below_rows, digit_rows, first_occurrences
+from .rng import below_rows, digit_rows, distinct_rows, first_occurrences
 
 DEFAULT_POINT_BUDGET = 2_000_000
 DEFAULT_CAP = 8
@@ -61,21 +66,31 @@ class SingularPoint:
     corank: int | None = None
     tjurina: int | None = None
     diagnostic: str = ""
+    names: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.names is None:  # the coordinates as the report prints them
+            object.__setattr__(self, "names", tuple(map(str, self.coords)))
 
     def text(self) -> str:
-        return "(" + ":".join(str(c) for c in self.coords) + ")"
+        return "(" + ":".join(self.names) + ")"
 
 
 @dataclass
 class SingularMember:
     params: tuple
     points: list[SingularPoint] = field(default_factory=list)
+    names: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.names is None:  # the parameters as the report prints them
+            self.names = tuple(map(str, self.params))
 
     def signature(self) -> str:
-        return signature_string([pt.label for pt in self.points])
+        return _signature(tuple(pt.label for pt in self.points))
 
     def text(self) -> str:
-        params = "(" + ",".join(str(v) for v in self.params) + ")"
+        params = "(" + ",".join(self.names) + ")"
         pts = " ".join(pt.text() for pt in self.points)
         return f"{params} | {self.signature()} | {pts}"
 
@@ -93,6 +108,9 @@ def signature_string(labels: Sequence[str]) -> str:
 
     parts = [f"{counts[lab]}{lab}" for lab in sorted(counts, key=key)]
     return "+".join(parts) if parts else "smooth"
+
+
+_signature = functools.lru_cache(maxsize=1024)(signature_string)  # of a tuple of labels
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +204,18 @@ def _member_coefficients(
     Returns the x-monomials and the coefficient planes C = Pmon @ A.T
     (k x rows x monomials), where A holds the family's coefficients
     (x-monomials x p-monomials) and Pmon the p-monomials at each parameter row.
+    The coefficients may lie in ctx or in ZZ (an integer c is c mod p in plane
+    0); a term that vanishes in ctx is dropped, as on a family over ctx.
     """
-    xmons = sorted({e[:nvars] for e in poly.terms})
-    pmons = sorted({e[nvars:] for e in poly.terms})
+    digits = {e: coerce(ctx, c).coeffs for e, c in poly.terms.items()}
+    digits = {e: d for e, d in digits.items() if any(d)}
+    xmons = sorted({e[:nvars] for e in digits})
+    pmons = sorted({e[nvars:] for e in digits})
     xpos = {m: i for i, m in enumerate(xmons)}
     ppos = {m: i for i, m in enumerate(pmons)}
-    A = [[ctx.zero()] * len(pmons) for _ in xmons]
-    for e, c in poly.terms.items():
-        A[xpos[e[:nvars]]][ppos[e[nvars:]]] = c
-    A = to_planes(ctx, A).reshape(ctx.k, len(xmons), len(pmons))
+    A = np.zeros((ctx.k, len(xmons), len(pmons)), dtype=_dtype(ctx.p))
+    A[:, [xpos[e[:nvars]] for e in digits], [ppos[e[nvars:]] for e in digits]] = (
+        np.array(list(digits.values()), dtype=A.dtype).reshape(len(digits), ctx.k).T)
     pmon = monomial_values(ctx, params, _exponent_array(pmons, params.shape[2]))
     return xmons, plane_matmul(ctx, pmon, A.transpose(0, 2, 1))
 
@@ -459,20 +480,31 @@ def hunt_members(
     flat = digits[singular].reshape(len(singular), fam.nparams * ctx.k)
     order = np.lexsort((singular, *flat.T[::-1]))
     used, cell_point = np.unique(points, return_inverse=True)
-    coords = list(map(tuple, to_elements(ctx, _projective_planes(ctx, fam.nvars, used))))
-    cells = [coords[i] for i in cell_point.tolist()]
-    params = to_elements(ctx, np.moveaxis(digits[singular[order]], 2, 0))
+    coords = _named_rows(ctx, _projective_planes(ctx, fam.nvars, used))
+    unclassified = [SingularPoint(c, names=names) for c, names in coords]  # shared by the members
+    cell_point = cell_point.tolist()
     members = []
-    for j, ps in zip(order.tolist(), params):
-        pts = cells[bounds[j]:bounds[j + 1]]
+    for j, (ps, names) in zip(order.tolist(), _named_rows(ctx, np.moveaxis(digits[singular[order]], 2, 0))):
+        pts = cell_point[bounds[j]:bounds[j + 1]]
         if classify_points:
             # a family without parameters specialises to its own integer polynomial
             member_poly = fam.specialize(ps).map_domain(ctx)
-            spts = [_classified(member_poly, c, cap) for c in pts]
+            spts = [_classified(member_poly, coords[i][0], cap) for i in pts]
         else:
-            spts = [SingularPoint(c) for c in pts]
-        members.append(SingularMember(tuple(ps), spts))
+            spts = [unclassified[i] for i in pts]
+        members.append(SingularMember(ps, spts, names))
     return members
+
+
+def _named_rows(ctx: FieldCtx, planes: np.ndarray) -> list[tuple[tuple, tuple[str, ...]]]:
+    """(values, names) of each row of the planes (k x rows x width): its
+    FieldElements and their strings as the report prints them.  One element
+    and one string are made per distinct value, the string by
+    ``fields._format_t_poly`` on its digits, as a FieldElement prints."""
+    rows = [list(map(tuple, row)) for row in np.moveaxis(planes, 0, -1).tolist()]
+    values = {d: FieldElement(ctx, d) for d in dict.fromkeys(d for row in rows for d in row)}
+    names = {d: _format_t_poly(d) for d in values}
+    return [(tuple(map(values.__getitem__, row)), tuple(map(names.__getitem__, row))) for row in rows]
 
 
 def _classified(member_poly: MultiPoly, coords: tuple, cap: int) -> SingularPoint:
@@ -498,7 +530,6 @@ def _family_scan(
         return found[0]
     n = fam.nvars
     _check_budget(ctx.q, n, budget)
-    poly = fam.poly.map_domain(ctx)
     check_f = not (fam.is_homogeneous_in_x() and fam.x_degree % ctx.p)
     prune = fam.is_homogeneous_in_x() and fam.x_degree >= 1
     # glibc's malloc maps each block above its mmap threshold (128 KiB at
@@ -509,7 +540,7 @@ def _family_scan(
     # dynamic threshold of mallopt(3)), so they are reused from the heap.
     np.empty(1 << 18)
     for start in range(0, params.shape[1], SCAN_CELLS):
-        xmons, C = _member_coefficients(poly, n, params[:, start:start + SCAN_CELLS], ctx)
+        xmons, C = _member_coefficients(fam.poly, n, params[:, start:start + SCAN_CELLS], ctx)
         rows = np.arange(C.shape[1])
         if prune and _prune_pays(xmons, ctx, n, fam.x_degree):
             rows = rows[_may_be_singular(xmons, C, ctx, n, fam.x_degree)]
@@ -582,15 +613,16 @@ def _may_be_singular(
     rank: no member outside it has a singular point.  The matrices are
     ranked by ``exactla.rank_stack``, about SCAN_CELLS cells at a time."""
     (rows, cols), cells, sources, mults = _macaulay_gather(tuple(xmons), n, d, ctx.p)
-    mults = np.array(mults, dtype=C.dtype)
+    mults = np.array(mults, dtype=C.dtype)[:, None]
     members = C.shape[1]
     keep = np.empty(members, dtype=bool)
     step = max(1, SCAN_CELLS // (rows * cols))
     for lo in range(0, members, step):
-        batch = C[:, lo:lo + step, sources]
-        M = np.zeros((ctx.k, batch.shape[1], rows * cols), dtype=C.dtype)
-        M[:, :, cells] = batch * mults % ctx.p
-        keep[lo:lo + step] = exactla.rank_stack(M.reshape(*M.shape[:2], rows, cols), ctx) < cols
+        batch = C[:, lo:lo + step].transpose(0, 2, 1)  # k x monomials x members
+        M = np.zeros((ctx.k, rows * cols, batch.shape[2]), dtype=C.dtype)
+        M[:, cells] = batch[:, sources] * mults
+        stack = M.reshape(ctx.k, rows, cols, -1).transpose(0, 3, 1, 2)
+        keep[lo:lo + step] = exactla.rank_stack(stack, ctx) < cols
     return keep
 
 
@@ -617,21 +649,21 @@ def _param_candidates(nparams: int, ctx: FieldCtx, trials: int, seed: int) -> np
     if space <= trials and space <= FULL_SCAN_POINTS:
         return digit_rows(np.arange(space), [p] * width).reshape(space, nparams, k).astype(_dtype(p))
     limit = _attempt_limit(trials)
-    rows = np.empty((0, width), dtype=np.uint64)
-    drawn, rounds = trials, 0
+    kept, seen = [], None  # the distinct rows of each round, and the sorted keys of all
+    done, drawn, rounds = 0, trials, 0
     while True:
-        more = below_rows(seed, np.arange(len(rows), drawn), [p] * width)
-        rows = np.concatenate([rows, more])
-        first = first_occurrences(rows, p)
-        short = trials - len(first)
+        more = below_rows(seed, np.arange(done, drawn), [p] * width)
+        first, seen = distinct_rows(more, p, seen)  # only the new rows are sorted
+        kept.append(more[first])
+        short = trials - len(seen)
         if short <= 0 or drawn == limit:
             break
         # the draws the shortfall needs at the distinct rate seen so far, with
         # a margin that doubles each round (so at most log2(limit) rounds)
         rounds += 1
-        drawn = min(drawn + (-(-short * drawn // len(first)) << rounds), limit)
-    first = first[:trials]
-    return rows[first].astype(_dtype(p)).reshape(len(first), nparams, k)
+        done, drawn = drawn, min(drawn + (-(-short * drawn // len(seen)) << rounds), limit)
+    rows = np.concatenate(kept)[:trials]
+    return rows.astype(_dtype(p)).reshape(len(rows), nparams, k)
 
 
 def _shortfall(nparams: int, ctx: FieldCtx, trials: int, tested: int) -> str:
@@ -654,7 +686,7 @@ def _solve_at_point_candidates(
             "solve-at-point needs a family that is linear in the parameters"
         )
     n, npar, p = fam.nvars, fam.nparams, ctx.p
-    poly = fam.poly.map_domain(ctx)
+    poly = fam.poly
     size = projective_size(ctx.q, n)
     _check_budget(ctx.q, n, budget)
     drawn = below_rows(seed, np.arange(trials), [size])[:, 0].astype(np.int64)
@@ -663,7 +695,7 @@ def _solve_at_point_candidates(
     # in the parameters: columns p1..p{npar}, then minus the constant term
     system = np.zeros((ctx.k, trials, n + 1, npar + 1), dtype=_dtype(p))
     for row, eq in enumerate([poly] + [poly.partial(i) for i in range(n)]):
-        swapped = MultiPoly(npar + n, ctx, {e[n:] + e[:n]: c for e, c in eq.terms.items()})
+        swapped = MultiPoly(npar + n, poly.domain, {e[n:] + e[:n]: c for e, c in eq.terms.items()})
         pmons, C = _member_coefficients(swapped, npar, points, ctx)
         for col, m in enumerate(pmons):
             if any(m):

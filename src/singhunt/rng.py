@@ -132,37 +132,62 @@ def digit_rows(index: np.ndarray, radices: Sequence[int]) -> np.ndarray:
     return out.T
 
 
-def first_occurrences(rows: np.ndarray, base: int) -> np.ndarray:
-    """Ascending indices of the first occurrence of every distinct row of
-    digits below base.
-
-    A row that packs into one word w < base^width leaves room below it for
-    its index i when base^width * 2^bits <= 2^64 (bits the bit length of
-    the row count).  Then one unstable np.sort of the keys w << bits | i puts
-    equal rows next to each other, the lowest index first.  Otherwise each
-    row's digits are packed into as few uint64 words as hold them
-    (base^d <= 2^64 digits a word), and a stable lexsort ranks the rows on
-    the words.  Rows of no digits are all equal.
-    """
-    bits = len(rows).bit_length()
-    if base ** rows.shape[1] << bits <= 1 << 64:
-        shift = np.uint64(bits)
-        key = np.zeros(len(rows), dtype=np.uint64)
-        for j in range(rows.shape[1]):
-            key = key * np.uint64(base) + rows[:, j]
-        key = np.sort(key << shift | np.arange(len(rows), dtype=np.uint64))
-        word = key >> shift
-        new = np.ones(len(rows), dtype=bool)
-        new[1:] = word[1:] != word[:-1]
-        return np.sort((key[new] & np.uint64((1 << bits) - 1)).astype(np.intp))
+def row_keys(rows: np.ndarray, base: int) -> np.ndarray:
+    """One key per row of digits below base, equal exactly where the rows
+    are: the digits packed into one uint64 while base^width <= 2^64,
+    otherwise into as few uint64 words as hold them (base^d <= 2^64 digits
+    a word), read as one bytes string of big-endian words.  Keys sort
+    (np.sort, np.searchsorted) like any array."""
     per = 1
     while base ** (per + 1) <= 1 << 64:
         per += 1
-    words = np.zeros((len(rows), max(1, -(-rows.shape[1] // per))), dtype=np.uint64)
-    for j in range(rows.shape[1]):
+    width = rows.shape[1]
+    words = np.zeros((len(rows), max(1, -(-width // per))), dtype=np.uint64)
+    for j in range(width):
         words[:, j // per] = words[:, j // per] * np.uint64(base) + rows[:, j]
-    order = np.lexsort(words.T)  # stable: equal rows end up adjacent, in index order
-    ranked = words[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    return np.sort(order[new])
+    if words.shape[1] == 1:
+        return words[:, 0]
+    return words.astype(">u8").view(f"S{8 * words.shape[1]}")[:, 0]
+
+
+def distinct_rows(
+    rows: np.ndarray, base: int, seen: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(first, keys): the ascending indices of the first occurrence of every
+    distinct row of digits below base whose key (``row_keys``) is not in the
+    sorted array seen, and the sorted keys of seen and of those rows.
+
+    A row whose key is one word w < base^width leaves room below it for its
+    index i when base^width * 2^bits <= 2^64 (bits the bit length of the row
+    count).  Then one unstable np.sort of the keys w << bits | i puts equal
+    rows next to each other, the lowest index first.  Otherwise a stable
+    lexsort of the keys does.  Only the rows are sorted: each distinct one
+    is then looked up in seen.  Rows of no digits are all equal.
+    """
+    keys = row_keys(rows, base)
+    bits = len(rows).bit_length()
+    if base ** rows.shape[1] << bits <= 1 << 64:
+        shift = np.uint64(bits)
+        key = np.sort(keys << shift | np.arange(len(rows), dtype=np.uint64))
+        word = key >> shift
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = word[1:] != word[:-1]
+        distinct, first = word[new], (key[new] & np.uint64((1 << bits) - 1)).astype(np.intp)
+    else:
+        order = np.lexsort((keys,))  # stable: equal rows end up adjacent, in index order
+        ranked = keys[order]
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = ranked[1:] != ranked[:-1]
+        distinct, first = ranked[new], order[new]
+    if seen is not None and len(seen):
+        at = np.searchsorted(seen, distinct)
+        unseen = seen[np.minimum(at, len(seen) - 1)] != distinct
+        distinct = np.insert(seen, at[unseen], distinct[unseen])
+        first = first[unseen]
+    return np.sort(first), distinct
+
+
+def first_occurrences(rows: np.ndarray, base: int) -> np.ndarray:
+    """Ascending indices of the first occurrence of every distinct row of
+    digits below base (``distinct_rows``)."""
+    return distinct_rows(rows, base)[0]

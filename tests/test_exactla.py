@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
@@ -816,3 +817,37 @@ def test_rank_stack_shapes_and_tiers(monkeypatch, p, k):
     extreme = np.where(rnd.integers(0, 3, size=(k, 3, 4, 4)) > 0, p - 1, p - 2).astype(_dtype(p))
     assert_stack_ranks_match(ctx, extreme)
     assert {str(d) for d in float_calls} == ({"float64"} if (p - 1) ** 2 < 2**53 else set())
+
+
+@st.composite
+def layout_stacks(draw):
+    """(ctx, planes): 0 to 40 matrices of at most 5 x 5, so that stacks fall
+    on both sides of rank_stack's layout rule (more systems than rows)."""
+    ctx = field_create(draw(st.sampled_from(STACK_PRIMES)), draw(st.integers(1, 3)))
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    systems = [draw(planes_of_shape(ctx, rows, cols)) for _ in range(draw(st.integers(0, 40)))]
+    if not systems:
+        return ctx, np.zeros((ctx.k, 0, rows, cols), dtype=_dtype(ctx.p))
+    return ctx, np.stack(systems, axis=1)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(layout_stacks())
+def test_rank_stack_layout_follows_the_shape(case):
+    """The ranks are right in either layout, and the stack is held systems
+    innermost exactly when it has more systems than the rows it eliminates
+    (the larger side, times k over GF(p^k))."""
+    ctx, planes = case
+    k, systems, rows, cols = planes.shape
+    made, original = [], exactla._residue_stack
+
+    def recorded(*args):
+        made.append(original(*args))
+        return made[-1]
+
+    with mock.patch.object(exactla, "_residue_stack", recorded):
+        assert_stack_ranks_match(ctx, planes)
+    (buf, R), = made
+    rows, cols = k * max(rows, cols), k * min(rows, cols)
+    assert R.shape == (systems, rows, cols)
+    assert buf.shape == ((rows + 1, cols, systems) if systems > rows else (systems, rows + 1, cols))

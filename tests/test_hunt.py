@@ -32,7 +32,7 @@ from singhunt.hunt import (
     singular_points,
 )
 from singhunt.poly import QQ, ZZ, MultiPoly, ParametricFamily, monomial_basis, parse, parse_poly
-from singhunt.rng import digit_rows, first_occurrences, split
+from singhunt.rng import digit_rows, distinct_rows, first_occurrences, row_keys, split
 
 F7 = field_create(7)
 F11 = field_create(11)
@@ -414,6 +414,30 @@ def test_first_occurrences_of_no_rows_and_of_empty_rows(count, width):
     got = first_occurrences(rows, 7)
     assert got.tolist() == ([0] if count else [])
     assert got.dtype == np.intp
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from([2, 7, 101, 2**32 + 15, P64]), st.integers(0, 9), st.data())
+def test_distinct_rows_in_rounds_match_a_set_of_seen_rows(base, width, data):
+    """Rows deduplicated a round at a time against the sorted keys of the
+    rounds before give the first occurrences of all of them at once, and
+    each round sorts only its own rows."""
+    digit = st.sampled_from(sorted({0, 1, base - 1}))
+    rounds = data.draw(st.lists(st.lists(st.lists(digit, min_size=width, max_size=width), max_size=12),
+                                max_size=4))
+    rows = [row for batch in rounds for row in batch]
+    got, seen, done = [], None, 0
+    for batch in rounds:
+        batch = np.array(batch, dtype=np.uint64).reshape(len(batch), width)
+        with mock.patch.object(np, "sort", wraps=np.sort) as sort:
+            first, seen = distinct_rows(batch, base, seen)
+        assert all(len(call.args[0]) <= len(batch) for call in sort.call_args_list)
+        got += (done + first).tolist()
+        done += len(batch)
+    assert got == seen_first(np.array(rows, dtype=np.uint64).reshape(len(rows), width))
+    if rounds:
+        keys = row_keys(np.array(rows, dtype=np.uint64).reshape(len(rows), width), base)
+        assert seen.tolist() == np.unique(keys).tolist()
 
 
 def test_param_candidates_refuse_primes_above_two_to_the_64():
@@ -984,6 +1008,20 @@ def test_pruned_members_have_no_singular_point(case, cells):
             assert not keep[t]
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(field_families(PRIME_FIELDS + EXTENSION_FIELDS), st.integers(1, 6), st.integers(0, 3))
+def test_member_coefficients_from_integers_match_the_family_over_the_field(case, trials, seed):
+    """Specialising the family's own integer coefficients gives the
+    monomials and planes of the family mapped into the field, whose terms
+    that vanish mod p are gone."""
+    ctx, fam = case
+    params = np.moveaxis(_param_candidates(fam.nparams, ctx, trials, seed), 2, 0)
+    xmons, C = _member_coefficients(fam.poly, fam.nvars, params, ctx)
+    want_xmons, want = _member_coefficients(fam.poly.map_domain(ctx), fam.nvars, params, ctx)
+    assert xmons == want_xmons
+    assert C.dtype == want.dtype and C.tolist() == want.tolist()
+
+
 def test_smooth_conics_are_pruned_and_singular_ones_kept():
     xmons = [(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]
     C = np.array([[[1, 0, 1, 0, 0, 1],    # x0^2 + x1^2 + x2^2, smooth
@@ -997,6 +1035,37 @@ Q6 = ("x0^4+x1^4+x2^4+p1*x0^2*x1^2+p2*x0^2*x2^2+p3*x1^2*x2^2+p4*x0^2*x1*x2+p5*x0
       "+p6*x0*x1*x2^2+x0^3*x1+2*x1^3*x2+3*x2^3*x0")
 LOCUS = "x1^2 + x0^2*p1^2 - 2*x0^2*p2*p3 + 3*x0^2*p1 - x0^2"
 CUBIC_SURFACE = "x0^3+x1^3+x2^3+x3^3+p1*x0*x1*x2+p2*x1*x2*x3+p3*x0*x2*x3"
+
+
+def macaulay_is_short(ctx, n, d, xmons, coeffs):
+    """Whether the Macaulay matrix in degree D = max(n(d-2)+1, d-1) of the
+    partials of the form with these coefficients, built row by row from the
+    partials as polynomials, is short of full column rank by exactla.rank."""
+    f = MultiPoly(n, ctx, {e: c for e, c in zip(xmons, coeffs) if c})
+    D = max(n * (d - 2) + 1, d - 1)
+    column = {a: j for j, a in enumerate(monomial_basis(n, D, "exactly"))}
+    rows = []
+    for g in (f.partial(i) for i in range(n)):
+        for m in monomial_basis(n, D - d + 1, "exactly"):
+            row = [0] * len(column)
+            for e, c in g.terms.items():
+                row[column[tuple(a + b for a, b in zip(e, m))]] = c
+            rows.append(row)
+    return exactla.rank(exactla.ExactMatrix.make(ctx, rows, len(column))) < len(column)
+
+
+@pytest.mark.parametrize("text, nvars, p, k, trials", [(LOCUS, 2, 79, 1, 5000), (CONIC, 3, 7, 2, 400)],
+                         ids=["locus-GF79", "conic-GF49"])
+def test_prune_mask_is_the_rank_of_each_macaulay_matrix(text, nvars, p, k, trials):
+    """The prune's mask on a whole batch, ranked as one stack held systems
+    innermost, against exactla.rank of each member's own matrix."""
+    fam, ctx = parse(text, nvars, 3), field_create(p, k)
+    params = np.moveaxis(_param_candidates(3, ctx, trials, 1), 2, 0)
+    xmons, C = _member_coefficients(fam.poly, nvars, params, ctx)
+    mask = hunt._may_be_singular(xmons, C, ctx, nvars, 2)
+    want = [macaulay_is_short(ctx, nvars, 2, xmons, coeffs) for coeffs in to_elements(ctx, C)]
+    assert mask.tolist() == want
+    assert 0 < sum(want) < trials
 
 
 @pytest.mark.parametrize("text, nvars, nparams, p, pruned", [
@@ -1105,4 +1174,13 @@ def test_member_table_matches_the_per_member_path(case, seed, classify_points, c
         got = hunt_members(fam, ctx, trials=trials, seed=seed, classify_points=classify_points)
         want = per_member_hunt(fam, ctx, trials, seed, classify_points)
     assert got == want
-    assert [m.text() for m in got] == [m.text() for m in want]
+    assert [m.text() for m in got] == [parent_text(m) for m in want] == [m.text() for m in want]
+
+
+def parent_text(member):
+    """A member's report line as SingularMember.text made it before the
+    lines were built from the member table's digits: every parameter and
+    coordinate printed by str of its FieldElement."""
+    params = "(" + ",".join(str(v) for v in member.params) + ")"
+    pts = " ".join("(" + ":".join(str(c) for c in pt.coords) + ")" for pt in member.points)
+    return f"{params} | {signature_string([pt.label for pt in member.points])} | {pts}"
