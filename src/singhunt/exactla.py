@@ -9,11 +9,12 @@ eliminates them: a GF(p^k) matrix first becomes its regular representation
 over GF(p), each entry its k x k multiplication matrix.  The elimination
 makes one outer-product update per pivot, in float64 reduced exactly by
 ``fields.reduce_float`` while (p-1)^2 < 2^53, otherwise in int64 reduced by
-``%`` (Python ints once a product of residues exceeds int64).  Either way
-the entries (over QQ ints, or Fractions where not integral; ints over
-GF(p), FieldElements over GF(p^k)) are derived only when first read.  Every
-rank, kernel and solve goes through ``rref``, once: a solve reads its
-particular solution and its kernel from the one RREF of [A | b].
+``fields.reduce_int`` (Python ints once a product of residues exceeds
+int64).  Either way the entries (over QQ ints, or Fractions where not
+integral; ints over GF(p), FieldElements over GF(p^k)) are derived only
+when first read.  Every rank, kernel and solve goes through ``rref``, once:
+a solve reads its particular solution and its kernel from the one RREF of
+[A | b].
 ``determinant`` and ``is_negative_definite`` read its swaps and pivots.
 ``rank_stack`` ranks a whole stack of finite-field matrices at once (digit
 planes k x systems x rows x cols), with each system's pivot chosen
@@ -39,6 +40,7 @@ from .fields import (
     FieldElement,
     _dtype,
     reduce_float,
+    reduce_int,
     to_planes,
     to_scalars,
 )
@@ -265,11 +267,12 @@ def _regular(M: np.ndarray, ctx: FieldCtx) -> np.ndarray:
 def _residue_tier(p: int):
     """(dtype, reduce) of the exact residue arithmetic over GF(p) in which
     every integer |x| <= (p-1)^2 is held: float64 while (p-1)^2 < 2^53,
-    reduced by ``fields.reduce_float``; past that int64 reduced by ``%``
-    (Python ints once (p-1)^2 >= 2^63).  reduce(x, p) reduces x in place."""
+    reduced by ``fields.reduce_float``; past that int64 reduced by
+    ``fields.reduce_int`` (Python ints once (p-1)^2 >= 2^63).  reduce(x, p)
+    reduces x in place."""
     if (p - 1) ** 2 < 2**53:
         return np.float64, reduce_float
-    return _dtype(p), lambda x, p: np.remainder(x, p, out=x)
+    return _dtype(p), reduce_int
 
 
 def _rref_residues(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -340,16 +343,19 @@ def rank_stack(M: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     if rows < cols:
         A = A.transpose(0, 2, 1)
     _, rows, cols = A.shape
+    ranks = np.zeros(systems, dtype=np.int64)
+    if not (systems and cols):  # no matrix, or only matrices of rank 0
+        return ranks
     dtype, reduce = _residue_tier(p)
     buf, R = _residue_stack(systems, rows, cols, dtype)
     R[...] = A
     reduce(R, p)
     flat = buf.reshape(-1)
-    step_s, step_r, step_c = (s // buf.itemsize for s in R.strides)
-    ones = np.arange(systems) * step_s + rows * step_r  # where each system's row of ones starts
-    weight = np.arange(rows, 0, -1) * step_r  # row i weighs rows - i rows above the ones
-    offsets = np.arange(cols) * step_c
-    ranks = np.zeros(systems, dtype=np.int64)
+    step_s, step_r, step_c = (s // buf.itemsize for s in R.strides)  # all positive
+    base = rows * step_r  # each system's row of ones starts base after it
+    ones = np.arange(base, base + systems * step_s, step_s)
+    weight = np.arange(base, 0, -step_r)  # row i weighs rows - i rows above the ones
+    offsets = np.arange(0, cols * step_c, step_c)
     for c in range(cols):
         column = R[:, :, c]
         score = ((column != 0) * weight).max(axis=1, initial=0)  # 0: the column is zero

@@ -391,6 +391,15 @@ def reduce_float(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
+def reduce_int(x: np.ndarray, p: int) -> np.ndarray:
+    """x - (x // p) * p, in place, for an int64 (or object) array: returns
+    x, now its residues in [0, p), for either sign of x (in int64 the
+    product may wrap, and the difference is still the residue).  numpy
+    divides by a scalar several times faster than it takes % of one."""
+    x -= x // p * p
+    return x
+
+
 def _dot_mod(X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
     """(X @ Y) % p for residues, in the cheapest of three exact tiers.
 
@@ -405,12 +414,10 @@ def _dot_mod(X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
         Xf, Yf = X.astype(np.float64), Y.astype(np.float64)
         return reduce_float(Xf * Yf if inner == 1 else Xf @ Yf, p).astype(np.int64)
     if X.dtype == object or inner * (p - 1) ** 2 < 2**63:
-        out = X @ Y
-        out %= p  # in place: one large temporary instead of two
-        return out
+        return reduce_int(X @ Y, p)
     out = np.zeros((X.shape[0], Y.shape[1]), dtype=X.dtype)
     for j in range(X.shape[1]):
-        out = (out + X[:, j, None] * Y[None, j] % p) % p
+        out = reduce_int(out + reduce_int(X[:, j, None] * Y[None, j], p), p)
     return out
 
 
@@ -424,17 +431,17 @@ def _fold(ctx: FieldCtx, product) -> np.ndarray:
     for i in range(k):
         for j in range(k):
             term = product(i, j)
-            raw[i + j] = term if raw[i + j] is None else (raw[i + j] + term) % p
+            raw[i + j] = term if raw[i + j] is None else reduce_int(raw[i + j] + term, p)
     for j in range(k, 2 * k - 1):
         for d, c in enumerate(ctx.fold[j - k]):
             if c:
-                raw[d] = (raw[d] + raw[j] * c % p) % p
+                raw[d] = reduce_int(raw[d] + reduce_int(raw[j] * c, p), p)
     return np.stack(raw[:k])
 
 
 def plane_mul(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Elementwise product of plane arrays; the axes after the first broadcast."""
-    return _fold(ctx, lambda i, j: A[i] * B[j] % ctx.p)
+    return _fold(ctx, lambda i, j: reduce_int(A[i] * B[j], ctx.p))
 
 
 def plane_matmul(ctx: FieldCtx, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -476,7 +483,8 @@ def monomial_values(ctx: FieldCtx, X: np.ndarray, exps: np.ndarray) -> np.ndarra
             table[e] = plane_mul(ctx, table[lower], X[:, :, i])
     if not rows:
         return plane_ones(ctx, (X.shape[1], 0))
-    return np.stack([table[e] for e in rows], axis=2)
+    # each monomial's values contiguous: a view of planes k x monomials x points
+    return np.stack([table[e] for e in rows], axis=1).transpose(0, 2, 1)
 
 
 def to_planes(ctx: FieldCtx, values) -> np.ndarray:

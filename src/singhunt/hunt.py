@@ -47,6 +47,7 @@ from .fields import (
     monomial_values,
     plane_matmul,
     plane_mul,
+    reduce_int,
     to_elements,
 )
 from .poly import QQ, ZZ, MultiPoly, ParametricFamily, coerce, monomial_basis, monomial_count
@@ -87,12 +88,11 @@ class SingularMember:
             self.names = tuple(map(str, self.params))
 
     def signature(self) -> str:
-        return _signature(tuple(pt.label for pt in self.points))
+        return _signature(tuple([pt.label for pt in self.points]))
 
     def text(self) -> str:
-        params = "(" + ",".join(self.names) + ")"
-        pts = " ".join(pt.text() for pt in self.points)
-        return f"{params} | {self.signature()} | {pts}"
+        pts = " ".join([pt.text() for pt in self.points])
+        return f"({','.join(self.names)}) | {self.signature()} | {pts}"
 
 
 def signature_string(labels: Sequence[str]) -> str:
@@ -247,7 +247,7 @@ def _scan(
     mons = sorted({m for _, ms, _ in checks for m in ms})
     where = {m: j for j, m in enumerate(mons)}
     plan = [  # (columns of the monomial values, coefficient planes members x columns)
-        ([where[m] for m in ms], C[:, :, list(cols)] * np.array(mult, dtype=C.dtype) % p)
+        ([where[m] for m in ms], reduce_int(C[:, :, list(cols)] * np.array(mult, dtype=C.dtype), p))
         for cols, ms, mult in checks
     ]
     exps = _exponent_array(mons, n)
@@ -271,7 +271,7 @@ def _scan(
                 if not len(b):
                     break
                 terms = plane_mul(ctx, block[:, b[:, None], idx], coeffs[:, t])
-                keep = ~(terms.sum(axis=2) % p).any(axis=0)
+                keep = ~reduce_int(terms.sum(axis=2), p).any(axis=0)
                 b, t = b[keep], t[keep]
         found_b.append(start + b)
         found_t.append(t)
@@ -480,31 +480,34 @@ def hunt_members(
     flat = digits[singular].reshape(len(singular), fam.nparams * ctx.k)
     order = np.lexsort((singular, *flat.T[::-1]))
     used, cell_point = np.unique(points, return_inverse=True)
-    coords = _named_rows(ctx, _projective_planes(ctx, fam.nvars, used))
-    unclassified = [SingularPoint(c, names=names) for c, names in coords]  # shared by the members
+    coords, coord_names = _named_rows(ctx, _projective_planes(ctx, fam.nvars, used))
+    unclassified = [SingularPoint(c, names=n) for c, n in zip(coords, coord_names)]  # shared by the members
     cell_point = cell_point.tolist()
     members = []
-    for j, (ps, names) in zip(order.tolist(), _named_rows(ctx, np.moveaxis(digits[singular[order]], 2, 0))):
+    for j, ps, names in zip(order.tolist(), *_named_rows(ctx, np.moveaxis(digits[singular[order]], 2, 0))):
         pts = cell_point[bounds[j]:bounds[j + 1]]
         if classify_points:
             # a family without parameters specialises to its own integer polynomial
             member_poly = fam.specialize(ps).map_domain(ctx)
-            spts = [_classified(member_poly, coords[i][0], cap) for i in pts]
+            spts = [_classified(member_poly, coords[i], cap) for i in pts]
         else:
-            spts = [unclassified[i] for i in pts]
+            spts = list(map(unclassified.__getitem__, pts))
         members.append(SingularMember(ps, spts, names))
     return members
 
 
-def _named_rows(ctx: FieldCtx, planes: np.ndarray) -> list[tuple[tuple, tuple[str, ...]]]:
-    """(values, names) of each row of the planes (k x rows x width): its
-    FieldElements and their strings as the report prints them.  One element
-    and one string are made per distinct value, the string by
+def _named_rows(ctx: FieldCtx, planes: np.ndarray) -> tuple[list[tuple], list[tuple[str, ...]]]:
+    """(values, names): each row of the planes (k x rows x width) as its
+    FieldElements and as their strings in the report.  One element and one
+    string are made per distinct value, the string by
     ``fields._format_t_poly`` on its digits, as a FieldElement prints."""
-    rows = [list(map(tuple, row)) for row in np.moveaxis(planes, 0, -1).tolist()]
-    values = {d: FieldElement(ctx, d) for d in dict.fromkeys(d for row in rows for d in row)}
-    names = {d: _format_t_poly(d) for d in values}
-    return [(tuple(map(values.__getitem__, row)), tuple(map(names.__getitem__, row))) for row in rows]
+    k, rows, width = planes.shape
+    digits = list(zip(*planes.reshape(k, -1).tolist()))  # each value's digits
+    distinct = set(digits)
+    values = list(map({d: FieldElement(ctx, d) for d in distinct}.__getitem__, digits))
+    names = list(map({d: _format_t_poly(d) for d in distinct}.__getitem__, digits))
+    cut = [slice(i * width, (i + 1) * width) for i in range(rows)]
+    return [tuple(values[s]) for s in cut], [tuple(names[s]) for s in cut]
 
 
 def _classified(member_poly: MultiPoly, coords: tuple, cap: int) -> SingularPoint:
@@ -650,7 +653,9 @@ def _param_candidates(nparams: int, ctx: FieldCtx, trials: int, seed: int) -> np
         return digit_rows(np.arange(space), [p] * width).reshape(space, nparams, k).astype(_dtype(p))
     limit = _attempt_limit(trials)
     kept, seen = [], None  # the distinct rows of each round, and the sorted keys of all
-    done, drawn, rounds = 0, trials, 0
+    # the first round also draws twice the repeats expected among trials
+    # draws (trials^2 / 2 space), so that it usually needs no second
+    done, drawn, rounds = 0, min(trials + trials * trials // space + 8, limit), 0
     while True:
         more = below_rows(seed, np.arange(done, drawn), [p] * width)
         first, seen = distinct_rows(more, p, seen)  # only the new rows are sorted

@@ -22,6 +22,7 @@ from singhunt.fields import (
     plane_matmul,
     plane_mul,
     plane_ones,
+    reduce_int,
     to_elements,
     to_planes,
 )
@@ -360,6 +361,20 @@ def test_dot_mod_is_exact_at_large_multiples_of_p(inner, p):
         X = np.array([[p - 1] * (inner - 1) + [a]], dtype=_dtype(p))
         Y = np.array([[p - 1]] * (inner - 1) + [[c]], dtype=_dtype(p))
         assert _dot_mod(X, Y, p).tolist() == dot_reference(X, Y, p) == [[target]]
+
+
+@pytest.mark.parametrize("p", (2, 101, 2147483629, 2**32 + 15, 2**64 - 59))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_reduce_int_is_python_mod(p, data):
+    """reduce_int leaves x % p in x, for either sign, at the extremes of the
+    dtype of its tier (int64, where (x // p) * p may wrap, or Python ints)."""
+    big = 2**63 - 1 if _dtype(p) is np.int64 else 2**130
+    value = st.one_of(st.integers(-big - 1, big), st.sampled_from([0, 1, -1, p - 1, p, -p, big, -big - 1]))
+    values = data.draw(st.lists(value, max_size=12))
+    x = np.array(values, dtype=_dtype(p))
+    assert reduce_int(x, p) is x
+    assert x.tolist() == [v % p for v in values]
 
 
 def per_variable_monomial_values(ctx, X, exps):

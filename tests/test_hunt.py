@@ -342,6 +342,18 @@ def test_param_candidates_match_scalar_draw(case, trials, seed, full_scan):
     assert [tuple(map(tuple, row)) for row in got.tolist()] == want
 
 
+@pytest.mark.parametrize("p, seed", [(79, 1), (101, 7), (127, 3)])
+def test_a_locus_sized_draw_takes_one_round(p, seed):
+    """5000 draws of 3 parameters over GF(p) repeat about 5000^2 / 2p^3
+    times, and the first round draws twice that many more, so it needs no
+    second round; the draw is still the scalar one."""
+    ctx = field_create(p)
+    with mock.patch.object(hunt, "below_rows", wraps=hunt.below_rows) as rounds:
+        got = _param_candidates(3, ctx, 5000, seed)
+    assert rounds.call_count == 1
+    assert [tuple(map(tuple, row)) for row in got.tolist()] == scalar_param_candidates(3, ctx, 5000, seed)
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(st.sampled_from([2, 7, 101, 2**32 + 15, P64]), st.integers(0, 70), st.data())
 def test_first_occurrences_match_a_set_of_seen_rows(base, width, data):
